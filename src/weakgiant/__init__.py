@@ -81,7 +81,6 @@ from .gfsolver import (
 )
 from .mcgraph import (
     DirectedMultigraph,
-    DisjointSet,
     KmcResult,
     KmcState,
     kmc_simulate,

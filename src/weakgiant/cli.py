@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import criteria, evolution, flory, gfsolver, mcgraph
-from .degdist import BivariateDegreeDist
+from .degdist import BivariateDegreeDist, require_edge_balanced
 from .errors import (
     ConversionOutOfRange,
     Exhausted,
@@ -182,6 +182,7 @@ def _cmd_simulate(args) -> str:
         if args.dump_trajectory:
             raise ValidationError("trajectory dump applies to kmc mode only")
         d = BivariateDegreeDist.from_text(text, tol=args.tol)
+        require_edge_balanced(d, args.tol)
         graph = mcgraph.sample_configuration(d, args.vertices, args.seed)
         t_final = None
         times = mu_hat = None
@@ -198,7 +199,7 @@ def _cmd_simulate(args) -> str:
         t_final = result.state.t
         times, mu_hat = result.times, result.mu_hat
     sizes = mcgraph.weak_component_sizes(graph)
-    hist = mcgraph.size_histogram(sizes.tolist(), vertex_weighted=True)
+    hist = mcgraph.size_histogram(sizes, vertex_weighted=True)
     if args.dump_graph:
         _dump_graph(graph, args.dump_graph)
     if args.dump_trajectory:

@@ -45,38 +45,36 @@ class DirectedMultigraph:
         return [tuple(e) for e in self.edges.tolist()]
 
 
-class DisjointSet:
-    """Union-find with path halving and union by size."""
-
-    def __init__(self, count: int):
-        self.parent = list(range(count))
-        self.size = [1] * count
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def weak_component_sizes(g: DirectedMultigraph) -> np.ndarray:
-    """Multiset of weak-component sizes (directions ignored); sums to the
-    vertex count."""
-    ds = DisjointSet(g.vertex_count)
-    for src, dst in g.edges.tolist():
-        ds.union(src, dst)
-    counts = Counter(ds.find(v) for v in range(g.vertex_count))
-    return np.array(sorted(counts.values()), dtype=np.int64)
+    """Multiset of weak-component sizes (directions ignored), sorted; sums to
+    the vertex count.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 3 (1982)), all in array operations.  ``parent`` maps every
+    vertex to the least label of its component found so far, and every
+    entry points at a root (``parent[r] == r``).  Each round replaces the
+    edges by their endpoints' roots and drops those inside one component;
+    each root that is the larger end of a remaining edge is hooked to the
+    least smaller root it meets, then the chains are compressed fully.
+    Labels only fall, so no cycle forms, and every round with edges left
+    hooks at least one root.
+    """
+    parent = np.arange(g.vertex_count, dtype=np.int64)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    while True:
+        u, v = parent[u], parent[v]
+        keep = u != v
+        if not keep.any():
+            break
+        u, v = u[keep], v[keep]
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    counts = np.bincount(parent, minlength=g.vertex_count)
+    return np.sort(counts[counts > 0])
 
 
 def largest_weak_fraction(g: DirectedMultigraph) -> float:
@@ -91,17 +89,20 @@ def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
 
     Vertex-weighted, bin s carries ``s * count(s) / sum(sizes)``: the
     probability that a random vertex lies in a size-s component.  Otherwise
-    bins are component-weighted, ``count(s) / len(sizes)``.
+    bins are component-weighted, ``count(s) / len(sizes)``.  ``sizes`` is a
+    sequence or an integer array; each probability is an exact integer
+    ratio, correctly rounded.
     """
-    sizes = list(int(s) for s in sizes)
-    if not sizes:
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if not sizes.size:
         raise ValidationError("no component sizes given")
-    counts = Counter(sizes)
+    values, counts = np.unique(sizes, return_counts=True)
+    bins = list(zip(values.tolist(), counts.tolist()))
     if vertex_weighted:
-        total = sum(sizes)
-        pairs = [(s, s * c / total) for s, c in sorted(counts.items())]
+        total = sum(s * c for s, c in bins)
+        pairs = [(s, s * c / total) for s, c in bins]
     else:
-        pairs = [(s, c / len(sizes)) for s, c in sorted(counts.items())]
+        pairs = [(s, c / sizes.size) for s, c in bins]
     return UnivariateDegreeDist.from_entries(pairs)
 
 

@@ -314,6 +314,15 @@ def test_simulate_zero_vertices_exit_3(tmp_path):
     assert code == 3
 
 
+def test_simulate_config_rejects_unbalanced_law(tmp_path):
+    # mean in-degree 1.0, mean out-degree 0.5: not edge-balanced
+    dist = write(tmp_path, "d.txt", "2 0 0.5\n0 1 0.5\n")
+    code, out, err = run_cli(["simulate", dist, "--mode", "config", "--vertices", "1000"])
+    assert code == 3
+    assert out == ""
+    assert "out-degree" in err
+
+
 def test_simulate_rejects_stop_flags_in_config_mode(tmp_path):
     dist = write(tmp_path, "d.txt", FORK)
     code, _, err = run_cli(

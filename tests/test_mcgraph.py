@@ -4,6 +4,8 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import tv_distance
 from weakgiant import (
@@ -55,6 +57,62 @@ def test_weak_components_match_networkx(fork_dist):
     assert ours == theirs
 
 
+def networkx_weak_sizes(g: DirectedMultigraph) -> list[int]:
+    h = nx.MultiDiGraph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edge_list())
+    return sorted(len(c) for c in nx.weakly_connected_components(h))
+
+
+@st.composite
+def small_multigraphs(draw):
+    # self-loops, parallel edges and isolated vertices all occur
+    n = draw(st.integers(1, 200))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=300))
+    return DirectedMultigraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+@given(small_multigraphs())
+def test_weak_components_match_networkx_on_small_multigraphs(g):
+    sizes = weak_component_sizes(g)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == networkx_weak_sizes(g)
+
+
+def _path_labels(order: str, n: int) -> np.ndarray:
+    if order == "ascending":
+        return np.arange(n)
+    if order == "descending":
+        return np.arange(n)[::-1]
+    if order == "zigzag":
+        return np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
+    return np.random.default_rng(5).permutation(n)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "zigzag", "random"])
+def test_weak_components_long_path_is_one_component(order):
+    # long paths need the most hooking rounds and the longest pointer chains
+    n = 10_000
+    labels = _path_labels(order, n)
+    edges = np.column_stack([labels[:-1], labels[1:]]).astype(np.int64)
+    assert weak_component_sizes(DirectedMultigraph(n, edges)).tolist() == [n]
+
+
+def test_weak_components_empty_graph_and_single_vertex():
+    empty = weak_component_sizes(DirectedMultigraph(0, np.empty((0, 2), dtype=np.int64)))
+    assert empty.tolist() == [] and empty.dtype == np.int64
+    single = DirectedMultigraph(1, np.empty((0, 2), dtype=np.int64))
+    assert weak_component_sizes(single).tolist() == [1]
+    loop = DirectedMultigraph(1, np.array([[0, 0], [0, 0]], dtype=np.int64))
+    assert weak_component_sizes(loop).tolist() == [1]
+
+
+def test_weak_components_of_kmc_graph_match_networkx(p22_bounds):
+    # past the (2,2) atom's critical conversion 1/3: a giant plus small trees
+    g = kmc_simulate(p22_bounds, 3000, replica_rng(11, 2), c_n_target=0.45).graph
+    assert weak_component_sizes(g).tolist() == networkx_weak_sizes(g)
+
+
 def test_sizes_sum_to_vertex_count(atom22):
     g = sample_configuration(atom22, 5000, replica_rng(11, 1))
     assert int(weak_component_sizes(g).sum()) == 5000
@@ -69,6 +127,17 @@ def test_size_histogram_vertex_weighted():
     assert size_histogram([3, 3]).entries == {3: 1.0}
     assert size_histogram([1, 3]).entries == {1: 0.25, 3: 0.75}
     assert size_histogram([1, 3], vertex_weighted=False).entries == {1: 0.5, 3: 0.5}
+
+
+def test_size_histogram_same_for_list_and_array(atom22):
+    sizes = weak_component_sizes(sample_configuration(atom22, 3000, replica_rng(11, 3)))
+    for weighted in (True, False):
+        from_array = size_histogram(sizes, vertex_weighted=weighted).entries
+        from_list = size_histogram(sizes.tolist(), vertex_weighted=weighted).entries
+        assert list(from_array.items()) == list(from_list.items())
+    total = int(sizes.sum())
+    exact = {s: s * c / total for s, c in Counter(sizes.tolist()).items()}
+    assert size_histogram(sizes).entries == exact
 
 
 def test_size_histogram_rejects_empty():

@@ -74,7 +74,6 @@ from .flory import (
 )
 from .gfsolver import (
     FixedPointSolution,
-    TruncatedSeries,
     giant_weak_fraction,
     interior_fixed_point,
     weak_size_distribution,

@@ -95,17 +95,12 @@ def _cmd_gf(args) -> str:
     sol = gfsolver.interior_fixed_point(
         d, tol=args.fp_tol, max_iter=args.max_iter, balance_tol=args.tol
     )
-    fraction = gfsolver.giant_weak_fraction(
-        d, tol=args.fp_tol, max_iter=args.max_iter, balance_tol=args.tol
-    )
-    sizes = gfsolver.weak_size_distribution(
-        d, args.order, tol=args.fp_tol, max_iter=args.max_iter, balance_tol=args.tol
-    )
+    sizes = gfsolver.weak_size_distribution(d, args.order, balance_tol=args.tol)
     return _json17(
         {
             "s_in": sol.s_in,
             "s_out": sol.s_out,
-            "giant_fraction": fraction,
+            "giant_fraction": sol.giant_fraction,
             "size_distribution": sizes,
         }
     )
@@ -253,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gf", parents=[common], help="generating-function fixed point and size law")
     p.add_argument("dist", help="degree distribution file ('-' for stdin)")
     p.add_argument("--order", type=int, default=100, help="series truncation order (default 100)")
-    p.add_argument("--fp-tol", type=float, default=gfsolver.FP_TOL, help="fixed-point tolerance")
-    p.add_argument("--max-iter", type=int, default=gfsolver.MAX_ITER, help="iteration budget")
+    p.add_argument("--fp-tol", type=float, default=gfsolver.FP_TOL, help="scalar fixed-point tolerance only")
+    p.add_argument("--max-iter", type=int, default=gfsolver.MAX_ITER, help="scalar fixed-point iteration budget only")
     p.set_defaults(func=_cmd_gf)
 
     p = sub.add_parser("evolve", parents=[common], help="closed-form growth-process analysis")

@@ -62,38 +62,22 @@ class ConnectivityReport:
         }
 
 
-def _mu(m: MomentSet) -> float:
-    # Edge balance makes mu10 and mu01 agree to tolerance; use their mean.
-    return 0.5 * (m.mu10 + m.mu01)
-
-
 def criticality_determinant(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> float:
     """The determinant D; D < 0 signals a giant weak component."""
     require_edge_balanced(d, balance_tol)
-    m = d.moments()
-    mu = _mu(m)
-    return (mu - m.mu11) ** 2 - (m.mu20 - mu) * (m.mu02 - mu)
+    return d.moments().determinant
 
 
 def has_giant_weak(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> bool:
-    """True when a giant weak component exists.
-
-    Supercritical means D < 0, or D = 0 reached from the in/out-giant side
-    (``mu_11 > mu``), which keeps boundary laws such as the pure (2, 2) atom
-    classified as supercritical.
-    """
+    """True when a giant weak component exists (see :attr:`MomentSet.giant_weak`)."""
     require_edge_balanced(d, balance_tol)
-    m = d.moments()
-    mu = _mu(m)
-    D = (mu - m.mu11) ** 2 - (m.mu20 - mu) * (m.mu02 - mu)
-    return D < 0.0 or m.mu11 - mu > 0.0
+    return d.moments().giant_weak
 
 
 def has_giant_in_out(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> bool:
     """True when giant in- and out-components exist (``mu_11 > mu``)."""
     require_edge_balanced(d, balance_tol)
-    m = d.moments()
-    return m.mu11 - _mu(m) > 0.0
+    return d.moments().giant_in_out
 
 
 def has_giant_undirected_projection(
@@ -102,8 +86,18 @@ def has_giant_undirected_projection(
     """Molloy-Reed test on the total-degree law, written in (n, k) moments:
     ``2 mu_11 + mu_02 + mu_20 - 4 mu > 0``."""
     require_edge_balanced(d, balance_tol)
-    m = d.moments()
-    return 2.0 * m.mu11 + m.mu02 + m.mu20 - 4.0 * _mu(m) > 0.0
+    return d.moments().giant_undirected_projection
+
+
+def _mean_size(m: MomentSet) -> float | None:
+    """``W'(1)``, or None where it diverges (D <= 0 with edges present)."""
+    mu = m.mu
+    if mu == 0.0:
+        return 1.0
+    D = m.determinant
+    if D <= 0.0:
+        return None
+    return 1.0 + mu * mu * (m.mu02 + m.mu20 - 2.0 * m.mu11) / D
 
 
 def mean_weak_component_size(
@@ -117,13 +111,10 @@ def mean_weak_component_size(
     """
     require_edge_balanced(d, balance_tol)
     m = d.moments()
-    mu = _mu(m)
-    if mu == 0.0:
-        return 1.0
-    D = (mu - m.mu11) ** 2 - (m.mu20 - mu) * (m.mu02 - mu)
-    if D <= 0.0:
-        raise Supercritical(f"mean weak-component size diverges (D = {D!r} <= 0)")
-    return 1.0 + mu * mu * (m.mu02 + m.mu20 - 2.0 * m.mu11) / D
+    mean = _mean_size(m)
+    if mean is None:
+        raise Supercritical(f"mean weak-component size diverges (D = {m.determinant!r} <= 0)")
+    return mean
 
 
 def criteria_report(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> ConnectivityReport:
@@ -136,25 +127,16 @@ def criteria_report(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL)
     """
     require_edge_balanced(d, balance_tol)
     m = d.moments()
-    mu = _mu(m)
-    D = (mu - m.mu11) ** 2 - (m.mu20 - mu) * (m.mu02 - mu)
-    giant_weak = D < 0.0 or m.mu11 - mu > 0.0
-    if mu == 0.0:
-        mean: float | None = 1.0
-    elif D > 0.0:
-        mean = 1.0 + mu * mu * (m.mu02 + m.mu20 - 2.0 * m.mu11) / D
-    else:
-        mean = None
     fraction = (
-        gfsolver.giant_weak_fraction(d, balance_tol=balance_tol) if giant_weak else None
+        gfsolver.giant_weak_fraction(d, balance_tol=balance_tol) if m.giant_weak else None
     )
     return ConnectivityReport(
         moments=m,
-        determinant_D=D,
-        paper_A=-D,
-        giant_weak=giant_weak,
-        giant_in_out=m.mu11 - mu > 0.0,
-        giant_undirected_projection=2.0 * m.mu11 + m.mu02 + m.mu20 - 4.0 * mu > 0.0,
-        mean_weak_size=mean,
+        determinant_D=m.determinant,
+        paper_A=-m.determinant,
+        giant_weak=m.giant_weak,
+        giant_in_out=m.giant_in_out,
+        giant_undirected_projection=m.giant_undirected_projection,
+        mean_weak_size=_mean_size(m),
         giant_weak_fraction=fraction,
     )

@@ -48,6 +48,37 @@ class MomentSet:
     mu02: float
     mu11: float
 
+    @property
+    def mu(self) -> float:
+        """Common mean degree; edge balance makes mu10 and mu01 agree to
+        tolerance, so their mean is used."""
+        return 0.5 * (self.mu10 + self.mu01)
+
+    @property
+    def determinant(self) -> float:
+        """``D = (mu - mu_11)^2 - (mu_20 - mu)(mu_02 - mu)``; negative in the
+        supercritical phase."""
+        mu = self.mu
+        return (mu - self.mu11) ** 2 - (self.mu20 - mu) * (self.mu02 - mu)
+
+    @property
+    def giant_in_out(self) -> bool:
+        """Giant in- and out-components exist (``mu_11 > mu``)."""
+        return self.mu11 - self.mu > 0.0
+
+    @property
+    def giant_weak(self) -> bool:
+        """A giant weak component exists: D < 0, or D = 0 reached from the
+        in/out-giant side (``mu_11 > mu``), which keeps boundary laws such as
+        the pure (2, 2) atom classified as supercritical."""
+        return self.determinant < 0.0 or self.giant_in_out
+
+    @property
+    def giant_undirected_projection(self) -> bool:
+        """Molloy-Reed test on the total-degree law, written in (n, k)
+        moments: ``2 mu_11 + mu_02 + mu_20 - 4 mu > 0``."""
+        return 2.0 * self.mu11 + self.mu02 + self.mu20 - 4.0 * self.mu > 0.0
+
 
 def _validated_table(pairs, kind: str, tol: float) -> dict:
     table: dict = {}

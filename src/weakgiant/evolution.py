@@ -25,15 +25,12 @@ from operator import index as _as_index
 from typing import Iterable, Sequence
 
 from . import tableio
-from .degdist import BivariateDegreeDist, NORM_TOL
+from .degdist import NORM_TOL, BivariateDegreeDist, _validated_table
 from .errors import (
     ConversionOutOfRange,
-    DuplicateKey,
     NegativeIndex,
-    NegativeProbability,
     NegativeTime,
     NoReactivePair,
-    NotNormalized,
     ValidationError,
 )
 
@@ -70,22 +67,14 @@ class BoundDist:
     def from_entries(
         cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
     ) -> "BoundDist":
-        table: dict = {}
+        checked = []
         for n_max, k_max, prob in triples:
             n_max = _as_index(n_max)
             k_max = _as_index(k_max)
             if n_max < 0 or k_max < 0:
                 raise NegativeIndex(f"bound pair ({n_max}, {k_max}) has a negative component")
-            if prob < 0:
-                raise NegativeProbability(f"P({n_max}, {k_max}) = {prob!r} is negative")
-            if prob == 0:
-                continue
-            if (n_max, k_max) in table:
-                raise DuplicateKey(f"duplicate bound pair ({n_max}, {k_max})")
-            table[(n_max, k_max)] = float(prob)
-        total = math.fsum(table.values())
-        if abs(total - 1.0) > tol:
-            raise NotNormalized(f"bound probabilities sum to {total!r}, not 1 within {tol:g}")
+            checked.append(((n_max, k_max), prob))
+        table = _validated_table(checked, "P", tol)
         if not any(nm > 0 for nm, _km in table):
             raise NoReactivePair("no class has in-capacity; no edge can ever form")
         if not any(km > 0 for _nm, km in table):
@@ -126,8 +115,8 @@ class TransitionClass:
     t_crit: float | None = None
 
 
-def nu_moments(P: BoundDist) -> NuMoments:
-    items = P.entries.items()
+def _nu_of(entries: dict) -> NuMoments:
+    items = entries.items()
     return NuMoments(
         nu10=math.fsum(nm * p for (nm, km), p in items),
         nu01=math.fsum(km * p for (nm, km), p in items),
@@ -135,6 +124,10 @@ def nu_moments(P: BoundDist) -> NuMoments:
         nu02=math.fsum(km * km * p for (nm, km), p in items),
         nu11=math.fsum(nm * km * p for (nm, km), p in items),
     )
+
+
+def nu_moments(P: BoundDist) -> NuMoments:
+    return _nu_of(P.entries)
 
 
 def _is_symmetric(nu: NuMoments) -> bool:
@@ -385,14 +378,7 @@ def barycentric_grid(
             for atom, w in zip(cleaned, weights):
                 if w > 0.0:
                     mix[atom] = mix.get(atom, 0.0) + w
-            items = mix.items()
-            nu = NuMoments(
-                nu10=math.fsum(nm * p for (nm, km), p in items),
-                nu01=math.fsum(km * p for (nm, km), p in items),
-                nu20=math.fsum(nm * nm * p for (nm, km), p in items),
-                nu02=math.fsum(km * km * p for (nm, km), p in items),
-                nu11=math.fsum(nm * km * p for (nm, km), p in items),
-            )
+            nu = _nu_of(mix)
             if nu.nu10 == 0.0 or nu.nu01 == 0.0:
                 cls = TransitionClass("never")
             else:

@@ -16,8 +16,14 @@ At ``z = 1`` the system reduces to a scalar fixed point whose smallest
 solution in [0, 1]^2 gives the probability that an edge leads into a finite
 component; ``1 - U`` at that point is the giant-component vertex fraction.
 Picard iteration from (0, 0) converges monotonically to that smallest
-solution, both for the scalar problem and coefficientwise for the truncated
-power series.
+solution; a law without a giant weak component is answered with (1, 1)
+directly.
+
+The power series need no iteration: because of the factor z, coefficient m
+of every series depends only on coefficients below m, so one pass computes
+each coefficient once, in order ("relaxed" evaluation, van der Hoeven,
+J. Symbolic Comput. 34(6), 2002).  The result is exact for the truncated
+recursion up to roundoff.
 """
 
 from __future__ import annotations
@@ -37,54 +43,14 @@ MAX_ITER = 10**6
 
 @dataclass(frozen=True)
 class FixedPointSolution:
-    """Smallest fixed point of the edge-following system at z = 1."""
+    """Smallest fixed point of the edge-following system at z = 1, with the
+    giant weak-component fraction ``1 - U(s_out, s_in)`` it implies."""
 
     s_out: float
     s_in: float
     iterations: int
     residual: float
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power series kept to a fixed truncation order.
-
-    ``coefficients[i]`` multiplies ``z**i``; all operations discard orders
-    above ``order``.
-    """
-
-    coefficients: np.ndarray
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(np.zeros(order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        c = np.zeros(order + 1)
-        c[0] = 1.0
-        return cls(c)
-
-    @property
-    def order(self) -> int:
-        return self.coefficients.size - 1
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        full = np.convolve(self.coefficients, other.coefficients)
-        return TruncatedSeries(full[: self.coefficients.size])
-
-    def scaled(self, a: float) -> "TruncatedSeries":
-        return TruncatedSeries(a * self.coefficients)
-
-    def plus(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries(self.coefficients + other.coefficients)
-
-    def shifted_up(self) -> "TruncatedSeries":
-        """Multiplication by z."""
-        c = np.empty_like(self.coefficients)
-        c[0] = 0.0
-        c[1:] = self.coefficients[:-1]
-        return TruncatedSeries(c)
+    giant_fraction: float
 
 
 class _Prepared:
@@ -95,7 +61,7 @@ class _Prepared:
         self.ns = np.array([n for (n, _k), _p in items], dtype=np.int64)
         self.ks = np.array([k for (_n, k), _p in items], dtype=np.int64)
         self.ps = np.array([p for _key, p in items], dtype=float)
-        self.mu = 0.5 * (d.moment(1, 0) + d.moment(0, 1))
+        self.mu = d.mean_degree()
 
     def eval_u(self, x: float, y: float) -> float:
         return float(np.sum(self.ps * x**self.ns * y**self.ks))
@@ -122,15 +88,18 @@ def interior_fixed_point(
 ) -> FixedPointSolution:
     """Smallest solution of ``s_in = U_in(s_out, s_in), s_out = U_out(...)``.
 
-    Starts at (0, 0); iterates are monotone nondecreasing and bounded by 1,
-    which is asserted each step (with a one-ulp slack for roundoff).  A
-    distribution with no edges short-circuits to (1, 1).
+    A law without a giant weak component (see
+    :attr:`~weakgiant.degdist.MomentSet.giant_weak`) returns (1, 1) and a
+    giant fraction of exactly 0 without iterating.  Otherwise Picard
+    iteration starts at (0, 0); iterates are monotone nondecreasing and
+    bounded by 1, which is asserted each step (with a one-ulp slack for
+    roundoff).
     """
-    prep = _Prepared(d)
     require_edge_balanced(d, balance_tol)
-    if prep.mu == 0.0:
-        return FixedPointSolution(s_out=1.0, s_in=1.0, iterations=0, residual=0.0)
+    if not d.moments().giant_weak:
+        return FixedPointSolution(s_out=1.0, s_in=1.0, iterations=0, residual=0.0, giant_fraction=0.0)
 
+    prep = _Prepared(d)
     s_out, s_in = 0.0, 0.0
     residual = math.inf
     for iteration in range(1, max_iter + 1):
@@ -143,7 +112,13 @@ def interior_fixed_point(
         residual = max(abs(new_in - s_in), abs(new_out - s_out))
         s_out, s_in = new_out, new_in
         if residual <= tol:
-            return FixedPointSolution(s_out=s_out, s_in=s_in, iterations=iteration, residual=residual)
+            return FixedPointSolution(
+                s_out=s_out,
+                s_in=s_in,
+                iterations=iteration,
+                residual=residual,
+                giant_fraction=max(0.0, 1.0 - prep.eval_u(s_out, s_in)),
+            )
     raise NoConvergence("fixed-point iteration did not converge", max_iter, residual)
 
 
@@ -155,90 +130,47 @@ def giant_weak_fraction(
     balance_tol: float = BALANCE_TOL,
 ) -> float:
     """Fraction of vertices in the giant weak component (0 if subcritical)."""
-    sol = interior_fixed_point(d, tol=tol, max_iter=max_iter, balance_tol=balance_tol)
-    prep = _Prepared(d)
-    return max(0.0, 1.0 - prep.eval_u(sol.s_out, sol.s_in))
-
-
-def _series_powers(base: TruncatedSeries, top: int) -> list[TruncatedSeries]:
-    powers = [TruncatedSeries.one(base.order)]
-    for _ in range(top):
-        powers.append(powers[-1] * base)
-    return powers
-
-
-def _series_apply(
-    terms: list[tuple[float, int, int]],
-    pow_out: list[TruncatedSeries],
-    pow_in: list[TruncatedSeries],
-    order: int,
-) -> TruncatedSeries:
-    """Evaluate ``sum coef * W_out^a * W_in^b`` grouping by the out-exponent."""
-    by_a: dict[int, np.ndarray] = {}
-    for coef, a, b in terms:
-        acc = by_a.get(a)
-        if acc is None:
-            acc = np.zeros(order + 1)
-            by_a[a] = acc
-        acc += coef * pow_in[b].coefficients
-    total = np.zeros(order + 1)
-    for a, acc in by_a.items():
-        if a == 0:
-            total += acc
-        else:
-            total += (pow_out[a] * TruncatedSeries(acc)).coefficients
-    return TruncatedSeries(total)
+    return interior_fixed_point(d, tol=tol, max_iter=max_iter, balance_tol=balance_tol).giant_fraction
 
 
 def weak_size_distribution(
-    d: BivariateDegreeDist,
-    order: int,
-    *,
-    tol: float = FP_TOL,
-    max_iter: int = MAX_ITER,
-    balance_tol: float = BALANCE_TOL,
+    d: BivariateDegreeDist, order: int, *, balance_tol: float = BALANCE_TOL
 ) -> list[float]:
     """Probabilities ``w(1), ..., w(order)`` that a random vertex lies in a
     finite weak component of each size.
 
-    Computed by Picard iteration on the truncated series system; in the
-    supercritical phase the coefficients still converge, to the finite-
-    component size law (summing to one minus the giant fraction).
+    One pass over the coefficients: ``[z^j]`` of ``W_out^a`` and ``W_in^b``
+    is built from the coefficients up to j, and then gives coefficient j + 1
+    of ``W_in``, ``W_out`` and ``W``.  In the supercritical phase the
+    coefficients are the finite-component size law, summing to one minus the
+    giant fraction.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    prep = _Prepared(d)
     require_edge_balanced(d, balance_tol)
-    if prep.mu == 0.0:
-        return [1.0] + [0.0] * (order - 1)
-
-    u_terms = [(float(p), int(n), int(k)) for n, k, p in zip(prep.ns, prep.ks, prep.ps)]
-    in_terms = [(n * p / prep.mu, n - 1, k) for p, n, k in u_terms if n >= 1]
-    out_terms = [(k * p / prep.mu, n, k - 1) for p, n, k in u_terms if k >= 1]
-    max_out_pow = max((a for _c, a, _b in u_terms), default=0)
-    max_in_pow = max((b for _c, _a, b in u_terms), default=0)
-
-    w_in = TruncatedSeries.zero(order)
-    w_out = TruncatedSeries.zero(order)
-    residual = math.inf
-    for _iteration in range(1, max_iter + 1):
-        pow_out = _series_powers(w_out, max_out_pow)
-        pow_in = _series_powers(w_in, max_in_pow)
-        new_in = _series_apply(in_terms, pow_out, pow_in, order).shifted_up()
-        new_out = _series_apply(out_terms, pow_out, pow_in, order).shifted_up()
-        residual = max(
-            float(np.max(np.abs(new_in.coefficients - w_in.coefficients))),
-            float(np.max(np.abs(new_out.coefficients - w_out.coefficients))),
-        )
-        w_in, w_out = new_in, new_out
-        if residual <= tol:
-            break
-    else:
-        raise NoConvergence("series iteration did not converge", max_iter, residual)
-
-    pow_out = _series_powers(w_out, max_out_pow)
-    pow_in = _series_powers(w_in, max_in_pow)
-    w = _series_apply(u_terms, pow_out, pow_in, order).shifted_up()
-    coeffs = np.maximum(w.coefficients, 0.0)  # clamp roundoff
-    assert math.fsum(coeffs[1:].tolist()) <= 1.0 + 1e-9
-    return [float(c) for c in coeffs[1 : order + 1]]
+    prep = _Prepared(d)
+    ns, ks, ps = prep.ns, prep.ks, prep.ps
+    has_in, has_out = ns >= 1, ks >= 1
+    # Terms (weight, exponent of W_out, exponent of W_in) of U, U_in, U_out.
+    series = [
+        (ps, ns, ks),
+        (ns[has_in] * ps[has_in] / prep.mu, ns[has_in] - 1, ks[has_in]),
+        (ks[has_out] * ps[has_out] / prep.mu, ns[has_out], ks[has_out] - 1),
+    ]
+    top_out = int(ns.max())
+    pow_out = np.zeros((top_out + 1, order))  # pow_out[a, j] = [z^j] W_out^a
+    pow_in = np.zeros((int(ks.max()) + 1, order))
+    pow_out[0, 0] = pow_in[0, 0] = 1.0
+    # grouped[g, a, j] = [z^j] of the terms of series g with W_out exponent a,
+    # without their W_out factor.
+    grouped = np.zeros((len(series), top_out + 1, order))
+    coeffs = np.zeros((len(series), order + 1))  # rows: W, W_in, W_out
+    for j in range(order):
+        pow_out[1:, j] = pow_out[:-1, :j] @ coeffs[2, j:0:-1]
+        pow_in[1:, j] = pow_in[:-1, :j] @ coeffs[1, j:0:-1]
+        for g, (weight, a, b) in enumerate(series):
+            grouped[g, :, j] = np.bincount(a, weights=weight * pow_in[b, j], minlength=top_out + 1)
+        coeffs[:, j + 1] = np.einsum("al,gal->g", pow_out[:, : j + 1], grouped[:, :, j::-1])
+    w = coeffs[0, 1:]
+    assert math.fsum(w.tolist()) <= 1.0 + 1e-9
+    return w.tolist()

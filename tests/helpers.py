@@ -11,6 +11,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -78,6 +79,69 @@ def truncated_double_poisson(lam: float, cutoff: int = 30) -> BivariateDegreeDis
     return BivariateDegreeDist.from_entries(
         [(n, k, row[n] * row[k]) for n in range(cutoff + 1) for k in range(cutoff + 1)]
     )
+
+
+def borel_law(c: float, order: int) -> list[float]:
+    """Finite-component size law w(1..order) of undirected ER with mean
+    degree c: the Borel law ``e^{-cs} (cs)^{s-1} / s!``."""
+    return [
+        math.exp(-c * s + (s - 1) * math.log(c * s) - math.lgamma(s + 1))
+        for s in range(1, order + 1)
+    ]
+
+
+def atom22_size_law(c: float, order: int) -> list[float]:
+    """Size law w(1..order) of the (2, 2)-atom growth marginal at conversion c.
+
+    In- and out-degree are independent Binomial(2, c), so W_in = W_out = T
+    with T = z f(T)^3 and W = z f(T)^4, f(x) = 1 - c + c x.  Lagrange
+    inversion gives w(1) = (1-c)^4 and, for s >= 2,
+    w(s) = 4 / (s-1) C(3s, s-2) c^(s-1) (1-c)^(2s+2).
+    """
+    law = [(1.0 - c) ** 4]
+    for s in range(2, order + 1):
+        law.append(4 / (s - 1) * math.comb(3 * s, s - 2) * c ** (s - 1) * (1.0 - c) ** (2 * s + 2))
+    return law
+
+
+def exact_picard_size_law(d: BivariateDegreeDist, order: int) -> list[Fraction]:
+    """w(1..order) in exact rational arithmetic by truncated Picard sweeps.
+
+    Sweep m fixes coefficient m of W_in and W_out (each is z times a series
+    in coefficients below m), so ``order`` sweeps from zero are exact.
+    """
+    terms = [(n, k, Fraction(p)) for (n, k), p in sorted(d.entries.items())]
+    mu = sum((n + k) * p for n, k, p in terms) / 2
+
+    def mul(a, b):
+        out = [Fraction(0)] * (order + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j in range(order + 1 - i):
+                    out[i + j] += x * b[j]
+        return out
+
+    def powers(a):
+        table = [[Fraction(1)] + [Fraction(0)] * order]
+        for _ in range(max(max(n, k) for n, k, _p in terms)):
+            table.append(mul(table[-1], a))
+        return table
+
+    def z_times(weighted, w_out, w_in):
+        """z * sum c W_out^a W_in^b over (c, a, b)."""
+        po, pi = powers(w_out), powers(w_in)
+        total = [Fraction(0)] * (order + 1)
+        for c, a, b in weighted:
+            for i, x in enumerate(mul(po[a], pi[b])):
+                total[i] += c * x
+        return [Fraction(0)] + total[:order]
+
+    u_in = [(n * p / mu, n - 1, k) for n, k, p in terms if n >= 1]
+    u_out = [(k * p / mu, n, k - 1) for n, k, p in terms if k >= 1]
+    w_in = w_out = [Fraction(0)] * (order + 1)
+    for _sweep in range(order):
+        w_in, w_out = z_times(u_in, w_out, w_in), z_times(u_out, w_out, w_in)
+    return z_times([(p, n, k) for n, k, p in terms], w_out, w_in)[1:]
 
 
 def random_bound_dist(rng: np.random.Generator, n_atoms: int = 3, max_bound: int = 6) -> BoundDist:

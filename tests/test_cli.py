@@ -117,7 +117,7 @@ def test_gf_origin(tmp_path):
 
 
 def test_gf_non_convergence_exits_4(tmp_path):
-    near_critical = truncated_double_poisson(0.499999)
+    near_critical = truncated_double_poisson(0.500001)
     text = "\n".join(f"{n} {k} {p!r}" for n, k, p in near_critical.records())
     code, _, err = run_cli(
         ["gf", write(tmp_path, "d.txt", text), "--max-iter", "50", "--order", "5"]

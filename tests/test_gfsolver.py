@@ -1,10 +1,19 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
-from helpers import balanced_dists, truncated_double_poisson
+from helpers import (
+    atom22_size_law,
+    balanced_dists,
+    borel_law,
+    exact_picard_size_law,
+    run_cli,
+    truncated_double_poisson,
+)
 from weakgiant import (
+    BivariateDegreeDist,
+    BoundDist,
     NoConvergence,
     criticality_determinant,
     giant_weak_fraction,
@@ -16,7 +25,7 @@ from weakgiant import (
     sample_configuration,
     weak_size_distribution,
 )
-from weakgiant.gfsolver import TruncatedSeries
+from weakgiant import evolution, gfsolver
 
 
 def test_fixed_point_fork(fork_dist):
@@ -34,6 +43,12 @@ def test_fixed_point_atom22(atom22):
 def test_fixed_point_origin_short_circuits(origin_atom):
     sol = interior_fixed_point(origin_atom)
     assert (sol.s_out, sol.s_in, sol.iterations) == (1.0, 1.0, 0)
+
+
+def test_subcritical_fixed_point_is_exact():
+    sol = interior_fixed_point(truncated_double_poisson(0.499))
+    assert (sol.s_out, sol.s_in, sol.iterations, sol.residual) == (1.0, 1.0, 0, 0.0)
+    assert sol.giant_fraction == 0.0
 
 
 def test_fraction_fork(fork_dist):
@@ -93,7 +108,7 @@ def test_size_distribution_deficit_is_giant_fraction():
 
 
 def test_no_convergence_near_critical():
-    d = truncated_double_poisson(0.499999)
+    d = truncated_double_poisson(0.500001)
     with pytest.raises(NoConvergence) as info:
         interior_fixed_point(d, max_iter=50)
     assert info.value.iterations == 50
@@ -106,13 +121,22 @@ def test_order_must_be_positive(fork_dist):
 
 
 @given(balanced_dists())
+@example(
+    # every non-isolated vertex is in the giant: fraction 2**-20
+    BivariateDegreeDist.from_entries(
+        [(0, 0, 1.0 - 2.0**-20), (0, 3, 2.0**-21), (3, 0, 2.0**-21)]
+    )
+)
 def test_fraction_sign_agrees_with_criterion(d):
     mu = d.mean_degree()
     D = criticality_determinant(d)
     if abs(D) <= 0.05 * mu * mu:
         return  # near-critical band excluded, slow and noisy
     frac = giant_weak_fraction(d)
-    assert (frac > 1e-6) == has_giant_weak(d)
+    if has_giant_weak(d):
+        assert frac > 0.0
+    else:
+        assert frac == 0.0
 
 
 @given(balanced_dists())
@@ -125,18 +149,39 @@ def test_size_coefficients_are_a_subprobability(d):
     assert sum(w) <= 1.0 + 1e-9
 
 
-def test_truncated_series_arithmetic():
-    a = TruncatedSeries.one(3).scaled(2.0)
-    b = TruncatedSeries.zero(3).plus(TruncatedSeries.one(3)).shifted_up()
-    prod = a * b
-    assert prod.coefficients.tolist() == [0.0, 2.0, 0.0, 0.0]
-    assert b.order == 3
+@pytest.mark.parametrize("lam", [0.3, 0.45, 0.6, 0.8])
+def test_size_distribution_matches_borel(lam):
+    # product-Poisson is undirected ER with mean degree 2*lam, whose finite
+    # component size law is Borel in every phase
+    w = weak_size_distribution(truncated_double_poisson(lam), 100)
+    assert max(abs(a - b) for a, b in zip(w, borel_law(2 * lam, 100))) <= 1e-14
 
 
-def test_truncated_series_truncates_products():
-    import numpy as np
+@pytest.mark.parametrize("c", [0.2, 0.3, 0.45])
+def test_size_distribution_matches_atom22_lagrange(c):
+    P = BoundDist.from_entries([(2, 2, 1.0)])
+    d = evolution.marginal_degree_dist(evolution.degree_state_at_conversion(P, c))
+    w = weak_size_distribution(d, 60)
+    assert max(abs(a - b) for a, b in zip(w, atom22_size_law(c, 60))) <= 1e-14
 
-    # (1 + z + z^2 + z^3)^2 keeps only orders <= 3
-    ones = TruncatedSeries(np.ones(4))
-    sq = ones * ones
-    assert sq.coefficients.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+@given(balanced_dists())
+def test_size_distribution_matches_exact_picard(d):
+    w = weak_size_distribution(d, 8)
+    exact = exact_picard_size_law(d, 8)
+    assert max(abs(a - float(b)) for a, b in zip(w, exact)) <= 1e-12
+
+
+def test_gf_solves_the_fixed_point_once(tmp_path, monkeypatch):
+    calls = []
+    solve = gfsolver.interior_fixed_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gfsolver, "interior_fixed_point", counted)
+    path = tmp_path / "d.txt"
+    path.write_text(truncated_double_poisson(0.6).to_text())
+    code, _, _ = run_cli(["gf", str(path), "--order", "5"])
+    assert code == 0 and len(calls) == 1

@@ -7,22 +7,9 @@ Writes one TSV row per lambda.
 """
 
 import argparse
-import math
 import sys
 
-from weakgiant import BivariateDegreeDist, criteria, mcgraph
-
-
-def truncated_poisson_dist(lam: float, cutoff: int) -> BivariateDegreeDist:
-    row = [math.exp(-lam)]
-    for i in range(1, cutoff + 1):
-        row.append(row[-1] * lam / i)
-    entries = [
-        (n, k, row[n] * row[k])
-        for n in range(cutoff + 1)
-        for k in range(cutoff + 1)
-    ]
-    return BivariateDegreeDist.from_entries(entries)
+from weakgiant import criteria, mcgraph, truncated_double_poisson
 
 
 def main() -> None:
@@ -39,7 +26,7 @@ def main() -> None:
     print("# lambda\tD\tmean_size\tfraction_theory\tlargest_mc")
     for i in range(count):
         lam = lo + (hi - lo) * i / (count - 1)
-        d = truncated_poisson_dist(lam, args.cutoff)
+        d = truncated_double_poisson(lam, args.cutoff)
         report = criteria.criteria_report(d)
         D = report.determinant_D
         # mean diverges at and past the transition; fraction is 0 below it

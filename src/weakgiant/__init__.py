@@ -22,6 +22,7 @@ from .degdist import (
     MomentSet,
     UnivariateDegreeDist,
     require_edge_balanced,
+    truncated_double_poisson,
 )
 from .errors import (
     ConversionOutOfRange,

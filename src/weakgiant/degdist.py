@@ -213,6 +213,17 @@ class BivariateDegreeDist:
         )
 
 
+def truncated_double_poisson(lam: float, cutoff: int = 30) -> BivariateDegreeDist:
+    """Independent Poisson(lam) in- and out-degrees, each truncated at
+    ``cutoff``: the degree law of the directed Erdos-Renyi graph."""
+    row = [math.exp(-lam)]
+    for i in range(1, cutoff + 1):
+        row.append(row[-1] * lam / i)
+    return BivariateDegreeDist.from_entries(
+        [(n, k, row[n] * row[k]) for n in range(cutoff + 1) for k in range(cutoff + 1)]
+    )
+
+
 def require_edge_balanced(d: BivariateDegreeDist, tol: float = BALANCE_TOL) -> None:
     """Raise :class:`EdgeImbalance` unless mean in- and out-degree agree."""
     if not d.is_edge_balanced(tol):

@@ -8,8 +8,6 @@ index) through ``SeedSequence`` spawn keys.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +222,11 @@ def sample_configuration(
 
 @dataclass
 class KmcState:
-    """Final per-vertex state of one kinetic run."""
+    """Final per-vertex state of one kinetic run.
+
+    ``restarts`` counts the re-permutations of the vacant spots that
+    same-vertex pairs forced (see :func:`kmc_simulate`).
+    """
 
     n_max: np.ndarray
     k_max: np.ndarray
@@ -233,6 +235,7 @@ class KmcState:
     t: float
     events: int
     seed: object
+    restarts: int = 0
 
     @property
     def in_degrees(self) -> np.ndarray:
@@ -252,6 +255,121 @@ class KmcResult:
     state: KmcState
 
 
+#: Events per block of the kinetic sampler.  Bounds the block's temporaries;
+#: the law of the run does not depend on it.
+_KMC_BLOCK = 8192
+
+
+def _blocked_drops(src, dst, vin, vout) -> np.ndarray:
+    """Fall of the same-vertex spot-pair count at each event of a block.
+
+    Event j takes an out-spot of ``src[j]`` and an in-spot of ``dst[j]``
+    (distinct vertices), so the count falls by the vacant in-count of
+    ``src[j]`` plus the vacant out-count of ``dst[j]`` just before it: their
+    values at the block start, ``vin`` and ``vout``, less the earlier events
+    of the block that took an in-spot of ``src[j]`` or an out-spot of
+    ``dst[j]``.  Those counts come from one sort of the interleaved stream
+    src[0], dst[0], src[1], ..., keyed by (vertex, position).
+    """
+    size = 2 * src.size
+    stream = np.empty(size, dtype=np.int64)
+    stream[0::2] = src
+    stream[1::2] = dst
+    keys = np.sort(stream * size + np.arange(size))
+    vertex, pos = np.divmod(keys, size)
+    is_dst = pos & 1
+    # exclusive running counts of dst and src entries, then taken within
+    # each vertex's run of the sorted stream
+    dsts = np.cumsum(is_dst) - is_dst
+    srcs = np.arange(size) - dsts
+    new_run = np.ones(size, dtype=bool)
+    np.not_equal(vertex[1:], vertex[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    run_start = np.repeat(starts, np.diff(starts, append=size))
+    earlier = np.empty(size, dtype=np.int64)
+    earlier[pos] = np.where(is_dst, srcs - srcs[run_start], dsts - dsts[run_start])
+    return vin[src] - earlier[0::2] + vout[dst] - earlier[1::2]
+
+
+def _grow(vin, vout, edges, times, rng, target_events, t_end) -> tuple[int, float, int]:
+    """Event loop of :func:`kmc_simulate`: convert spot pairs from the vacant
+    counts ``vin``, ``vout`` (updated in place) and write each event's
+    (source, target) and time into ``edges`` and ``times``.
+
+    Returns the number of events, the final time and the number of
+    restarts.  The spot arrays live only here, so they are freed before
+    the caller builds its outputs.
+    """
+    n_vertices = vin.size
+    total_in = int(vin.sum())
+    total_out = int(vout.sum())
+    # After e events the vacant spots are out_spots[e:] and in_spots[e:],
+    # each in uniformly random order.
+    out_spots = np.repeat(np.arange(n_vertices, dtype=np.int64), vout)
+    in_spots = np.repeat(np.arange(n_vertices, dtype=np.int64), vin)
+    rng.shuffle(out_spots)
+    rng.shuffle(in_spots)
+    blocked = int((vin * vout).sum())  # same-vertex spot pairs
+
+    t = 0.0
+    events = 0
+    restarts = 0
+    rejected = False
+    while True:
+        if target_events is not None and events >= target_events:
+            break
+        v_in = total_in - events
+        v_out = total_out - events
+        if v_in * v_out - blocked <= 0:
+            if target_events is not None:
+                raise Exhausted(
+                    f"no admissible pair after {events} events; "
+                    f"target was {target_events}"
+                )
+            break
+        if rejected:
+            rng.shuffle(out_spots[events:])
+            rng.shuffle(in_spots[events:])
+            restarts += 1
+
+        span = min(_KMC_BLOCK, v_in, v_out)
+        if target_events is not None:
+            span = min(span, target_events - events)
+        src = out_spots[events : events + span]
+        dst = in_spots[events : events + span]
+        same = np.flatnonzero(src == dst)
+        rejected = same.size > 0
+        if rejected:
+            src, dst = src[: same[0]], dst[: same[0]]
+        if not src.size:
+            continue
+
+        drops = _blocked_drops(src, dst, vin, vout)
+        step = np.arange(src.size)
+        blocked_before = blocked - (np.cumsum(drops) - drops)
+        rate = ((v_in - step) * (v_out - step) - blocked_before) / n_vertices
+        dt = rng.standard_exponential(src.size) / rate
+        dt[0] += t
+        block_t = np.cumsum(dt)
+        cut = t_end is not None and block_t[-1] > t_end
+        if cut:
+            count = int(np.searchsorted(block_t, t_end, side="right"))
+            src, dst, drops, block_t = src[:count], dst[:count], drops[:count], block_t[:count]
+
+        np.subtract.at(vout, src, 1)
+        np.subtract.at(vin, dst, 1)
+        blocked -= int(drops.sum())
+        end = events + src.size
+        edges[events:end, 0] = src
+        edges[events:end, 1] = dst
+        times[events:end] = block_t
+        events = end
+        if cut:
+            return events, t_end, restarts
+        t = float(block_t[-1])
+    return events, t, restarts
+
+
 def kmc_simulate(
     P: BoundDist,
     n_vertices: int,
@@ -269,6 +387,19 @@ def kmc_simulate(
     spot pairs.  Stop at ``t_end``, or at the in-conversion ``c_n_target``
     (raising :class:`Exhausted` if the target cannot be reached), or, with
     neither given, when no admissible pair remains.
+
+    The pairs come from permutation prefixes.  The vacant out-spots and the
+    vacant in-spots are each put in uniformly random order and paired
+    position by position.  Given the pairs before it, each pair is uniform
+    over the remaining spots, so each accepted pair is uniform over the
+    admissible ones.  The run takes pairs up to the first same-vertex pair,
+    then puts all vacant spots in a fresh random order, which is exactly the
+    redraw of a rejection sampler; ``state.restarts`` counts these.  The
+    rate before event e is ``((v_in - e)(v_out - e) - blocked_e)/N``, with
+    ``v_in``, ``v_out`` the vacant spots and ``blocked_e`` the same-vertex
+    spot pairs before e.  Pairs and times are taken in blocks of at most
+    ``_KMC_BLOCK`` events; a ``t_end`` stop cuts the block at the first
+    event later than ``t_end``.
     """
     if n_vertices < 2:
         raise ValidationError(f"need at least 2 vertices, got {n_vertices}")
@@ -285,78 +416,13 @@ def kmc_simulate(
     vout = k_max.copy()
 
     total_in = int(vin.sum())
-    total_out = int(vout.sum())
-    in_spots = np.repeat(np.arange(n_vertices, dtype=np.int64), vin)
-    out_spots = np.repeat(np.arange(n_vertices, dtype=np.int64), vout)
-    v_in = total_in
-    v_out = total_out
-    blocked = int((vin * vout).sum())  # same-vertex spot pairs
-
     target_events = None
     if c_n_target is not None:
         target_events = int(round(c_n_target * total_in))
-    capacity = min(total_in, total_out) if target_events is None else target_events
+    capacity = min(total_in, int(vout.sum())) if target_events is None else target_events
     edges = np.empty((max(capacity, 0), 2), dtype=np.int64)
     times = np.empty(max(capacity, 0), dtype=float)
-
-    # Batched uniforms; refilled on demand.  One stream keeps runs
-    # reproducible for a given seed regardless of stop condition.
-    buf = rng.random(65536)
-    pos = 0
-
-    def next_u() -> float:
-        nonlocal buf, pos
-        if pos == buf.size:
-            buf = rng.random(65536)
-            pos = 0
-        u = buf[pos]
-        pos += 1
-        return u
-
-    t = 0.0
-    events = 0
-    while True:
-        if target_events is not None and events >= target_events:
-            break
-        admissible = v_in * v_out - blocked
-        if admissible <= 0:
-            if target_events is not None:
-                raise Exhausted(
-                    f"no admissible pair after {events} events; "
-                    f"target was {target_events}"
-                )
-            break
-        rate = admissible / n_vertices
-        dt = -math.log(1.0 - next_u()) / rate
-        if t_end is not None and t + dt > t_end:
-            t = t_end
-            break
-        t += dt
-
-        while True:
-            i = int(next_u() * v_out)
-            j = int(next_u() * v_in)
-            src = int(out_spots[i])
-            dst = int(in_spots[j])
-            if src != dst:
-                break
-
-        # Swap-remove the chosen vacant spot on each endpoint.
-        v_out -= 1
-        out_spots[i] = out_spots[v_out]
-        v_in -= 1
-        in_spots[j] = in_spots[v_in]
-
-        blocked -= int(vin[src])
-        vout[src] -= 1
-        blocked -= int(vout[dst])
-        vin[dst] -= 1
-        assert vout[src] >= 0 and vin[dst] >= 0
-
-        edges[events, 0] = src
-        edges[events, 1] = dst
-        times[events] = t
-        events += 1
+    events, t, restarts = _grow(vin, vout, edges, times, rng, target_events, t_end)
 
     graph = DirectedMultigraph(n_vertices, edges[:events].copy())
     traj_t = times[:events].copy() if record_trajectory else np.empty(0)
@@ -365,9 +431,15 @@ def kmc_simulate(
         if record_trajectory
         else np.empty(0)
     )
-    degs = Counter(zip((n_max - vin).tolist(), (k_max - vout).tolist()))
+    in_deg = n_max - vin
+    out_deg = k_max - vout
+    base = int(out_deg.max()) + 1
+    codes, counts = np.unique(in_deg * base + out_deg, return_counts=True)
     empirical = BivariateDegreeDist.from_entries(
-        [(n, k, c / n_vertices) for (n, k), c in sorted(degs.items())]
+        [
+            (n, k, c / n_vertices)
+            for n, k, c in zip((codes // base).tolist(), (codes % base).tolist(), counts.tolist())
+        ]
     )
     state = KmcState(
         n_max=n_max,
@@ -377,5 +449,6 @@ def kmc_simulate(
         t=t,
         events=events,
         seed=seed,
+        restarts=restarts,
     )
     return KmcResult(graph=graph, times=traj_t, mu_hat=mu_hat, empirical=empirical, state=state)

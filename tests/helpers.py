@@ -2,8 +2,9 @@
 
 The oracles here deliberately take independent routes from the library:
 RK4 integration instead of closed forms, explicit double loops instead of
-vectorized evaluation, dyadic-rational probabilities so grouping identities
-hold exactly in floating point.
+vectorized evaluation, a per-event loop instead of permutation prefixes,
+dyadic-rational probabilities so grouping identities hold exactly in
+floating point.
 """
 
 import contextlib
@@ -11,13 +12,21 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 from hypothesis import strategies as st
 
-from weakgiant import BivariateDegreeDist, BoundDist
+from weakgiant import (  # truncated_double_poisson is re-exported for the tests
+    BivariateDegreeDist,
+    BoundDist,
+    Exhausted,
+    ValidationError,
+    truncated_double_poisson,
+)
+from weakgiant.mcgraph import DirectedMultigraph, KmcResult, KmcState, _as_rng, _sample_keys
 
 DYADIC_SCALE = 2**20
 
@@ -36,6 +45,47 @@ def tv_size_law(w, hist_entries: dict, order: int) -> float:
     tail_w = max(0.0, 1.0 - math.fsum(w))
     tail_h = math.fsum(p for s, p in hist_entries.items() if s > order)
     return 0.5 * (body + abs(tail_w - tail_h))
+
+
+def chi2_two_sample(a: dict, b: dict, min_expected: float = 5.0) -> float:
+    """p-value of the two-sample chi-squared test of homogeneity on two
+    tables of counts.
+
+    Cells whose expected count in the smaller sample is below
+    ``min_expected`` are pooled into one cell.  The p-value uses the
+    Wilson-Hilferty normal approximation of the chi-squared law.
+    """
+    na, nb = sum(a.values()), sum(b.values())
+    total = {c: a.get(c, 0) + b.get(c, 0) for c in set(a) | set(b)}
+    small = min(na, nb) / (na + nb)
+    rows = [(a.get(c, 0), b.get(c, 0)) for c, t in total.items() if t * small >= min_expected]
+    pooled = [(a.get(c, 0), b.get(c, 0)) for c, t in total.items() if t * small < min_expected]
+    if pooled:
+        rows.append((sum(x for x, _ in pooled), sum(y for _, y in pooled)))
+    stat = 0.0
+    for x, y in rows:
+        ex, ey = (x + y) * na / (na + nb), (x + y) * nb / (na + nb)
+        stat += (x - ex) ** 2 / ex + (y - ey) ** 2 / ey
+    df = len(rows) - 1
+    if df < 1:
+        return 1.0
+    h = 2 / (9 * df)
+    z = ((stat / df) ** (1 / 3) - (1 - h)) / math.sqrt(h)
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+def ks_two_sample(x, y) -> float:
+    """Largest gap between the empirical distribution functions of x and y."""
+    x, y = np.sort(x), np.sort(y)
+    grid = np.concatenate([x, y])
+    fx = np.searchsorted(x, grid, side="right") / x.size
+    fy = np.searchsorted(y, grid, side="right") / y.size
+    return float(np.abs(fx - fy).max())
+
+
+def ks_critical(alpha: float, n: int, m: int) -> float:
+    """Asymptotic two-sample Kolmogorov-Smirnov critical distance at level alpha."""
+    return math.sqrt(-0.5 * math.log(alpha / 2) * (n + m) / (n * m))
 
 
 def brute_moment(entries: dict, i: int, j: int) -> float:
@@ -69,16 +119,6 @@ def rk4_mu(nu10, nu01, t_max: float, steps: int) -> np.ndarray:
         mu = mu + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[step] = mu
     return out
-
-
-def truncated_double_poisson(lam: float, cutoff: int = 30) -> BivariateDegreeDist:
-    """Product-Poisson degree law truncated at `cutoff` in each coordinate."""
-    row = [math.exp(-lam)]
-    for i in range(1, cutoff + 1):
-        row.append(row[-1] * lam / i)
-    return BivariateDegreeDist.from_entries(
-        [(n, k, row[n] * row[k]) for n in range(cutoff + 1) for k in range(cutoff + 1)]
-    )
 
 
 def borel_law(c: float, order: int) -> list[float]:
@@ -142,6 +182,140 @@ def exact_picard_size_law(d: BivariateDegreeDist, order: int) -> list[Fraction]:
     for _sweep in range(order):
         w_in, w_out = z_times(u_in, w_out, w_in), z_times(u_out, w_out, w_in)
     return z_times([(p, n, k) for n, k, p in terms], w_out, w_in)[1:]
+
+
+# ---------------------------------------------------------------------------
+# kinetic Monte Carlo oracle
+
+
+def sequential_kmc(
+    P: BoundDist,
+    n_vertices: int,
+    seed,
+    *,
+    t_end: float | None = None,
+    c_n_target: float | None = None,
+    record_trajectory: bool = True,
+) -> KmcResult:
+    """Exact stochastic simulation of the bounded growth process, one event
+    per loop step: the reference for the vectorized ``kmc_simulate``.
+
+    Each step picks a uniformly random admissible ordered pair (distinct
+    vertices, vacant out-spot on the tail, vacant in-spot on the head) and
+    waits an exponential time at total rate (#admissible pairs)/N, counting
+    spot pairs.  Stop at ``t_end``, or at the in-conversion ``c_n_target``
+    (raising :class:`Exhausted` if the target cannot be reached), or, with
+    neither given, when no admissible pair remains.
+    """
+    if n_vertices < 2:
+        raise ValidationError(f"need at least 2 vertices, got {n_vertices}")
+    if t_end is not None and c_n_target is not None:
+        raise ValidationError("give at most one of t_end and c_n_target")
+    if t_end is not None and t_end < 0:
+        raise ValidationError(f"t_end = {t_end!r} is negative")
+    if c_n_target is not None and not 0.0 <= c_n_target <= 1.0:
+        raise ValidationError(f"c_n_target = {c_n_target!r} outside [0, 1]")
+
+    rng = _as_rng(seed)
+    n_max, k_max = _sample_keys(P.entries, n_vertices, rng)
+    vin = n_max.copy()
+    vout = k_max.copy()
+
+    total_in = int(vin.sum())
+    total_out = int(vout.sum())
+    in_spots = np.repeat(np.arange(n_vertices, dtype=np.int64), vin)
+    out_spots = np.repeat(np.arange(n_vertices, dtype=np.int64), vout)
+    v_in = total_in
+    v_out = total_out
+    blocked = int((vin * vout).sum())  # same-vertex spot pairs
+
+    target_events = None
+    if c_n_target is not None:
+        target_events = int(round(c_n_target * total_in))
+    capacity = min(total_in, total_out) if target_events is None else target_events
+    edges = np.empty((max(capacity, 0), 2), dtype=np.int64)
+    times = np.empty(max(capacity, 0), dtype=float)
+
+    # Batched uniforms; refilled on demand.  One stream keeps runs
+    # reproducible for a given seed regardless of stop condition.
+    buf = rng.random(65536)
+    pos = 0
+
+    def next_u() -> float:
+        nonlocal buf, pos
+        if pos == buf.size:
+            buf = rng.random(65536)
+            pos = 0
+        u = buf[pos]
+        pos += 1
+        return u
+
+    t = 0.0
+    events = 0
+    while True:
+        if target_events is not None and events >= target_events:
+            break
+        admissible = v_in * v_out - blocked
+        if admissible <= 0:
+            if target_events is not None:
+                raise Exhausted(
+                    f"no admissible pair after {events} events; "
+                    f"target was {target_events}"
+                )
+            break
+        rate = admissible / n_vertices
+        dt = -math.log(1.0 - next_u()) / rate
+        if t_end is not None and t + dt > t_end:
+            t = t_end
+            break
+        t += dt
+
+        while True:
+            i = int(next_u() * v_out)
+            j = int(next_u() * v_in)
+            src = int(out_spots[i])
+            dst = int(in_spots[j])
+            if src != dst:
+                break
+
+        # Swap-remove the chosen vacant spot on each endpoint.
+        v_out -= 1
+        out_spots[i] = out_spots[v_out]
+        v_in -= 1
+        in_spots[j] = in_spots[v_in]
+
+        blocked -= int(vin[src])
+        vout[src] -= 1
+        blocked -= int(vout[dst])
+        vin[dst] -= 1
+        assert vout[src] >= 0 and vin[dst] >= 0
+
+        edges[events, 0] = src
+        edges[events, 1] = dst
+        times[events] = t
+        events += 1
+
+    graph = DirectedMultigraph(n_vertices, edges[:events].copy())
+    traj_t = times[:events].copy() if record_trajectory else np.empty(0)
+    mu_hat = (
+        (np.arange(1, events + 1, dtype=float) / n_vertices)
+        if record_trajectory
+        else np.empty(0)
+    )
+    degs = Counter(zip((n_max - vin).tolist(), (k_max - vout).tolist()))
+    empirical = BivariateDegreeDist.from_entries(
+        [(n, k, c / n_vertices) for (n, k), c in sorted(degs.items())]
+    )
+    state = KmcState(
+        n_max=n_max,
+        k_max=k_max,
+        vacant_in=vin,
+        vacant_out=vout,
+        t=t,
+        events=events,
+        seed=seed,
+    )
+    return KmcResult(graph=graph, times=traj_t, mu_hat=mu_hat, empirical=empirical, state=state)
 
 
 def random_bound_dist(rng: np.random.Generator, n_atoms: int = 3, max_bound: int = 6) -> BoundDist:

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import tv_distance
+from helpers import chi2_two_sample, ks_critical, ks_two_sample, sequential_kmc, tv_distance
 from weakgiant import (
     BivariateDegreeDist,
     BoundDist,
@@ -22,6 +23,7 @@ from weakgiant import (
     size_histogram,
     weak_component_sizes,
 )
+from weakgiant import mcgraph
 
 dimers = BoundDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
 
@@ -365,6 +367,64 @@ def test_kmc_target_zero_is_empty_run(p22_bounds):
     assert res.state.events == 0
     assert res.graph.edges.shape == (0, 2)
     assert res.state.t == 0.0
+
+
+def test_kmc_counts_restarts(p22_bounds):
+    # no dimer vertex has both an in- and an out-spot: no pair is rejected
+    assert kmc_simulate(dimers, 4000, replica_rng(14, 9)).state.restarts == 0
+    # a third of the first pairs on three (2, 2) vertices are same-vertex
+    rng = replica_rng(14, 10)
+    assert sum(kmc_simulate(p22_bounds, 3, rng).state.restarts for _ in range(20)) > 0
+
+
+# --- kinetic sampler against the per-event oracle ----------------------------
+
+TINY_BOUNDS = {
+    "mixed": BoundDist.from_entries([(2, 1, 0.5), (1, 2, 0.5)]),
+    "atom22": BoundDist.from_entries([(2, 2, 1.0)]),
+}
+# (bounds, vertices, t_end): same-vertex pairs are frequent, and t_end = 3
+# cuts about 70% of the (2, 2)-atom runs on four vertices.  Runs, seed and
+# level were fixed before the first run.
+TINY_CASES = [
+    ("mixed", 3, None),
+    ("mixed", 4, None),
+    ("atom22", 3, None),
+    ("atom22", 4, None),
+    ("atom22", 4, 3.0),
+]
+TINY_RUNS = 3000
+TINY_SEED = 20261018
+TINY_ALPHA = 1e-4
+
+
+def _tiny_sample(sampler, case, replica):
+    """Final edge multisets (counted) and final times of TINY_RUNS runs."""
+    bounds, n, t_end = TINY_CASES[case]
+    rng = replica_rng(TINY_SEED, 3 * case + replica)
+    edges, times = Counter(), []
+    for _ in range(TINY_RUNS):
+        res = sampler(TINY_BOUNDS[bounds], n, rng, t_end=t_end)
+        edges[tuple(sorted(map(tuple, res.graph.edges.tolist())))] += 1
+        times.append(res.state.t)
+    return edges, np.array(times)
+
+
+@functools.cache
+def _tiny_oracle(case):
+    return _tiny_sample(sequential_kmc, case, 0)
+
+
+@pytest.mark.parametrize("block", [None, 2], ids=["real_block", "block2"])
+@pytest.mark.parametrize("case", range(len(TINY_CASES)), ids=lambda c: "-".join(map(str, TINY_CASES[c])))
+def test_kmc_law_matches_sequential_oracle(case, block, monkeypatch):
+    # block 2 puts block ends, rejections and the t_end cut side by side
+    if block is not None:
+        monkeypatch.setattr(mcgraph, "_KMC_BLOCK", block)
+    oracle_edges, oracle_t = _tiny_oracle(case)
+    edges, t = _tiny_sample(kmc_simulate, case, 1 if block is None else 2)
+    assert chi2_two_sample(oracle_edges, edges) > TINY_ALPHA
+    assert ks_two_sample(oracle_t, t) < ks_critical(TINY_ALPHA, TINY_RUNS, TINY_RUNS)
 
 
 def test_replica_streams_are_independent():

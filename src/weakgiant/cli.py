@@ -118,17 +118,14 @@ def _cmd_evolve(args) -> str:
                 "t_crit": tc.t_crit,
             }
         )
-    nu = evolution.nu_moments(P)
     if args.at_time is not None:
         t = args.at_time
         mu = evolution.mu_of_t(P, t)
         c_n, c_k = evolution.conversions(P, t)
         state = evolution.degree_state_at(P, t)
     else:
-        c_n = args.at_conversion
-        t = evolution.time_of_conversion(P, c_n)
-        mu = c_n * nu.nu10
-        c_k = min(c_n * nu.nu10 / nu.nu01, 1.0)
+        t = evolution.time_of_conversion(P, args.at_conversion)
+        mu, c_n, c_k = evolution._at_conversion(evolution.nu_moments(P), args.at_conversion)
         state = evolution.degree_state_at_conversion(P, c_n)
     marginal = evolution.marginal_degree_dist(state)
     report = criteria.criteria_report(marginal, balance_tol=max(args.tol, 1e-9))

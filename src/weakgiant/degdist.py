@@ -18,8 +18,10 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable
+
+import numpy as np
 
 from . import tableio
 from .errors import (
@@ -97,6 +99,16 @@ def _validated_table(pairs, kind: str, tol: float) -> dict:
     return table
 
 
+def _support(entries: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted support of a table keyed by pairs: first and second key
+    components and probabilities, one slot per entry."""
+    items = sorted(entries.items())
+    first = np.array([key[0] for key, _p in items], dtype=np.int64)
+    second = np.array([key[1] for key, _p in items], dtype=np.int64)
+    probs = np.array([p for _key, p in items], dtype=float)
+    return first, second, probs
+
+
 @dataclass(frozen=True)
 class UnivariateDegreeDist:
     """Sparse law of a single nonnegative integer degree."""
@@ -144,10 +156,6 @@ class BivariateDegreeDist:
     def from_text(cls, text: str, *, tol: float = NORM_TOL) -> "BivariateDegreeDist":
         return cls.from_entries(tableio.parse_records(text), tol=tol)
 
-    @classmethod
-    def from_file(cls, path: str | Path, *, tol: float = NORM_TOL) -> "BivariateDegreeDist":
-        return cls.from_entries(tableio.load_records(path), tol=tol)
-
     def records(self) -> list[tuple[int, int, float]]:
         """Entries as sorted ``(n, k, prob)`` triples."""
         return [(n, k, self.entries[(n, k)]) for n, k in sorted(self.entries)]
@@ -155,14 +163,12 @@ class BivariateDegreeDist:
     def to_text(self) -> str:
         return tableio.format_records(self.records())
 
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], float]]:
-        return iter(self.entries.items())
-
     def moment(self, i: int, j: int) -> float:
         """Partial moment ``sum n^i k^j u(n, k)`` (with ``0**0 == 1``)."""
         return math.fsum(n**i * k**j * p for (n, k), p in self.entries.items())
 
-    def moments(self) -> MomentSet:
+    @cached_property
+    def _moment_set(self) -> MomentSet:
         return MomentSet(
             mu00=self.moment(0, 0),
             mu10=self.moment(1, 0),
@@ -172,14 +178,18 @@ class BivariateDegreeDist:
             mu11=self.moment(1, 1),
         )
 
+    def moments(self) -> MomentSet:
+        """The six partial moments, summed once per instance (instances are
+        never mutated)."""
+        return self._moment_set
+
     def mean_degree(self) -> float:
         """The common edge density mu; meaningful once edge balance holds."""
-        return 0.5 * (self.moment(1, 0) + self.moment(0, 1))
+        return self.moments().mu
 
     def is_edge_balanced(self, tol: float = BALANCE_TOL) -> bool:
-        mu10 = self.moment(1, 0)
-        mu01 = self.moment(0, 1)
-        return abs(mu10 - mu01) <= tol * max(1.0, mu10, mu01)
+        m = self.moments()
+        return abs(m.mu10 - m.mu01) <= tol * max(1.0, m.mu10, m.mu01)
 
     def undirected_projection(self) -> UnivariateDegreeDist:
         """Law of the total degree l = n + k, ignoring edge directions."""
@@ -196,7 +206,7 @@ class BivariateDegreeDist:
         Reweights by in-degree: ``n * u(n, k) / mu_10``.  The in-degree index
         is not shifted; generating-function work shifts it where needed.
         """
-        mu10 = self.moment(1, 0)
+        mu10 = self.moments().mu10
         if mu10 <= 0:
             raise ZeroMeanDegree("mean in-degree is zero; size-biased law undefined")
         return BivariateDegreeDist.from_entries(
@@ -205,7 +215,7 @@ class BivariateDegreeDist:
 
     def size_biased_out(self) -> "BivariateDegreeDist":
         """Degree law of the vertex an edge leaves from: ``k * u(n, k) / mu_01``."""
-        mu01 = self.moment(0, 1)
+        mu01 = self.moments().mu01
         if mu01 <= 0:
             raise ZeroMeanDegree("mean out-degree is zero; size-biased law undefined")
         return BivariateDegreeDist.from_entries(
@@ -227,7 +237,8 @@ def truncated_double_poisson(lam: float, cutoff: int = 30) -> BivariateDegreeDis
 def require_edge_balanced(d: BivariateDegreeDist, tol: float = BALANCE_TOL) -> None:
     """Raise :class:`EdgeImbalance` unless mean in- and out-degree agree."""
     if not d.is_edge_balanced(tol):
+        m = d.moments()
         raise EdgeImbalance(
-            f"mean in-degree {d.moment(1, 0)!r} != mean out-degree {d.moment(0, 1)!r} "
+            f"mean in-degree {m.mu10!r} != mean out-degree {m.mu01!r} "
             f"beyond tolerance {tol:g}"
         )

@@ -85,10 +85,6 @@ class BoundDist:
     def from_text(cls, text: str, *, tol: float = NORM_TOL) -> "BoundDist":
         return cls.from_entries(tableio.parse_records(text), tol=tol)
 
-    @classmethod
-    def from_file(cls, path, *, tol: float = NORM_TOL) -> "BoundDist":
-        return cls.from_entries(tableio.load_records(path), tol=tol)
-
     def records(self) -> list[tuple[int, int, float]]:
         return [(n, k, self.entries[(n, k)]) for n, k in sorted(self.entries)]
 
@@ -204,15 +200,24 @@ def degree_state_at(P: BoundDist, t: float) -> FullDegreeState:
     return FullDegreeState(_state_entries(P, c_n, c_k), t)
 
 
-def degree_state_at_conversion(P: BoundDist, c_n: float) -> FullDegreeState:
-    """Same state indexed by in-conversion; ``t`` is inf at the supremum."""
-    nu = nu_moments(P)
+def _at_conversion(nu: NuMoments, c_n: float) -> tuple[float, float, float]:
+    """``(mu, c_n, c_k)`` at in-conversion ``c_n``.
+
+    ``c_n`` must lie in [0, sup] up to a relative 1e-12 and is clamped to
+    the supremum.
+    """
     sup_cn, _ = _sup_conversions(nu)
     if not 0.0 <= c_n <= sup_cn * (1.0 + 1e-12):
         raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r}]")
     c_n = min(c_n, sup_cn, 1.0)
-    c_k = min(c_n * nu.nu10 / nu.nu01, 1.0)
-    if c_n < sup_cn:
+    return c_n * nu.nu10, c_n, min(c_n * nu.nu10 / nu.nu01, 1.0)
+
+
+def degree_state_at_conversion(P: BoundDist, c_n: float) -> FullDegreeState:
+    """Same state indexed by in-conversion; ``t`` is inf at the supremum."""
+    nu = nu_moments(P)
+    _mu, c_n, c_k = _at_conversion(nu, c_n)
+    if c_n < _sup_conversions(nu)[0]:
         t = _time_of_conversion(nu, c_n)
     else:
         t = math.inf
@@ -252,11 +257,7 @@ def mu_moments_at(P: BoundDist, c_n: float) -> tuple[float, float, float]:
         mu_11 = c_n c_k nu_11.
     """
     nu = nu_moments(P)
-    sup_cn, _ = _sup_conversions(nu)
-    if not 0.0 <= c_n <= sup_cn * (1.0 + 1e-12):
-        raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r}]")
-    c_n = min(c_n, sup_cn, 1.0)
-    c_k = min(c_n * nu.nu10 / nu.nu01, 1.0)
+    _mu, c_n, c_k = _at_conversion(nu, c_n)
     mu20 = c_n * nu.nu10 * (1.0 - c_n) + c_n * c_n * nu.nu20
     mu02 = c_k * nu.nu01 * (1.0 - c_k) + c_k * c_k * nu.nu02
     mu11 = c_n * c_k * nu.nu11

@@ -19,6 +19,10 @@ Picard iteration from (0, 0) converges monotonically to that smallest
 solution; a law without a giant weak component is answered with (1, 1)
 directly.
 
+Both solvers read one term table per law: the arrays ``(weight, exponent of
+W_out, exponent of W_in)`` of U, mu U_in and mu U_out over the sorted
+support, built once per call.
+
 The power series need no iteration: because of the factor z, coefficient m
 of every series depends only on coefficients below m, so one pass computes
 each coefficient once, in order ("relaxed" evaluation, van der Hoeven,
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BALANCE_TOL, BivariateDegreeDist, require_edge_balanced
+from .degdist import BALANCE_TOL, BivariateDegreeDist, _support, require_edge_balanced
 from .errors import NoConvergence
 
 #: Default fixed-point tolerance and iteration budget.
@@ -53,30 +57,22 @@ class FixedPointSolution:
     giant_fraction: float
 
 
-class _Prepared:
-    """Support arrays shared by the scalar and series evaluators."""
+def _terms(d: BivariateDegreeDist):
+    """Terms ``(weight, exponent of W_out, exponent of W_in)`` of U, mu U_in
+    and mu U_out, as arrays over the sorted support."""
+    ns, ks, ps = _support(d.entries)
+    has_in, has_out = ns >= 1, ks >= 1
+    return (
+        (ps, ns, ks),
+        (ns[has_in] * ps[has_in], ns[has_in] - 1, ks[has_in]),
+        (ks[has_out] * ps[has_out], ns[has_out], ks[has_out] - 1),
+    )
 
-    def __init__(self, d: BivariateDegreeDist):
-        items = sorted(d.entries.items())
-        self.ns = np.array([n for (n, _k), _p in items], dtype=np.int64)
-        self.ks = np.array([k for (_n, k), _p in items], dtype=np.int64)
-        self.ps = np.array([p for _key, p in items], dtype=float)
-        self.mu = d.mean_degree()
 
-    def eval_u(self, x: float, y: float) -> float:
-        return float(np.sum(self.ps * x**self.ns * y**self.ks))
-
-    def eval_u_in(self, x: float, y: float) -> float:
-        m = self.ns >= 1
-        return float(
-            np.sum(self.ns[m] * self.ps[m] * x ** (self.ns[m] - 1) * y ** self.ks[m]) / self.mu
-        )
-
-    def eval_u_out(self, x: float, y: float) -> float:
-        m = self.ks >= 1
-        return float(
-            np.sum(self.ks[m] * self.ps[m] * x ** self.ns[m] * y ** (self.ks[m] - 1)) / self.mu
-        )
+def _eval(term, x: float, y: float) -> float:
+    """``sum w x^a y^b`` over one term table."""
+    w, a, b = term
+    return float(np.sum(w * x**a * y**b))
 
 
 def interior_fixed_point(
@@ -99,12 +95,13 @@ def interior_fixed_point(
     if not d.moments().giant_weak:
         return FixedPointSolution(s_out=1.0, s_in=1.0, iterations=0, residual=0.0, giant_fraction=0.0)
 
-    prep = _Prepared(d)
+    u, u_in, u_out = _terms(d)
+    mu = d.mean_degree()
     s_out, s_in = 0.0, 0.0
     residual = math.inf
     for iteration in range(1, max_iter + 1):
-        new_in = prep.eval_u_in(s_out, s_in)
-        new_out = prep.eval_u_out(s_out, s_in)
+        new_in = _eval(u_in, s_out, s_in) / mu
+        new_out = _eval(u_out, s_out, s_in) / mu
         assert new_in >= s_in - 1e-12 and new_out >= s_out - 1e-12
         assert new_in <= 1.0 + 1e-12 and new_out <= 1.0 + 1e-12
         new_in = min(new_in, 1.0)
@@ -117,7 +114,7 @@ def interior_fixed_point(
                 s_in=s_in,
                 iterations=iteration,
                 residual=residual,
-                giant_fraction=max(0.0, 1.0 - prep.eval_u(s_out, s_in)),
+                giant_fraction=max(0.0, 1.0 - _eval(u, s_out, s_in)),
             )
     raise NoConvergence("fixed-point iteration did not converge", max_iter, residual)
 
@@ -148,15 +145,11 @@ def weak_size_distribution(
     if order < 1:
         raise ValueError("order must be >= 1")
     require_edge_balanced(d, balance_tol)
-    prep = _Prepared(d)
-    ns, ks, ps = prep.ns, prep.ks, prep.ps
-    has_in, has_out = ns >= 1, ks >= 1
-    # Terms (weight, exponent of W_out, exponent of W_in) of U, U_in, U_out.
-    series = [
-        (ps, ns, ks),
-        (ns[has_in] * ps[has_in] / prep.mu, ns[has_in] - 1, ks[has_in]),
-        (ks[has_out] * ps[has_out] / prep.mu, ns[has_out], ks[has_out] - 1),
-    ]
+    u, u_in, u_out = _terms(d)
+    mu = d.mean_degree()
+    # Terms of U, U_in and U_out.
+    series = [u] + [(w / mu, a, b) for w, a, b in (u_in, u_out)]
+    _ps, ns, ks = u
     top_out = int(ns.max())
     pow_out = np.zeros((top_out + 1, order))  # pow_out[a, j] = [z^j] W_out^a
     pow_in = np.zeros((int(ks.max()) + 1, order))

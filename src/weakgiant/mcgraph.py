@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BivariateDegreeDist, UnivariateDegreeDist
+from .degdist import BivariateDegreeDist, UnivariateDegreeDist, _support
 from .errors import Exhausted, Unrealizable, ValidationError
 from .evolution import BoundDist
 
@@ -104,20 +104,9 @@ def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
     return UnivariateDegreeDist.from_entries(pairs)
 
 
-def _support(entries: dict):
-    """Sorted support of a degree law: first and second key components and
-    normalized probabilities, one slot per entry."""
-    items = sorted(entries.items())
-    probs = np.array([p for _key, p in items], dtype=float)
-    probs = probs / probs.sum()
-    first = np.array([key[0] for key, _p in items], dtype=np.int64)
-    second = np.array([key[1] for key, _p in items], dtype=np.int64)
-    return first, second, probs
-
-
 def _sample_keys(entries: dict, n: int, rng: np.random.Generator):
     first, second, probs = _support(entries)
-    idx = rng.choice(len(probs), size=n, p=probs)
+    idx = rng.choice(len(probs), size=n, p=probs / probs.sum())
     return first[idx], second[idx]
 
 
@@ -202,6 +191,7 @@ def sample_configuration(
         raise ValidationError(f"need at least 1 vertex, got {n_vertices}")
     rng = _as_rng(seed)
     n_of, k_of, probs = _support(d.entries)
+    probs = probs / probs.sum()
     idx = rng.choice(len(probs), size=n_vertices, p=probs)
     _balance_by_redraw(idx, n_of - k_of, probs, rng)
 
@@ -294,7 +284,8 @@ def _blocked_drops(src, dst, vin, vout) -> np.ndarray:
 def _grow(vin, vout, edges, times, rng, target_events, t_end) -> tuple[int, float, int]:
     """Event loop of :func:`kmc_simulate`: convert spot pairs from the vacant
     counts ``vin``, ``vout`` (updated in place) and write each event's
-    (source, target) and time into ``edges`` and ``times``.
+    (source, target) into ``edges`` and its time into ``times``, unless
+    ``times`` is None.
 
     Returns the number of events, the final time and the number of
     restarts.  The spot arrays live only here, so they are freed before
@@ -362,7 +353,8 @@ def _grow(vin, vout, edges, times, rng, target_events, t_end) -> tuple[int, floa
         end = events + src.size
         edges[events:end, 0] = src
         edges[events:end, 1] = dst
-        times[events:end] = block_t
+        if times is not None:
+            times[events:end] = block_t
         events = end
         if cut:
             return events, t_end, restarts
@@ -421,7 +413,7 @@ def kmc_simulate(
         target_events = int(round(c_n_target * total_in))
     capacity = min(total_in, int(vout.sum())) if target_events is None else target_events
     edges = np.empty((max(capacity, 0), 2), dtype=np.int64)
-    times = np.empty(max(capacity, 0), dtype=float)
+    times = np.empty(max(capacity, 0), dtype=float) if record_trajectory else None
     events, t, restarts = _grow(vin, vout, edges, times, rng, target_events, t_end)
 
     graph = DirectedMultigraph(n_vertices, edges[:events].copy())

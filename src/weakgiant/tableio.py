@@ -7,7 +7,6 @@ bound distributions.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable
 
 from .errors import ParseError
@@ -41,12 +40,8 @@ def parse_records(text: str) -> list[Record]:
     return records
 
 
-def load_records(path: str | Path) -> list[Record]:
-    return parse_records(Path(path).read_text())
-
-
-def format_records(records: Iterable[tuple[int, int, float]], header: str = "n k prob") -> str:
-    lines = [f"# {header}"]
+def format_records(records: Iterable[tuple[int, int, float]]) -> str:
+    lines = ["# n k prob"]
     for n, k, p in records:
         lines.append(f"{n} {k} {p:.17g}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import pytest
 
 from helpers import run_cli, truncated_double_poisson, validate_schema
+from weakgiant import BivariateDegreeDist
 
 FORK = "# n k prob\n1 0 0.66666666666666663\n0 2 0.33333333333333331\n"
 ATOM22 = "2 2 1.0\n"
@@ -92,6 +94,53 @@ def test_runs_are_byte_identical(tmp_path):
     _, first, _ = run_cli(args)
     _, second, _ = run_cli(args)
     assert first == second
+
+
+PINNED_TABLES = {
+    "dp0.45": truncated_double_poisson(0.45).to_text(),
+    "dp0.6": truncated_double_poisson(0.6).to_text(),
+    "gate6": THREE_CLASS,
+}
+# sha256 of stdout.  A change that moves analytic digits on purpose updates
+# these and says so in CHANGES.md.
+PINNED_STDOUT = [
+    ("dp0.45", ["analyze"],
+     "fa58d62bf001e7d8c35ce45d65f2e4cb91301a75aec7435dc3af41149fb13bef"),
+    ("dp0.45", ["gf", "--order", "60"],
+     "f993133530e8758d3e513d28220046b4daeb9a985dff549959a5b80b2920dcf5"),
+    ("dp0.6", ["analyze"],
+     "73902bbc83d59f2e1f14e433134575cc5a9798ed713f042b277c5cb909bc0cd0"),
+    ("dp0.6", ["gf", "--order", "60"],
+     "6d2ed49e8e9cc5f43d6f1355eed68cb9f39a4c7643746c0d0526d5d3c7904196"),
+    ("gate6", ["evolve", "--at-conversion", "0.2"],
+     "96e4979761ab45d98a8a3aa979683aa4668ac57de932e48ff73582e7cae3d643"),
+    ("gate6", ["evolve", "--at-conversion", "0.6"],
+     "cb4854d2ecb68d64ccbd1f77bfd938e95c0d8ac413303bd288c5bece872aff63"),
+]
+
+
+@pytest.mark.parametrize("table, argv, digest", PINNED_STDOUT)
+def test_analytic_stdout_is_pinned(tmp_path, table, argv, digest):
+    path = write(tmp_path, "t.txt", PINNED_TABLES[table])
+    code, out, _ = run_cli([argv[0], path, *argv[1:]])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+
+@pytest.mark.parametrize("command", ["analyze", "gf"])
+def test_request_sums_each_moment_once(tmp_path, monkeypatch, command):
+    calls = []
+    moment = BivariateDegreeDist.moment
+
+    def spy(self, i, j):
+        calls.append((i, j))
+        return moment(self, i, j)
+
+    monkeypatch.setattr(BivariateDegreeDist, "moment", spy)
+    code, _, _ = run_cli([command, write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])])
+    assert code == 0
+    assert sorted(calls) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
 # --- gf ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
@@ -343,6 +344,25 @@ def test_kmc_t_end_mode(p22_bounds):
     predicted = mu_of_t(p22_bounds, 0.25)
     observed = res.state.events / 10000
     assert abs(predicted - observed) <= 4 * math.sqrt(predicted / 10000)
+
+
+def test_kmc_skips_times_when_not_recording(p22_bounds):
+    # capacity of a t_end run: min(total in-spots, total out-spots) = 2 N
+    n = 100_000
+    capacity = 2 * n
+
+    def peak(record):
+        tracemalloc.start()
+        try:
+            mcgraph.kmc_simulate(p22_bounds, n, 7, t_end=0.1, record_trajectory=record)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(True)  # warm-up: first-call allocations would inflate one side
+    # 4 KiB covers the few hundred bytes by which small-object allocations
+    # move a peak from run to run
+    assert peak(True) - peak(False) >= 8 * capacity - 4096
 
 
 def test_kmc_dimers_run_to_exhaustion():

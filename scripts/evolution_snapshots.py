@@ -45,13 +45,11 @@ def main() -> None:
         t_max = 40.0 * tc.t_crit if tc.kind == "finite" else 5.0
     print("# t\tmu\tc_n\tc_k\tD\tgiant_weak")
     for i in range(args.points + 1):
-        t = t_max * i / args.points
-        mu = evolution.mu_of_t(P, t)
-        c_n, c_k = evolution.conversions(P, t)
-        marginal = evolution.marginal_degree_dist(evolution.degree_state_at(P, t))
+        state = evolution.degree_state_at(P, t_max * i / args.points)
+        marginal = evolution.marginal_degree_dist(state)
         # conversions make the marginal balanced only to float accuracy
         report = criteria.criteria_report(marginal, balance_tol=1e-9)
-        print(f"{t:.6g}\t{mu:.6g}\t{c_n:.6g}\t{c_k:.6g}\t"
+        print(f"{state.t:.6g}\t{state.mu:.6g}\t{state.c_n:.6g}\t{state.c_k:.6g}\t"
               f"{report.determinant_D:.6g}\t{int(report.giant_weak)}")
 
 

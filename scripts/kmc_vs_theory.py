@@ -36,10 +36,8 @@ def main() -> None:
         c = lo + (hi - lo) * i / (count - 1)
         if not c < sup_cn:
             break
-        t = evolution.time_of_conversion(P, c)
-        marginal = evolution.marginal_degree_dist(
-            evolution.degree_state_at_conversion(P, c)
-        )
+        state = evolution.degree_state_at_conversion(P, c)
+        marginal = evolution.marginal_degree_dist(state)
         report = criteria.criteria_report(marginal, balance_tol=1e-9)
         frac_theory = report.giant_weak_fraction or 0.0
         mean_theory = "" if report.mean_weak_size is None else f"{report.mean_weak_size:.6g}"
@@ -50,7 +48,7 @@ def main() -> None:
         frac_mc = sizes.max() / args.vertices
         # size of the component holding a random vertex
         mean_mc = float(np.sum(sizes.astype(float) ** 2) / args.vertices)
-        print(f"{c:.4f}\t{t:.6g}\t{frac_theory:.6g}\t{frac_mc:.6g}\t"
+        print(f"{c:.4f}\t{state.t:.6g}\t{frac_theory:.6g}\t{frac_mc:.6g}\t"
               f"{mean_theory}\t{mean_mc:.6g}")
 
 

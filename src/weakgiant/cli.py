@@ -119,22 +119,22 @@ def _cmd_evolve(args) -> str:
             }
         )
     if args.at_time is not None:
-        t = args.at_time
-        mu = evolution.mu_of_t(P, t)
-        c_n, c_k = evolution.conversions(P, t)
-        state = evolution.degree_state_at(P, t)
+        state = evolution.degree_state_at(P, args.at_time)
     else:
-        t = evolution.time_of_conversion(P, args.at_conversion)
-        mu, c_n, c_k = evolution._at_conversion(evolution.nu_moments(P), args.at_conversion)
+        # The output needs a finite time: the supremum itself is unreachable.
+        c_n = args.at_conversion
+        sup_cn, _ = evolution.conversion_sup(P)
+        if not 0.0 <= c_n < sup_cn:
+            raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r})")
         state = evolution.degree_state_at_conversion(P, c_n)
     marginal = evolution.marginal_degree_dist(state)
     report = criteria.criteria_report(marginal, balance_tol=max(args.tol, 1e-9))
     return _json17(
         {
-            "t": t,
-            "mu": mu,
-            "c_n": c_n,
-            "c_k": c_k,
+            "t": state.t,
+            "mu": state.mu,
+            "c_n": state.c_n,
+            "c_k": state.c_k,
             "marginal": [[n, k, p] for n, k, p in marginal.records()],
             "report": report.to_json_dict(),
         }
@@ -177,7 +177,6 @@ def _cmd_simulate(args) -> str:
         require_edge_balanced(d, args.tol)
         graph = mcgraph.sample_configuration(d, args.vertices, args.seed)
         t_final = None
-        times = mu_hat = None
     else:
         P = BoundDist.from_text(text, tol=args.tol)
         result = mcgraph.kmc_simulate(
@@ -186,18 +185,18 @@ def _cmd_simulate(args) -> str:
             args.seed,
             t_end=args.t_end,
             c_n_target=args.target_conversion,
+            record_trajectory=args.dump_trajectory is not None,
         )
         graph = result.graph
         t_final = result.state.t
-        times, mu_hat = result.times, result.mu_hat
+        if args.dump_trajectory:
+            rows = ["# t mu_hat"]
+            rows.extend(f"{t:.17g}\t{m:.17g}" for t, m in zip(result.times.tolist(), result.mu_hat.tolist()))
+            Path(args.dump_trajectory).write_text("\n".join(rows) + "\n")
     sizes = mcgraph.weak_component_sizes(graph)
     hist = mcgraph.size_histogram(sizes, vertex_weighted=True)
     if args.dump_graph:
         _dump_graph(graph, args.dump_graph)
-    if args.dump_trajectory:
-        rows = ["# t mu_hat"]
-        rows.extend(f"{t:.17g}\t{m:.17g}" for t, m in zip(times.tolist(), mu_hat.tolist()))
-        Path(args.dump_trajectory).write_text("\n".join(rows) + "\n")
     return _json17(
         {
             "mode": args.mode,

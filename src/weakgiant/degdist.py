@@ -30,6 +30,7 @@ from .errors import (
     NegativeIndex,
     NegativeProbability,
     NotNormalized,
+    ValidationError,
     ZeroMeanDegree,
 )
 
@@ -82,9 +83,19 @@ class MomentSet:
         return 2.0 * self.mu11 + self.mu02 + self.mu20 - 4.0 * self.mu > 0.0
 
 
+def _index_pair(first, second, noun: str) -> tuple[int, int]:
+    """The key ``(first, second)`` as nonnegative integers."""
+    first, second = operator.index(first), operator.index(second)
+    if first < 0 or second < 0:
+        raise NegativeIndex(f"{noun} ({first}, {second}) has a negative component")
+    return first, second
+
+
 def _validated_table(pairs, kind: str, tol: float) -> dict:
     table: dict = {}
     for key, prob in pairs:
+        if math.isnan(prob):
+            raise ValidationError(f"{kind}{key} = {prob!r} is not a number")
         if prob < 0:
             raise NegativeProbability(f"{kind}{key} = {prob!r} is negative")
         if prob == 0:
@@ -143,13 +154,7 @@ class BivariateDegreeDist:
     def from_entries(
         cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
     ) -> "BivariateDegreeDist":
-        checked = []
-        for n, k, prob in triples:
-            n = operator.index(n)
-            k = operator.index(k)
-            if n < 0 or k < 0:
-                raise NegativeIndex(f"degree pair ({n}, {k}) has a negative component")
-            checked.append(((n, k), prob))
+        checked = [(_index_pair(n, k, "degree pair"), prob) for n, k, prob in triples]
         return cls(_validated_table(checked, "u", tol))
 
     @classmethod

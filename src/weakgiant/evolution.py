@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import index as _as_index
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import tableio
-from .degdist import NORM_TOL, BivariateDegreeDist, _validated_table
+from .degdist import NORM_TOL, BivariateDegreeDist, _index_pair, _validated_table
 from .errors import (
     ConversionOutOfRange,
-    NegativeIndex,
     NegativeTime,
     NoReactivePair,
     ValidationError,
@@ -67,13 +66,7 @@ class BoundDist:
     def from_entries(
         cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
     ) -> "BoundDist":
-        checked = []
-        for n_max, k_max, prob in triples:
-            n_max = _as_index(n_max)
-            k_max = _as_index(k_max)
-            if n_max < 0 or k_max < 0:
-                raise NegativeIndex(f"bound pair ({n_max}, {k_max}) has a negative component")
-            checked.append(((n_max, k_max), prob))
+        checked = [(_index_pair(nm, km, "bound pair"), prob) for nm, km, prob in triples]
         table = _validated_table(checked, "P", tol)
         if not any(nm > 0 for nm, _km in table):
             raise NoReactivePair("no class has in-capacity; no edge can ever form")
@@ -88,13 +81,28 @@ class BoundDist:
     def records(self) -> list[tuple[int, int, float]]:
         return [(n, k, self.entries[(n, k)]) for n, k in sorted(self.entries)]
 
+    @cached_property
+    def _nu(self) -> NuMoments:
+        items = self.entries.items()
+        return NuMoments(
+            nu10=math.fsum(nm * p for (nm, km), p in items),
+            nu01=math.fsum(km * p for (nm, km), p in items),
+            nu20=math.fsum(nm * nm * p for (nm, km), p in items),
+            nu02=math.fsum(km * km * p for (nm, km), p in items),
+            nu11=math.fsum(nm * km * p for (nm, km), p in items),
+        )
+
 
 @dataclass(frozen=True)
 class FullDegreeState:
-    """Joint law of ``(n, k, n_max, k_max)`` at one instant of the process."""
+    """Joint law of ``(n, k, n_max, k_max)`` at one instant of the process,
+    with the time, edge density and conversions of that instant."""
 
     entries: dict
     t: float
+    mu: float
+    c_n: float
+    c_k: float
 
 
 @dataclass(frozen=True)
@@ -111,30 +119,23 @@ class TransitionClass:
     t_crit: float | None = None
 
 
-def _nu_of(entries: dict) -> NuMoments:
-    items = entries.items()
-    return NuMoments(
-        nu10=math.fsum(nm * p for (nm, km), p in items),
-        nu01=math.fsum(km * p for (nm, km), p in items),
-        nu20=math.fsum(nm * nm * p for (nm, km), p in items),
-        nu02=math.fsum(km * km * p for (nm, km), p in items),
-        nu11=math.fsum(nm * km * p for (nm, km), p in items),
-    )
-
-
 def nu_moments(P: BoundDist) -> NuMoments:
-    return _nu_of(P.entries)
+    """The five capacity moments, summed once per instance (instances are
+    never mutated)."""
+    return P._nu
 
 
 def _is_symmetric(nu: NuMoments) -> bool:
     return abs(nu.nu01 - nu.nu10) <= SYMMETRIC_SWITCH * max(nu.nu01, nu.nu10)
 
 
-def _mu_of_t(nu: NuMoments, t: float) -> float:
+def mu_of_t(P: BoundDist, t: float) -> float:
+    """Edge density at time t; increasing, with supremum min(nu_01, nu_10)."""
     if t < 0:
         raise NegativeTime(f"t = {t!r} is negative")
     if not math.isfinite(t):
         raise ValidationError(f"t = {t!r} must be finite")
+    nu = nu_moments(P)
     if _is_symmetric(nu):
         v = 0.5 * (nu.nu01 + nu.nu10)
         return v * v * t / (1.0 + v * t)
@@ -148,22 +149,17 @@ def _mu_of_t(nu: NuMoments, t: float) -> float:
     return a * b * em / ((b - a) + b * em)
 
 
-def mu_of_t(P: BoundDist, t: float) -> float:
-    """Edge density at time t; increasing, with supremum min(nu_01, nu_10)."""
-    return _mu_of_t(nu_moments(P), t)
+def _at_time(P: BoundDist, t: float) -> tuple[float, float, float]:
+    """``(mu, c_n, c_k)`` at time t."""
+    nu = nu_moments(P)
+    m = mu_of_t(P, t)
+    return m, min(m / nu.nu10, 1.0), min(m / nu.nu01, 1.0)
 
 
 def conversions(P: BoundDist, t: float) -> tuple[float, float]:
     """Filled fractions ``(c_n, c_k)`` of in- and out-spots at time t."""
-    nu = nu_moments(P)
-    m = _mu_of_t(nu, t)
-    return min(m / nu.nu10, 1.0), min(m / nu.nu01, 1.0)
-
-
-def _sup_conversions(nu: NuMoments) -> tuple[float, float]:
-    if nu.nu01 >= nu.nu10:
-        return 1.0, nu.nu10 / nu.nu01
-    return nu.nu01 / nu.nu10, 1.0
+    _mu, c_n, c_k = _at_time(P, t)
+    return c_n, c_k
 
 
 def conversion_sup(P: BoundDist) -> tuple[float, float]:
@@ -172,7 +168,10 @@ def conversion_sup(P: BoundDist) -> tuple[float, float]:
     The scarcer spot species fills completely; the other saturates at the
     capacity ratio.
     """
-    return _sup_conversions(nu_moments(P))
+    nu = nu_moments(P)
+    if nu.nu01 >= nu.nu10:
+        return 1.0, nu.nu10 / nu.nu01
+    return nu.nu01 / nu.nu10, 1.0
 
 
 def _binom_pmf(m: int, j: int, c: float) -> float:
@@ -196,17 +195,18 @@ def _state_entries(P: BoundDist, c_n: float, c_k: float) -> dict:
 def degree_state_at(P: BoundDist, t: float) -> FullDegreeState:
     """Joint (n, k, n_max, k_max) law at time t: per capacity class, spots
     fill independently, Binomial(n_max, c_n) x Binomial(k_max, c_k)."""
-    c_n, c_k = conversions(P, t)
-    return FullDegreeState(_state_entries(P, c_n, c_k), t)
+    mu, c_n, c_k = _at_time(P, t)
+    return FullDegreeState(_state_entries(P, c_n, c_k), t, mu, c_n, c_k)
 
 
-def _at_conversion(nu: NuMoments, c_n: float) -> tuple[float, float, float]:
+def _at_conversion(P: BoundDist, c_n: float) -> tuple[float, float, float]:
     """``(mu, c_n, c_k)`` at in-conversion ``c_n``.
 
     ``c_n`` must lie in [0, sup] up to a relative 1e-12 and is clamped to
     the supremum.
     """
-    sup_cn, _ = _sup_conversions(nu)
+    nu = nu_moments(P)
+    sup_cn, _ = conversion_sup(P)
     if not 0.0 <= c_n <= sup_cn * (1.0 + 1e-12):
         raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r}]")
     c_n = min(c_n, sup_cn, 1.0)
@@ -215,13 +215,9 @@ def _at_conversion(nu: NuMoments, c_n: float) -> tuple[float, float, float]:
 
 def degree_state_at_conversion(P: BoundDist, c_n: float) -> FullDegreeState:
     """Same state indexed by in-conversion; ``t`` is inf at the supremum."""
-    nu = nu_moments(P)
-    _mu, c_n, c_k = _at_conversion(nu, c_n)
-    if c_n < _sup_conversions(nu)[0]:
-        t = _time_of_conversion(nu, c_n)
-    else:
-        t = math.inf
-    return FullDegreeState(_state_entries(P, c_n, c_k), t)
+    mu, c_n, c_k = _at_conversion(P, c_n)
+    t = time_of_conversion(P, c_n) if c_n < conversion_sup(P)[0] else math.inf
+    return FullDegreeState(_state_entries(P, c_n, c_k), t, mu, c_n, c_k)
 
 
 def marginal_degree_dist(state: FullDegreeState) -> BivariateDegreeDist:
@@ -242,10 +238,12 @@ def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
     other side stays binomial at the capacity ratio.
     """
     nu = nu_moments(P)
-    sup_cn, sup_ck = _sup_conversions(nu)
     if _is_symmetric(nu):
         return BivariateDegreeDist.from_entries([(nm, km, p) for (nm, km), p in sorted(P.entries.items())])
-    state = FullDegreeState(_state_entries(P, sup_cn, sup_ck), math.inf)
+    # The exact supremum pair: clamping through _at_conversion would
+    # recompute c_k as a product that can miss 1.0.
+    sup_cn, sup_ck = conversion_sup(P)
+    state = FullDegreeState(_state_entries(P, sup_cn, sup_ck), math.inf, min(nu.nu01, nu.nu10), sup_cn, sup_ck)
     return marginal_degree_dist(state)
 
 
@@ -257,14 +255,22 @@ def mu_moments_at(P: BoundDist, c_n: float) -> tuple[float, float, float]:
         mu_11 = c_n c_k nu_11.
     """
     nu = nu_moments(P)
-    _mu, c_n, c_k = _at_conversion(nu, c_n)
+    _mu, c_n, c_k = _at_conversion(P, c_n)
     mu20 = c_n * nu.nu10 * (1.0 - c_n) + c_n * c_n * nu.nu20
     mu02 = c_k * nu.nu01 * (1.0 - c_k) + c_k * c_k * nu.nu02
     mu11 = c_n * c_k * nu.nu11
     return mu20, mu02, mu11
 
 
-def _critical_conversion(nu: NuMoments) -> tuple[float, float] | None:
+def critical_conversion(P: BoundDist) -> tuple[float, float] | None:
+    """Conversions ``(c_n_crit, c_k_crit)`` where D hits zero,
+
+        c_n_crit = nu_01 / (nu_11 + sqrt((nu_02 - nu_01)(nu_20 - nu_10))),
+
+    or None when no real positive root exists.  The value may lie at or past
+    the reachable supremum; see :func:`transition_class`.
+    """
+    nu = nu_moments(P)
     radicand = (nu.nu02 - nu.nu01) * (nu.nu20 - nu.nu10)
     if radicand < 0.0:
         # Impossible for integer-valued capacities in exact arithmetic;
@@ -278,18 +284,12 @@ def _critical_conversion(nu: NuMoments) -> tuple[float, float] | None:
     return nu.nu01 / den, nu.nu10 / den
 
 
-def critical_conversion(P: BoundDist) -> tuple[float, float] | None:
-    """Conversions ``(c_n_crit, c_k_crit)`` where D hits zero,
-
-        c_n_crit = nu_01 / (nu_11 + sqrt((nu_02 - nu_01)(nu_20 - nu_10))),
-
-    or None when no real positive root exists.  The value may lie at or past
-    the reachable supremum; see :func:`transition_class`.
-    """
-    return _critical_conversion(nu_moments(P))
-
-
-def _time_of_conversion(nu: NuMoments, c_n: float) -> float:
+def time_of_conversion(P: BoundDist, c_n: float) -> float:
+    """Time at which the in-conversion reaches ``c_n`` (must be < sup)."""
+    sup_cn, _ = conversion_sup(P)
+    if not 0.0 <= c_n < sup_cn:
+        raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r})")
+    nu = nu_moments(P)
     if _is_symmetric(nu):
         v = 0.5 * (nu.nu01 + nu.nu10)
         return c_n / (v * (1.0 - c_n))
@@ -297,31 +297,6 @@ def _time_of_conversion(nu: NuMoments, c_n: float) -> float:
     # Inverting mu(t): t = log((1-c) a / (a - c b)) / (b - a), written with
     # log1p to stay accurate when a and b nearly coincide.
     return math.log1p(c_n * (b - a) / (a - c_n * b)) / (b - a)
-
-
-def time_of_conversion(P: BoundDist, c_n: float) -> float:
-    """Time at which the in-conversion reaches ``c_n`` (must be < sup)."""
-    nu = nu_moments(P)
-    sup_cn, _ = _sup_conversions(nu)
-    if not 0.0 <= c_n < sup_cn:
-        raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r})")
-    return _time_of_conversion(nu, c_n)
-
-
-def _classify(nu: NuMoments) -> TransitionClass:
-    crit = _critical_conversion(nu)
-    if crit is None:
-        return TransitionClass("never")
-    c_n_crit, c_k_crit = crit
-    sup_cn, _ = _sup_conversions(nu)
-    band = ASYMPTOTIC_BAND * max(1.0, sup_cn)
-    if c_n_crit < sup_cn - band:
-        return TransitionClass(
-            "finite", c_n_crit=c_n_crit, c_k_crit=c_k_crit, t_crit=_time_of_conversion(nu, c_n_crit)
-        )
-    if c_n_crit <= sup_cn + band:
-        return TransitionClass("asymptotic")
-    return TransitionClass("never")
 
 
 def transition_class(P: BoundDist) -> TransitionClass:
@@ -335,7 +310,19 @@ def transition_class(P: BoundDist) -> TransitionClass:
     quadratic evaluated at full conversion vanishes even though the
     transition happened strictly earlier.
     """
-    return _classify(nu_moments(P))
+    crit = critical_conversion(P)
+    if crit is None:
+        return TransitionClass("never")
+    c_n_crit, c_k_crit = crit
+    sup_cn, _ = conversion_sup(P)
+    band = ASYMPTOTIC_BAND * max(1.0, sup_cn)
+    if c_n_crit < sup_cn - band:
+        return TransitionClass(
+            "finite", c_n_crit=c_n_crit, c_k_crit=c_k_crit, t_crit=time_of_conversion(P, c_n_crit)
+        )
+    if c_n_crit <= sup_cn + band:
+        return TransitionClass("asymptotic")
+    return TransitionClass("never")
 
 
 @dataclass(frozen=True)
@@ -360,12 +347,7 @@ def barycentric_grid(
     """
     if len(atoms) != 3:
         raise ValidationError(f"need exactly 3 atoms, got {len(atoms)}")
-    cleaned = []
-    for nm, km in atoms:
-        nm, km = _as_index(nm), _as_index(km)
-        if nm < 0 or km < 0:
-            raise NegativeIndex(f"atom ({nm}, {km}) has a negative component")
-        cleaned.append((nm, km))
+    cleaned = [_index_pair(nm, km, "atom") for nm, km in atoms]
     if resolution < 2:
         raise ValidationError(f"resolution {resolution} too coarse; need >= 2")
 
@@ -379,10 +361,11 @@ def barycentric_grid(
             for atom, w in zip(cleaned, weights):
                 if w > 0.0:
                     mix[atom] = mix.get(atom, 0.0) + w
-            nu = _nu_of(mix)
+            P = BoundDist(mix)
+            nu = nu_moments(P)
             if nu.nu10 == 0.0 or nu.nu01 == 0.0:
                 cls = TransitionClass("never")
             else:
-                cls = _classify(nu)
+                cls = transition_class(P)
             points.append(BarycentricPoint(weights[0], weights[1], weights[2], cls))
     return points

@@ -31,8 +31,8 @@ class FloryMixture:
 
     def __post_init__(self):
         for name in ("f1", "f2", "f3"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} = {getattr(self, name)!r} is negative")
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} = {getattr(self, name)!r} is negative or not a number")
         total = math.fsum((self.f1, self.f2, self.f3))
         if abs(total - 1.0) > MIX_TOL:
             raise ValidationError(f"fractions sum to {total!r}, not 1 within {MIX_TOL:g}")

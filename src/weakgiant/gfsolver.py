@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degdist import BALANCE_TOL, BivariateDegreeDist, _support, require_edge_balanced
-from .errors import NoConvergence
+from .errors import NoConvergence, ValidationError
 
 #: Default fixed-point tolerance and iteration budget.
 FP_TOL = 1e-12
@@ -143,7 +143,7 @@ def weak_size_distribution(
     giant fraction.
     """
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise ValidationError(f"order {order} must be >= 1")
     require_edge_balanced(d, balance_tol)
     u, u_in, u_out = _terms(d)
     mu = d.mean_degree()

@@ -397,8 +397,8 @@ def kmc_simulate(
         raise ValidationError(f"need at least 2 vertices, got {n_vertices}")
     if t_end is not None and c_n_target is not None:
         raise ValidationError("give at most one of t_end and c_n_target")
-    if t_end is not None and t_end < 0:
-        raise ValidationError(f"t_end = {t_end!r} is negative")
+    if t_end is not None and not t_end >= 0:
+        raise ValidationError(f"t_end = {t_end!r} is negative or not a number")
     if c_n_target is not None and not 0.0 <= c_n_target <= 1.0:
         raise ValidationError(f"c_n_target = {c_n_target!r} outside [0, 1]")
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from helpers import run_cli, truncated_double_poisson, validate_schema
-from weakgiant import BivariateDegreeDist
+from weakgiant import BivariateDegreeDist, evolution, mcgraph
 
 FORK = "# n k prob\n1 0 0.66666666666666663\n0 2 0.33333333333333331\n"
 ATOM22 = "2 2 1.0\n"
@@ -116,13 +116,21 @@ PINNED_STDOUT = [
      "96e4979761ab45d98a8a3aa979683aa4668ac57de932e48ff73582e7cae3d643"),
     ("gate6", ["evolve", "--at-conversion", "0.6"],
      "cb4854d2ecb68d64ccbd1f77bfd938e95c0d8ac413303bd288c5bece872aff63"),
+    ("gate6", ["evolve", "--critical"],
+     "56422d4863d01bc0132b80d31bcb66f145ec48d97e9a5012cf3d0f898b320d2b"),
+    ("gate6", ["evolve", "--at-time", "0.1"],
+     "a38ef07df4544eb3ff12b7e47a04b9d0496f89cdc8199abd767ebbf8901c174f"),
+    # classes never, asymptotic and finite; no input table
+    (None, ["barycentric", "--atoms", "2,2", "3,1", "1,0", "--resolution", "5"],
+     "c9481835fa39ea1f5846b2f6e45b4cc6575a3c562e5803dd0338e365e35fb547"),
 ]
 
 
 @pytest.mark.parametrize("table, argv, digest", PINNED_STDOUT)
 def test_analytic_stdout_is_pinned(tmp_path, table, argv, digest):
-    path = write(tmp_path, "t.txt", PINNED_TABLES[table])
-    code, out, _ = run_cli([argv[0], path, *argv[1:]])
+    if table is not None:
+        argv = [argv[0], write(tmp_path, "t.txt", PINNED_TABLES[table]), *argv[1:]]
+    code, out, _ = run_cli(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -143,7 +151,32 @@ def test_request_sums_each_moment_once(tmp_path, monkeypatch, command):
     assert sorted(calls) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
+@pytest.mark.parametrize(
+    "mode", [["--critical"], ["--at-time", "0.1"], ["--at-conversion", "0.2"]]
+)
+def test_evolve_reads_capacity_moments_once(tmp_path, monkeypatch, mode):
+    built = []
+    nu_moments = evolution.NuMoments
+
+    def spy(*args, **kwargs):
+        built.append(1)
+        return nu_moments(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "NuMoments", spy)
+    code, _, _ = run_cli(["evolve", write(tmp_path, "p.txt", THREE_CLASS), *mode])
+    assert code == 0
+    assert len(built) == 1
+
+
 # --- gf ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_gf_rejects_nonpositive_order(tmp_path, order):
+    code, out, err = run_cli(["gf", write(tmp_path, "d.txt", FORK), "--order", order])
+    assert code == 3
+    assert out == ""
+    assert "invalid input" in err and "order" in err
 
 
 def test_gf_fork(tmp_path):
@@ -232,10 +265,25 @@ def test_evolve_unreachable_conversion_exits_5(tmp_path):
     )
     assert code == 5
     assert "unreachable" in err
+    # the supremum itself has no finite time
+    code, _, err = run_cli(
+        ["evolve", write(tmp_path, "p.txt", ATOM22), "--at-conversion", "1"]
+    )
+    assert code == 5
+    assert "c_n = 1.0 outside [0, 1.0)" in err
     code, _, _ = run_cli(
         ["evolve", write(tmp_path, "p.txt", THREE_CLASS), "--at-conversion", "0.97"]
     )
     assert code == 5
+
+
+def test_evolve_rejects_nan_probability(tmp_path):
+    code, out, err = run_cli(
+        ["evolve", write(tmp_path, "p.txt", "2 2 1.0\n3 3 nan\n"), "--critical"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "not a number" in err
 
 
 def test_evolve_rejects_edgeless_bounds(tmp_path):
@@ -277,6 +325,15 @@ def test_flory_gel_flag():
     )
     assert code == 0
     assert json.loads(out)["gelled"] is True
+
+
+def test_flory_nan_fraction_exit_3():
+    code, out, err = run_cli(
+        ["flory", "--f1", "nan", "--f2", "0.5", "--f3", "0.5", "--n", "3"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "f1" in err
 
 
 def test_flory_bad_fractions_exit_3():
@@ -379,6 +436,35 @@ def test_simulate_rejects_stop_flags_in_config_mode(tmp_path):
     )
     assert code == 3
     assert "kmc" in err
+
+
+def test_simulate_kmc_rejects_nan_t_end(tmp_path):
+    bounds = write(tmp_path, "p.txt", ATOM22)
+    code, out, err = run_cli(
+        ["simulate", bounds, "--mode", "kmc", "--vertices", "100", "--t-end", "nan"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "t_end" in err
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_simulate_kmc_records_trajectory_only_for_dump(tmp_path, monkeypatch, dump):
+    record = []
+    kmc_simulate = mcgraph.kmc_simulate
+
+    def spy(*args, **kwargs):
+        record.append(kwargs.get("record_trajectory", True))
+        return kmc_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(mcgraph, "kmc_simulate", spy)
+    argv = ["simulate", write(tmp_path, "p.txt", ATOM22), "--mode", "kmc",
+            "--vertices", "500", "--target-conversion", "0.3"]
+    if dump:
+        argv += ["--dump-trajectory", str(tmp_path / "traj.tsv")]
+    code, _, _ = run_cli(argv)
+    assert code == 0
+    assert record == [dump]
 
 
 def test_simulate_kmc_unreachable_target_exit_5(tmp_path):

@@ -12,6 +12,7 @@ from weakgiant import (
     NotNormalized,
     ParseError,
     UnivariateDegreeDist,
+    ValidationError,
     ZeroMeanDegree,
     require_edge_balanced,
 )
@@ -43,6 +44,11 @@ def test_from_entries_rejects_negative_index():
 def test_from_entries_rejects_negative_probability():
     with pytest.raises(NegativeProbability):
         BivariateDegreeDist.from_entries([(0, 0, 1.5), (1, 1, -0.5)])
+
+
+def test_from_entries_rejects_nan_probability():
+    with pytest.raises(ValidationError, match="not a number"):
+        BivariateDegreeDist.from_entries([(0, 0, 1.0), (1, 1, math.nan)])
 
 
 def test_from_entries_rejects_duplicate_key():

@@ -197,6 +197,17 @@ def test_marginal_is_edge_balanced(three_class_bounds):
         assert marg.moment(0, 1) == pytest.approx(mu, abs=1e-10)
 
 
+def test_state_carries_its_instant(three_class_bounds):
+    P = three_class_bounds
+    state = degree_state_at(P, 0.1)
+    assert (state.t, state.mu) == (0.1, mu_of_t(P, 0.1))
+    assert (state.c_n, state.c_k) == conversions(P, 0.1)
+    state = degree_state_at_conversion(P, 0.2)
+    assert state.t == time_of_conversion(P, 0.2)
+    assert (state.mu, state.c_n) == (0.2 * nu_moments(P).nu10, 0.2)
+    assert state.c_k == 0.2 * nu_moments(P).nu10 / nu_moments(P).nu01
+
+
 def test_state_at_conversion_rejects_unreachable(three_class_bounds):
     with pytest.raises(ConversionOutOfRange):
         degree_state_at_conversion(three_class_bounds, 0.97)

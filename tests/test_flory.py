@@ -34,6 +34,8 @@ def test_mixture_validation():
         FloryMixture(0.5, 0.3, 0.1, 3)  # sums to 0.9
     with pytest.raises(ValidationError):
         FloryMixture(0.0, 0.6, 0.4, 1)
+    with pytest.raises(ValidationError):
+        FloryMixture(math.nan, 0.5, 0.5, 3)
 
 
 def test_to_bound_dist(flory_063):

@@ -283,6 +283,8 @@ def test_kmc_validates_arguments(p22_bounds):
     with pytest.raises(ValidationError):
         kmc_simulate(p22_bounds, 100, 0, t_end=-1.0)
     with pytest.raises(ValidationError):
+        kmc_simulate(p22_bounds, 100, 0, t_end=math.nan)
+    with pytest.raises(ValidationError):
         kmc_simulate(p22_bounds, 100, 0, c_n_target=1.5)
 
 

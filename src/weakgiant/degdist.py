@@ -91,7 +91,16 @@ def _index_pair(first, second, noun: str) -> tuple[int, int]:
     return first, second
 
 
+def _checked_tol(tol: float) -> float:
+    """A validation tolerance: finite and nonnegative (a NaN would make every
+    comparison against it false and so switch the check off)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tolerance {tol!r} must be finite and nonnegative")
+    return tol
+
+
 def _validated_table(pairs, kind: str, tol: float) -> dict:
+    _checked_tol(tol)
     table: dict = {}
     for key, prob in pairs:
         if math.isnan(prob):
@@ -194,7 +203,7 @@ class BivariateDegreeDist:
 
     def is_edge_balanced(self, tol: float = BALANCE_TOL) -> bool:
         m = self.moments()
-        return abs(m.mu10 - m.mu01) <= tol * max(1.0, m.mu10, m.mu01)
+        return abs(m.mu10 - m.mu01) <= _checked_tol(tol) * max(1.0, m.mu10, m.mu01)
 
     def undirected_projection(self) -> UnivariateDegreeDist:
         """Law of the total degree l = n + k, ignoring edge directions."""

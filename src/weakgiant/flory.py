@@ -115,4 +115,6 @@ def alpha_of(p_a: float, params: FloryParameters) -> float:
 
 def is_gelled(p_a: float, params: FloryParameters) -> bool:
     """Strictly past the gel point: ``alpha > alpha_c``."""
+    if not math.isfinite(p_a):
+        raise ValidationError(f"A-group conversion {p_a!r} is not a finite number")
     return alpha_of(p_a, params) > params.alpha_c

@@ -26,6 +26,7 @@ from weakgiant import (  # truncated_double_poisson is re-exported for the tests
     ValidationError,
     truncated_double_poisson,
 )
+from weakgiant.gfsolver import _terms
 from weakgiant.mcgraph import DirectedMultigraph, KmcResult, KmcState, _as_rng, _sample_keys
 
 DYADIC_SCALE = 2**20
@@ -144,6 +145,24 @@ def atom22_size_law(c: float, order: int) -> list[float]:
     return law
 
 
+def atom22_fixed_point(c: float) -> tuple[float, float]:
+    """``(1 - u, 1 - f(u)^4)`` for the (2, 2)-atom growth marginal at
+    conversion c: u = f(u)^3 is the edge-following fixed point (both
+    directions alike), f(x) = 1 - c + c x, and 1 - f(u)^4 the giant
+    fraction.  Bisection on ``v = 1 - (1 - c v)^3`` in complement form,
+    which keeps full relative precision as c -> 1/3."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if -math.expm1(3.0 * math.log1p(-c * mid)) - mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, -math.expm1(4.0 * math.log1p(-c * lo))
+
+
 def exact_picard_size_law(d: BivariateDegreeDist, order: int) -> list[Fraction]:
     """w(1..order) in exact rational arithmetic by truncated Picard sweeps.
 
@@ -182,6 +201,54 @@ def exact_picard_size_law(d: BivariateDegreeDist, order: int) -> list[Fraction]:
     for _sweep in range(order):
         w_in, w_out = z_times(u_in, w_out, w_in), z_times(u_out, w_out, w_in)
     return z_times([(p, n, k) for n, k, p in terms], w_out, w_in)[1:]
+
+
+def picard_fixed_point(d: BivariateDegreeDist, *, tol: float = 1e-12, max_iter: int = 10**6):
+    """Least fixed point ``(s_out, s_in)`` of the edge-following system by
+    Picard iteration from (0, 0): each table is a ``math.fsum`` of its terms
+    ``w x^a y^b`` divided by the common mean mu.  None if ``max_iter`` steps
+    do not reach ``tol``.
+
+    Iterates increase monotonically to the least fixed point.  A small step
+    does not mean a small error when the contraction rate q is near 1, so
+    the iteration stops once the error estimate ``2 step q / (1 - q)`` is
+    ``<= tol``; q is the ratio of the last two steps, and the factor 2
+    covers the rounding noise in q once steps are near 1e-14.
+    """
+    _u, u_in, u_out = _terms(d)
+    mu = d.mean_degree()
+
+    def total(term, x, y):
+        w, a, b = term
+        return math.fsum((w * x**a * y**b).tolist())
+
+    s_out = s_in = 0.0
+    previous = math.inf
+    for _ in range(max_iter):
+        new_in, new_out = total(u_in, s_out, s_in) / mu, total(u_out, s_out, s_in) / mu
+        step = max(abs(new_in - s_in), abs(new_out - s_out))
+        s_out, s_in = min(new_out, 1.0), min(new_in, 1.0)
+        q = step / previous
+        if step == 0.0 or (0.0 < q < 1.0 and 2.0 * step * q / (1.0 - q) <= tol):
+            return s_out, s_in
+        previous = step
+    return None
+
+
+def er_giant_fraction(c: float) -> float:
+    """Root in (0, 1) of ``g = 1 - exp(-c g)`` for c > 1, the giant fraction
+    of undirected Erdos-Renyi graphs with mean degree c.  Bisection on
+    ``-expm1(-c g) - g``, which keeps full relative precision as c -> 1."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if -math.expm1(-c * mid) - mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------

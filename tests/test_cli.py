@@ -109,17 +109,17 @@ PINNED_STDOUT = [
     ("dp0.45", ["gf", "--order", "60"],
      "f993133530e8758d3e513d28220046b4daeb9a985dff549959a5b80b2920dcf5"),
     ("dp0.6", ["analyze"],
-     "73902bbc83d59f2e1f14e433134575cc5a9798ed713f042b277c5cb909bc0cd0"),
+     "a264613e69db4baec5b9ab809851c759aeafa37bcc3a80b22c4b2c56939e79a6"),
     ("dp0.6", ["gf", "--order", "60"],
-     "6d2ed49e8e9cc5f43d6f1355eed68cb9f39a4c7643746c0d0526d5d3c7904196"),
+     "8e1e673361007a2ab77b3c493542e611ccb6ed35ec8bcf549b7c427edfc0fe2a"),
     ("gate6", ["evolve", "--at-conversion", "0.2"],
-     "96e4979761ab45d98a8a3aa979683aa4668ac57de932e48ff73582e7cae3d643"),
+     "5ccef8eab93712ab550486a6913952da7ae659318c42e6852a833f25d971b800"),
     ("gate6", ["evolve", "--at-conversion", "0.6"],
      "cb4854d2ecb68d64ccbd1f77bfd938e95c0d8ac413303bd288c5bece872aff63"),
     ("gate6", ["evolve", "--critical"],
      "56422d4863d01bc0132b80d31bcb66f145ec48d97e9a5012cf3d0f898b320d2b"),
     ("gate6", ["evolve", "--at-time", "0.1"],
-     "a38ef07df4544eb3ff12b7e47a04b9d0496f89cdc8199abd767ebbf8901c174f"),
+     "24c45972537c9c71777a39bc60d6a3f8377e061544f10554e04647229e60b4e0"),
     # classes never, asymptotic and finite; no input table
     (None, ["barycentric", "--atoms", "2,2", "3,1", "1,0", "--resolution", "5"],
      "c9481835fa39ea1f5846b2f6e45b4cc6575a3c562e5803dd0338e365e35fb547"),
@@ -202,10 +202,22 @@ def test_gf_non_convergence_exits_4(tmp_path):
     near_critical = truncated_double_poisson(0.500001)
     text = "\n".join(f"{n} {k} {p!r}" for n, k, p in near_critical.records())
     code, _, err = run_cli(
-        ["gf", write(tmp_path, "d.txt", text), "--max-iter", "50", "--order", "5"]
+        ["gf", write(tmp_path, "d.txt", text), "--max-iter", "2", "--order", "5"]
     )
     assert code == 4
     assert "residual" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--fp-tol", "nan"), ("--fp-tol", "-1"), ("--max-iter", "0"), ("--max-iter", "-3")],
+)
+def test_gf_rejects_bad_solver_limits(tmp_path, flag, value):
+    table = write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
+    code, out, err = run_cli(["gf", table, "--order", "5", flag, value])
+    assert code == 3
+    assert out == ""
+    assert "invalid input" in err and "fixed-point" in err
 
 
 # --- evolve --------------------------------------------------------------------
@@ -286,6 +298,16 @@ def test_evolve_rejects_nan_probability(tmp_path):
     assert "not a number" in err
 
 
+@pytest.mark.parametrize("command, mode", [("evolve", ["--critical"]), ("analyze", [])])
+def test_nan_tolerance_exits_3(tmp_path, command, mode):
+    # the table sums to 0.5; a NaN tolerance used to let it through
+    table = write(tmp_path, "half.txt", "1 0 0.25\n0 1 0.25\n")
+    code, out, err = run_cli([command, table, *mode, "--tol", "nan"])
+    assert code == 3
+    assert out == ""
+    assert "tolerance nan" in err and "mean" not in err
+
+
 def test_evolve_rejects_edgeless_bounds(tmp_path):
     code, _, err = run_cli(
         ["evolve", write(tmp_path, "p.txt", "3 0 1.0\n"), "--critical"]
@@ -334,6 +356,15 @@ def test_flory_nan_fraction_exit_3():
     assert code == 3
     assert out == ""
     assert "f1" in err
+
+
+def test_flory_nan_conversion_exit_3():
+    code, out, err = run_cli(
+        ["flory", "--f1", "0.5", "--f2", "0.3", "--f3", "0.2", "--n", "3", "--pa", "nan"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "conversion nan" in err
 
 
 def test_flory_bad_fractions_exit_3():

@@ -124,6 +124,15 @@ def test_edge_balance_tolerance_is_relative():
     assert not d.is_edge_balanced(1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_tolerances_must_be_finite_and_nonnegative(fork_dist, tol):
+    # a NaN compares false both ways, which used to pass any table
+    with pytest.raises(ValidationError, match="tolerance"):
+        fork_dist.is_edge_balanced(tol)
+    with pytest.raises(ValidationError, match="tolerance"):
+        BivariateDegreeDist.from_entries([(1, 0, 0.25), (0, 1, 0.25)], tol=tol)
+
+
 @given(balanced_dists())
 def test_balanced_strategies_are_exactly_balanced(d):
     assert d.moment(1, 0) == d.moment(0, 1)

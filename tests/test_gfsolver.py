@@ -4,10 +4,13 @@ import pytest
 from hypothesis import example, given
 
 from helpers import (
+    atom22_fixed_point,
     atom22_size_law,
     balanced_dists,
     borel_law,
+    er_giant_fraction,
     exact_picard_size_law,
+    picard_fixed_point,
     run_cli,
     truncated_double_poisson,
 )
@@ -48,7 +51,7 @@ def test_fixed_point_origin_short_circuits(origin_atom):
 def test_subcritical_fixed_point_is_exact():
     sol = interior_fixed_point(truncated_double_poisson(0.499))
     assert (sol.s_out, sol.s_in, sol.iterations, sol.residual) == (1.0, 1.0, 0, 0.0)
-    assert sol.giant_fraction == 0.0
+    assert sol.giant_fraction == 0.0 and sol.error_bound == 0.0
 
 
 def test_fraction_fork(fork_dist):
@@ -110,9 +113,58 @@ def test_size_distribution_deficit_is_giant_fraction():
 def test_no_convergence_near_critical():
     d = truncated_double_poisson(0.500001)
     with pytest.raises(NoConvergence) as info:
-        interior_fixed_point(d, max_iter=50)
-    assert info.value.iterations == 50
+        interior_fixed_point(d, max_iter=2)
+    assert info.value.iterations == 2
     assert info.value.residual > 1e-12
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_near_critical_matches_er_root(k):
+    # double Poisson(lam) is undirected ER with mean degree c = 2 lam, where
+    # s_in = s_out = 1 - g; g ~ 4e-k here
+    lam = 0.5 + 10.0**-k
+    sol = interior_fixed_point(truncated_double_poisson(lam))
+    g = er_giant_fraction(2 * lam)
+    assert sol.error_bound <= 1e-12
+    assert abs(sol.giant_fraction - g) <= sol.error_bound
+    assert max(abs(sol.s_in - (1.0 - g)), abs(sol.s_out - (1.0 - g))) <= sol.error_bound
+
+
+@pytest.mark.parametrize("k", [9, 13])
+def test_at_criticality_bound_holds_or_no_convergence(k):
+    lam = 0.5 + 10.0**-k
+    try:
+        sol = interior_fixed_point(truncated_double_poisson(lam))
+    except NoConvergence:
+        return
+    g = er_giant_fraction(2 * lam)
+    assert abs(sol.giant_fraction - g) <= sol.error_bound
+    assert max(abs(sol.s_in - (1.0 - g)), abs(sol.s_out - (1.0 - g))) <= sol.error_bound
+
+
+@pytest.mark.parametrize("c", [1 / 3 + 1e-3, 1 / 3 + 1e-6, 0.4, 0.6, 0.9])
+def test_atom22_marginal_matches_closed_form(c):
+    # binomial degrees put most weight on linear terms near the threshold
+    P = BoundDist.from_entries([(2, 2, 1.0)])
+    d = evolution.marginal_degree_dist(evolution.degree_state_at_conversion(P, c))
+    sol = interior_fixed_point(d)
+    v, giant = atom22_fixed_point(c)
+    assert sol.error_bound <= 1e-12
+    assert max(abs(sol.s_in - (1.0 - v)), abs(sol.s_out - (1.0 - v))) <= sol.error_bound
+    # |d(1 - U)/ds| <= mu_10 + mu_01 = 4c
+    assert abs(sol.giant_fraction - giant) <= 4 * c * sol.error_bound
+
+
+@given(balanced_dists())
+def test_newton_matches_picard(d):
+    mu = d.mean_degree()
+    if abs(criticality_determinant(d)) <= 0.05 * mu * mu:
+        return  # near-critical band excluded, where Picard takes ~1/|D| steps
+    picard_tol = 1e-12
+    sol = interior_fixed_point(d)
+    s_out, s_in = picard_fixed_point(d, tol=picard_tol)
+    assert abs(sol.s_out - s_out) <= sol.error_bound + picard_tol
+    assert abs(sol.s_in - s_in) <= sol.error_bound + picard_tol
 
 
 def test_order_must_be_positive(fork_dist):

@@ -41,7 +41,6 @@ from .errors import (
     Unrealizable,
     ValidationError,
     WeakGiantError,
-    ZeroMeanDegree,
 )
 from .evolution import (
     BarycentricPoint,

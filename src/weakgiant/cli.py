@@ -191,7 +191,8 @@ def _cmd_simulate(args) -> str:
         t_final = result.state.t
         if args.dump_trajectory:
             rows = ["# t mu_hat"]
-            rows.extend(f"{t:.17g}\t{m:.17g}" for t, m in zip(result.times.tolist(), result.mu_hat.tolist()))
+            # mu_hat after event e is (e + 1) / N
+            rows.extend(f"{t:.17g}\t{(e + 1) / args.vertices:.17g}" for e, t in enumerate(result.times.tolist()))
             Path(args.dump_trajectory).write_text("\n".join(rows) + "\n")
     sizes = mcgraph.weak_component_sizes(graph)
     hist = mcgraph.size_histogram(sizes, vertex_weighted=True)

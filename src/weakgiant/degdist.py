@@ -7,9 +7,9 @@ vertex.  This module holds the sparse table type, its partial moments
     mu_ij = sum_{n,k} n^i k^j u(n, k),
 
 the edge-balance check ``mu_10 == mu_01`` (every edge has one head and one
-tail, so a consistent law must give both means the same value), the
-undirected projection ``d(l) = sum_{n+k=l} u(n, k)``, and the size-biased
-laws obtained by following a uniformly random edge.
+tail, so a consistent law must give both means the same value), and the
+undirected projection ``d(l) = sum_{n+k=l} u(n, k)``.  The laws seen by
+following a uniformly random edge are weighted in ``gfsolver._terms``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     NegativeProbability,
     NotNormalized,
     ValidationError,
-    ZeroMeanDegree,
 )
 
 #: Default tolerance on |sum(prob) - 1| at construction.
@@ -119,16 +118,6 @@ def _validated_table(pairs, kind: str, tol: float) -> dict:
     return table
 
 
-def _support(entries: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted support of a table keyed by pairs: first and second key
-    components and probabilities, one slot per entry."""
-    items = sorted(entries.items())
-    first = np.array([key[0] for key, _p in items], dtype=np.int64)
-    second = np.array([key[1] for key, _p in items], dtype=np.int64)
-    probs = np.array([p for _key, p in items], dtype=float)
-    return first, second, probs
-
-
 @dataclass(frozen=True)
 class UnivariateDegreeDist:
     """Sparse law of a single nonnegative integer degree."""
@@ -150,14 +139,49 @@ class UnivariateDegreeDist:
 
 
 @dataclass(frozen=True)
-class BivariateDegreeDist:
-    """Sparse joint law of (in-degree n, out-degree k).
+class _PairTable:
+    """Sparse law keyed by pairs of nonnegative integers: the base of degree
+    tables and of :class:`weakgiant.evolution.BoundDist`.
 
-    Construct through :meth:`from_entries`; instances are never mutated.
-    Stored probabilities are strictly positive (zero entries are dropped).
+    Construct through the subclass's ``from_entries``; instances are never
+    mutated, so the sorted support is built once per table.  Stored
+    probabilities are strictly positive (zero entries are dropped).
     """
 
     entries: dict
+
+    @classmethod
+    def from_text(cls, text: str, *, tol: float = NORM_TOL):
+        return cls.from_entries(tableio.parse_records(text), tol=tol)
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only arrays of the first and second key components and the
+        probabilities, one slot per entry, sorted by key."""
+        items = sorted(self.entries.items())
+        keys = np.array([key for key, _p in items], dtype=np.int64).reshape(-1, 2)
+        probs = np.array([p for _key, p in items], dtype=float)
+        keys.flags.writeable = probs.flags.writeable = False
+        return keys[:, 0], keys[:, 1], probs
+
+    def records(self) -> list[tuple[int, int, float]]:
+        """Entries as ``(first, second, prob)`` triples sorted by key."""
+        return list(zip(*(a.tolist() for a in self.support)))
+
+    def to_text(self) -> str:
+        return tableio.format_records(self.records())
+
+    def moment(self, i: int, j: int) -> float:
+        """Partial moment ``sum a^i b^j P(a, b)`` (``0**0 == 1``).  Each term
+        rounds once and ``fsum`` rounds correctly, so no term order moves a bit."""
+        first, second, probs = self.support
+        if int(first.max(initial=0)) ** i * int(second.max(initial=0)) ** j >= 2**63:
+            first, second = first.astype(object), second.astype(object)  # int64 would wrap
+        return math.fsum((first**i * second**j * probs).tolist())
+
+
+class BivariateDegreeDist(_PairTable):
+    """Sparse joint law of (in-degree n, out-degree k)."""
 
     @classmethod
     def from_entries(
@@ -165,21 +189,6 @@ class BivariateDegreeDist:
     ) -> "BivariateDegreeDist":
         checked = [(_index_pair(n, k, "degree pair"), prob) for n, k, prob in triples]
         return cls(_validated_table(checked, "u", tol))
-
-    @classmethod
-    def from_text(cls, text: str, *, tol: float = NORM_TOL) -> "BivariateDegreeDist":
-        return cls.from_entries(tableio.parse_records(text), tol=tol)
-
-    def records(self) -> list[tuple[int, int, float]]:
-        """Entries as sorted ``(n, k, prob)`` triples."""
-        return [(n, k, self.entries[(n, k)]) for n, k in sorted(self.entries)]
-
-    def to_text(self) -> str:
-        return tableio.format_records(self.records())
-
-    def moment(self, i: int, j: int) -> float:
-        """Partial moment ``sum n^i k^j u(n, k)`` (with ``0**0 == 1``)."""
-        return math.fsum(n**i * k**j * p for (n, k), p in self.entries.items())
 
     @cached_property
     def _moment_set(self) -> MomentSet:
@@ -212,28 +221,6 @@ class BivariateDegreeDist:
             groups[n + k].append(p)
         return UnivariateDegreeDist.from_entries(
             [(l, math.fsum(ps)) for l, ps in sorted(groups.items())]
-        )
-
-    def size_biased_in(self) -> "BivariateDegreeDist":
-        """Degree law of the vertex reached by following a random edge forward.
-
-        Reweights by in-degree: ``n * u(n, k) / mu_10``.  The in-degree index
-        is not shifted; generating-function work shifts it where needed.
-        """
-        mu10 = self.moments().mu10
-        if mu10 <= 0:
-            raise ZeroMeanDegree("mean in-degree is zero; size-biased law undefined")
-        return BivariateDegreeDist.from_entries(
-            [(n, k, n * p / mu10) for (n, k), p in self.entries.items() if n > 0]
-        )
-
-    def size_biased_out(self) -> "BivariateDegreeDist":
-        """Degree law of the vertex an edge leaves from: ``k * u(n, k) / mu_01``."""
-        mu01 = self.moments().mu01
-        if mu01 <= 0:
-            raise ZeroMeanDegree("mean out-degree is zero; size-biased law undefined")
-        return BivariateDegreeDist.from_entries(
-            [(n, k, k * p / mu01) for (n, k), p in self.entries.items() if k > 0]
         )
 
 

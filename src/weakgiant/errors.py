@@ -43,10 +43,6 @@ class NotNormalized(ValidationError):
     """Probabilities do not sum to one within tolerance."""
 
 
-class ZeroMeanDegree(ValidationError):
-    """A size-biased distribution was requested but the relevant mean is zero."""
-
-
 class EdgeImbalance(ValidationError):
     """Mean in-degree and mean out-degree disagree beyond tolerance."""
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from . import tableio
-from .degdist import NORM_TOL, BivariateDegreeDist, _index_pair, _validated_table
+from .degdist import NORM_TOL, BivariateDegreeDist, _index_pair, _PairTable, _validated_table
 from .errors import (
     ConversionOutOfRange,
     NegativeTime,
@@ -52,15 +51,12 @@ class NuMoments:
     nu11: float
 
 
-@dataclass(frozen=True)
-class BoundDist:
+class BoundDist(_PairTable):
     """Distribution of per-vertex capacities ``(n_max, k_max)``.
 
     Valid tables carry at least one class with in-capacity and one with
     out-capacity; otherwise no edge can ever form and construction fails.
     """
-
-    entries: dict
 
     @classmethod
     def from_entries(
@@ -74,22 +70,14 @@ class BoundDist:
             raise NoReactivePair("no class has out-capacity; no edge can ever form")
         return cls(table)
 
-    @classmethod
-    def from_text(cls, text: str, *, tol: float = NORM_TOL) -> "BoundDist":
-        return cls.from_entries(tableio.parse_records(text), tol=tol)
-
-    def records(self) -> list[tuple[int, int, float]]:
-        return [(n, k, self.entries[(n, k)]) for n, k in sorted(self.entries)]
-
     @cached_property
     def _nu(self) -> NuMoments:
-        items = self.entries.items()
         return NuMoments(
-            nu10=math.fsum(nm * p for (nm, km), p in items),
-            nu01=math.fsum(km * p for (nm, km), p in items),
-            nu20=math.fsum(nm * nm * p for (nm, km), p in items),
-            nu02=math.fsum(km * km * p for (nm, km), p in items),
-            nu11=math.fsum(nm * km * p for (nm, km), p in items),
+            nu10=self.moment(1, 0),
+            nu01=self.moment(0, 1),
+            nu20=self.moment(2, 0),
+            nu02=self.moment(0, 2),
+            nu11=self.moment(1, 1),
         )
 
 
@@ -180,7 +168,7 @@ def _binom_pmf(m: int, j: int, c: float) -> float:
 
 def _state_entries(P: BoundDist, c_n: float, c_k: float) -> dict:
     entries: dict = {}
-    for (nm, km), p in sorted(P.entries.items()):
+    for nm, km, p in P.records():
         for n in range(nm + 1):
             pn = _binom_pmf(nm, n, c_n)
             if pn == 0.0:
@@ -239,7 +227,7 @@ def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
     """
     nu = nu_moments(P)
     if _is_symmetric(nu):
-        return BivariateDegreeDist.from_entries([(nm, km, p) for (nm, km), p in sorted(P.entries.items())])
+        return BivariateDegreeDist.from_entries(P.records())
     # The exact supremum pair: clamping through _at_conversion would
     # recompute c_k as a product that can miss 1.0.
     sup_cn, sup_ck = conversion_sup(P)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, _support, require_edge_balanced
+from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, require_edge_balanced
 from .errors import NoConvergence, ValidationError
 
 #: Default fixed-point tolerance (on the error bound) and iteration budget.
@@ -78,7 +78,7 @@ class FixedPointSolution:
 def _terms(d: BivariateDegreeDist):
     """Terms ``(weight, exponent of W_out, exponent of W_in)`` of U, mu U_in
     and mu U_out, as arrays over the sorted support."""
-    ns, ks, ps = _support(d.entries)
+    ns, ks, ps = d.support
     has_in, has_out = ns >= 1, ks >= 1
     return (
         (ps, ns, ks),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BivariateDegreeDist, UnivariateDegreeDist, _support
+from .degdist import BivariateDegreeDist, UnivariateDegreeDist
 from .errors import Exhausted, Unrealizable, ValidationError
 from .evolution import BoundDist
 
@@ -25,6 +25,8 @@ def replica_rng(master_seed: int, replica: int = 0) -> np.random.Generator:
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed {seed} is negative")
     return np.random.default_rng(seed)
 
 
@@ -38,9 +40,6 @@ class DirectedMultigraph:
 
     vertex_count: int
     edges: np.ndarray  # shape (E, 2), int64
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return [tuple(e) for e in self.edges.tolist()]
 
 
 def weak_component_sizes(g: DirectedMultigraph) -> np.ndarray:
@@ -104,8 +103,8 @@ def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
     return UnivariateDegreeDist.from_entries(pairs)
 
 
-def _sample_keys(entries: dict, n: int, rng: np.random.Generator):
-    first, second, probs = _support(entries)
+def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
+    first, second, probs = P.support
     idx = rng.choice(len(probs), size=n, p=probs / probs.sum())
     return first[idx], second[idx]
 
@@ -190,7 +189,7 @@ def sample_configuration(
     if n_vertices < 1:
         raise ValidationError(f"need at least 1 vertex, got {n_vertices}")
     rng = _as_rng(seed)
-    n_of, k_of, probs = _support(d.entries)
+    n_of, k_of, probs = d.support
     probs = probs / probs.sum()
     idx = rng.choice(len(probs), size=n_vertices, p=probs)
     _balance_by_redraw(idx, n_of - k_of, probs, rng)
@@ -240,7 +239,6 @@ class KmcState:
 class KmcResult:
     graph: DirectedMultigraph
     times: np.ndarray
-    mu_hat: np.ndarray
     empirical: BivariateDegreeDist
     state: KmcState
 
@@ -403,7 +401,7 @@ def kmc_simulate(
         raise ValidationError(f"c_n_target = {c_n_target!r} outside [0, 1]")
 
     rng = _as_rng(seed)
-    n_max, k_max = _sample_keys(P.entries, n_vertices, rng)
+    n_max, k_max = _sample_keys(P, n_vertices, rng)
     vin = n_max.copy()
     vout = k_max.copy()
 
@@ -418,11 +416,6 @@ def kmc_simulate(
 
     graph = DirectedMultigraph(n_vertices, edges[:events].copy())
     traj_t = times[:events].copy() if record_trajectory else np.empty(0)
-    mu_hat = (
-        (np.arange(1, events + 1, dtype=float) / n_vertices)
-        if record_trajectory
-        else np.empty(0)
-    )
     in_deg = n_max - vin
     out_deg = k_max - vout
     base = int(out_deg.max()) + 1
@@ -443,4 +436,4 @@ def kmc_simulate(
         seed=seed,
         restarts=restarts,
     )
-    return KmcResult(graph=graph, times=traj_t, mu_hat=mu_hat, empirical=empirical, state=state)
+    return KmcResult(graph=graph, times=traj_t, empirical=empirical, state=state)

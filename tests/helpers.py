@@ -284,7 +284,7 @@ def sequential_kmc(
         raise ValidationError(f"c_n_target = {c_n_target!r} outside [0, 1]")
 
     rng = _as_rng(seed)
-    n_max, k_max = _sample_keys(P.entries, n_vertices, rng)
+    n_max, k_max = _sample_keys(P, n_vertices, rng)
     vin = n_max.copy()
     vout = k_max.copy()
 
@@ -364,11 +364,6 @@ def sequential_kmc(
 
     graph = DirectedMultigraph(n_vertices, edges[:events].copy())
     traj_t = times[:events].copy() if record_trajectory else np.empty(0)
-    mu_hat = (
-        (np.arange(1, events + 1, dtype=float) / n_vertices)
-        if record_trajectory
-        else np.empty(0)
-    )
     degs = Counter(zip((n_max - vin).tolist(), (k_max - vout).tolist()))
     empirical = BivariateDegreeDist.from_entries(
         [(n, k, c / n_vertices) for (n, k), c in sorted(degs.items())]
@@ -382,7 +377,7 @@ def sequential_kmc(
         events=events,
         seed=seed,
     )
-    return KmcResult(graph=graph, times=traj_t, mu_hat=mu_hat, empirical=empirical, state=state)
+    return KmcResult(graph=graph, times=traj_t, empirical=empirical, state=state)
 
 
 def random_bound_dist(rng: np.random.Generator, n_atoms: int = 3, max_bound: int = 6) -> BoundDist:

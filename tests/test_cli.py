@@ -445,6 +445,55 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
     assert first != third
 
 
+# sha256 of the Monte Carlo outputs at the default seed.  They move only
+# with the RNG stream or the output format; a change that moves them on
+# purpose updates them and says so in CHANGES.md.
+PINNED_CONFIG_STDOUT = "0deeecacd769d72c512058aaa91da5b4ec851578979f6a1e4b2e005f1a314e81"
+PINNED_KMC = {
+    "stdout": "fb73457eb4e91ba0756c9b14d2c3ba5e3f684b2d6c6c4c97744e36bfa1689b1f",
+    "trajectory": "39fa9025c79c6462cea5249e56494229bc54fbe0e56b781cb5e5062a5fe22045",
+    "graph": "c25ca713961264c2553af1ce2c64f21987a2cea9684163b2b9ebdf07eb673bbe",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_simulate_config_stdout_is_pinned(tmp_path):
+    dist = write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
+    code, out, _ = run_cli(["simulate", dist, "--mode", "config", "--vertices", "2000"])
+    assert code == 0
+    assert _sha256(out) == PINNED_CONFIG_STDOUT
+
+
+def test_simulate_kmc_outputs_are_pinned(tmp_path):
+    graph_path, traj_path = tmp_path / "g.txt", tmp_path / "traj.tsv"
+    code, out, _ = run_cli(
+        ["simulate", write(tmp_path, "p.txt", ATOM22), "--mode", "kmc", "--vertices", "2000",
+         "--target-conversion", "0.3", "--dump-graph", str(graph_path),
+         "--dump-trajectory", str(traj_path)]
+    )
+    assert code == 0
+    digests = {
+        "stdout": _sha256(out),
+        "trajectory": _sha256(traj_path.read_text()),
+        "graph": _sha256(graph_path.read_text()),
+    }
+    assert digests == PINNED_KMC
+
+
+@pytest.mark.parametrize("mode", ["config", "kmc"])
+def test_simulate_negative_seed_exits_3(tmp_path, mode):
+    table = write(tmp_path, "t.txt", FORK if mode == "config" else ATOM22)
+    code, out, err = run_cli(
+        ["simulate", table, "--mode", mode, "--vertices", "100", "--seed", "-1"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "invalid input" in err and "Traceback" not in err
+
+
 def test_simulate_zero_vertices_exit_3(tmp_path):
     dist = write(tmp_path, "d.txt", FORK)
     code, _, _ = run_cli(["simulate", dist, "--mode", "config", "--vertices", "0"])

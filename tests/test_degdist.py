@@ -2,10 +2,12 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import balanced_dists, bivariate_dists, brute_moment
 from weakgiant import (
     BivariateDegreeDist,
+    BoundDist,
     DuplicateKey,
     NegativeIndex,
     NegativeProbability,
@@ -13,7 +15,7 @@ from weakgiant import (
     ParseError,
     UnivariateDegreeDist,
     ValidationError,
-    ZeroMeanDegree,
+    nu_moments,
     require_edge_balanced,
 )
 from weakgiant import tableio
@@ -161,27 +163,50 @@ def test_projection_first_moment_linearity(d):
     assert proj.moment(1) == pytest.approx(d.moment(1, 0) + d.moment(0, 1), abs=1e-12)
 
 
-# --- size-biased laws ------------------------------------------------------
+# --- support and moments shared with bound tables --------------------------
 
 
-def test_size_biased_examples(fork_dist, origin_atom):
-    assert fork_dist.size_biased_in().entries == {(1, 0): 1.0}
-    assert fork_dist.size_biased_out().entries == {(0, 2): 1.0}
-    with pytest.raises(ZeroMeanDegree):
-        origin_atom.size_biased_in()
-    with pytest.raises(ZeroMeanDegree):
-        origin_atom.size_biased_out()
+def generator_moment(entries: dict, i: int, j: int) -> float:
+    """Oracle: the scalar sum the shared array moment replaced."""
+    return math.fsum(n**i * k**j * p for (n, k), p in entries.items())
 
 
-@given(bivariate_dists())
-def test_size_biased_laws_are_valid_distributions(d):
-    if d.moment(1, 0) > 0:
-        biased = d.size_biased_in()
-        assert abs(biased.moment(0, 0) - 1.0) <= 1e-9
-        assert all((n, k) in d.entries for n, k in biased.entries)
-    if d.moment(0, 1) > 0:
-        biased = d.size_biased_out()
-        assert abs(biased.moment(0, 0) - 1.0) <= 1e-9
+@st.composite
+def rough_tables(draw):
+    """Tables with non-dyadic probabilities, so that the terms round."""
+    keys = draw(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=1, max_size=30, unique=True)
+    )
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(keys), max_size=len(keys)))
+    total = math.fsum(weights)
+    return BivariateDegreeDist.from_entries([(n, k, w / total) for (n, k), w in zip(keys, weights)])
+
+
+@given(rough_tables())
+def test_shared_moment_matches_generator_sum_bit_for_bit(d):
+    pairs = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+    oracle = [generator_moment(d.entries, i, j) for i, j in pairs]
+    nu = nu_moments(BoundDist(d.entries))
+    assert [nu.nu10, nu.nu01, nu.nu20, nu.nu02, nu.nu11] == oracle
+    assert [d.moment(i, j) for i, j in pairs] == oracle
+    assert d.moment(0, 0) == generator_moment(d.entries, 0, 0)
+
+
+def test_high_moment_does_not_wrap():
+    # 1000**7 exceeds the int64 range; Python integers do not wrap
+    d = BivariateDegreeDist.from_entries([(1000, 3, 0.3), (2, 1000, 0.7)])
+    for i, j in [(7, 0), (0, 7), (4, 4)]:
+        assert d.moment(i, j) == generator_moment(d.entries, i, j)
+
+
+@given(rough_tables())
+def test_support_is_sorted_and_built_once(d):
+    assert d.support is d.support
+    first, second, probs = d.support
+    keys = list(zip(first.tolist(), second.tolist()))
+    assert keys == sorted(keys)
+    assert d.records() == [(n, k, p) for (n, k), p in sorted(d.entries.items())]
+    assert not probs.flags.writeable
 
 
 def test_mean_degree(fork_dist):

@@ -7,6 +7,7 @@ from helpers import (
     atom22_fixed_point,
     atom22_size_law,
     balanced_dists,
+    bivariate_dists,
     borel_law,
     er_giant_fraction,
     exact_picard_size_law,
@@ -165,6 +166,20 @@ def test_newton_matches_picard(d):
     s_out, s_in = picard_fixed_point(d, tol=picard_tol)
     assert abs(sol.s_out - s_out) <= sol.error_bound + picard_tol
     assert abs(sol.s_in - s_in) <= sol.error_bound + picard_tol
+
+
+@given(bivariate_dists())
+def test_edge_following_terms_are_size_biased(d):
+    # Following an edge forward consumes one in-degree: the term of (n, k)
+    # has weight n u(n, k) and exponents (n - 1, k), for n >= 1 only; the
+    # weights sum to mu_10.  Likewise backward with k, summing to mu_01.
+    _u, along_in, along_out = gfsolver._terms(d)
+    for (w, a, b), side, mean in ((along_in, 0, d.moment(1, 0)), (along_out, 1, d.moment(0, 1))):
+        assert math.fsum(w.tolist()) == mean
+        keys = [(x + (side == 0), y + (side == 1)) for x, y in zip(a.tolist(), b.tolist())]
+        expected = {key: key[side] * p for key, p in d.entries.items() if key[side] >= 1}
+        assert len(keys) == len(expected)
+        assert dict(zip(keys, w.tolist())) == expected
 
 
 def test_order_must_be_positive(fork_dist):

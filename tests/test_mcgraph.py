@@ -55,7 +55,7 @@ def test_weak_components_match_networkx(fork_dist):
     ours = sorted(weak_component_sizes(g).tolist())
     h = nx.MultiDiGraph()
     h.add_nodes_from(range(g.vertex_count))
-    h.add_edges_from(g.edge_list())
+    h.add_edges_from(g.edges.tolist())
     theirs = sorted(len(c) for c in nx.weakly_connected_components(h))
     assert ours == theirs
 
@@ -63,7 +63,7 @@ def test_weak_components_match_networkx(fork_dist):
 def networkx_weak_sizes(g: DirectedMultigraph) -> list[int]:
     h = nx.MultiDiGraph()
     h.add_nodes_from(range(g.vertex_count))
-    h.add_edges_from(g.edge_list())
+    h.add_edges_from(g.edges.tolist())
     return sorted(len(c) for c in nx.weakly_connected_components(h))
 
 
@@ -317,16 +317,23 @@ def test_kmc_empirical_dist_matches_state(p22_bounds):
     assert res.empirical.entries == expected
 
 
+def test_negative_seed_is_a_validation_error(fork_dist, p22_bounds):
+    with pytest.raises(ValidationError, match="seed"):
+        sample_configuration(fork_dist, 100, -1)
+    with pytest.raises(ValidationError, match="seed"):
+        kmc_simulate(p22_bounds, 100, -1)
+
+
 def test_kmc_times_increase(p22_bounds):
     res = kmc_simulate(p22_bounds, 2000, replica_rng(14, 3), c_n_target=0.5)
     assert (np.diff(res.times) > 0).all()
-    assert res.mu_hat.tolist() == [(i + 1) / 2000 for i in range(res.state.events)]
+    assert len(res.times) == res.state.events
 
 
 def test_kmc_trajectory_matches_closed_form(p22_bounds):
     n = 20000
     res = kmc_simulate(p22_bounds, n, replica_rng(14, 4), c_n_target=0.25)
-    # in-conversion target 0.25 on nu10 = 2 forces mu_hat = 0.5 exactly
+    # in-conversion target 0.25 on nu10 = 2 forces mu = 0.5 exactly
     final_mu = res.state.events / n
     assert final_mu == pytest.approx(0.5, abs=1e-3)
     predicted = mu_of_t(p22_bounds, res.state.t)
@@ -335,7 +342,7 @@ def test_kmc_trajectory_matches_closed_form(p22_bounds):
     for frac in (0.25, 0.5, 0.75):
         idx = int(frac * res.state.events)
         predicted = mu_of_t(p22_bounds, float(res.times[idx]))
-        observed = float(res.mu_hat[idx])
+        observed = (idx + 1) / n  # edge density after event idx
         assert abs(predicted - observed) <= 5 * math.sqrt(max(observed, 1e-6) / n)
 
 

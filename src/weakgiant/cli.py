@@ -15,6 +15,7 @@ input, 3 invalid input, 4 non-convergence, 5 unreachable target.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -226,7 +227,10 @@ def _cmd_barycentric(args) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every request shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="validation tolerance (default 1e-9)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")

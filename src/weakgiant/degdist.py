@@ -82,14 +82,6 @@ class MomentSet:
         return 2.0 * self.mu11 + self.mu02 + self.mu20 - 4.0 * self.mu > 0.0
 
 
-def _index_pair(first, second, noun: str) -> tuple[int, int]:
-    """The key ``(first, second)`` as nonnegative integers."""
-    first, second = operator.index(first), operator.index(second)
-    if first < 0 or second < 0:
-        raise NegativeIndex(f"{noun} ({first}, {second}) has a negative component")
-    return first, second
-
-
 def _checked_tol(tol: float) -> float:
     """A validation tolerance: finite and nonnegative (a NaN would make every
     comparison against it false and so switch the check off)."""
@@ -98,24 +90,92 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
-def _validated_table(pairs, kind: str, tol: float) -> dict:
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of ``mask``, or its length."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
+
+
+def _new_keys(columns) -> np.ndarray:
+    """Mask of the entries of key-sorted, nonnegative key ``columns`` whose
+    key differs from the one before."""
+    mask = np.diff(columns[0], prepend=-1) != 0
+    for c in columns[1:]:
+        mask |= np.diff(c, prepend=-1) != 0
+    return mask
+
+
+def _index_columns(columns, noun: str) -> list[np.ndarray]:
+    """Key columns as int64 arrays.
+
+    The first key in input order with a component that is not an integer
+    raises :class:`TypeError` (from ``operator.index``), or, with a negative
+    component, :class:`NegativeIndex`.
+    """
+    try:
+        arrays = [np.fromiter(map(operator.index, c), np.int64, len(c)) for c in columns]
+    except TypeError:
+        for stop, key in enumerate(zip(*columns)):
+            try:
+                list(map(operator.index, key))
+            except TypeError:
+                # A negative key before this one is named instead.
+                _index_columns([c[:stop] for c in columns], noun)
+                raise
+    negative = min(_first(a < 0) for a in arrays)
+    if negative < len(arrays[0]):
+        key = _key(arrays, negative)
+        shape = "is negative" if len(arrays) == 1 else "has a negative component"
+        raise NegativeIndex(f"{noun} {key} {shape}")
+    return arrays
+
+
+def _key(arrays, i: int):
+    """Key ``i`` as the library prints it: an int, or a tuple of ints."""
+    key = tuple(int(a[i]) for a in arrays)
+    return key if len(key) > 1 else key[0]
+
+
+def _validated_table(columns, probs, kind: str, noun: str, tol: float):
+    """Validate a sparse table given as key columns and a probability column.
+
+    Checks every key first (see :func:`_index_columns`), then the tolerance,
+    then the entries in input order: the first one that is NaN, negative, or
+    (zeros are dropped) a repeat of an earlier stored key raises.  Returns
+    the entries as a dict in input order, and the key columns and
+    probabilities sorted by key as read-only arrays.
+    """
+    keys = _index_columns(columns, noun)
     _checked_tol(tol)
-    table: dict = {}
-    for key, prob in pairs:
-        if math.isnan(prob):
+    values = np.array(probs)
+    if values.dtype.kind not in "biuf":
+        # e.g. Fractions; fsum, like the NaN test, takes any real but no text
+        values = np.array([math.fsum((p,)) for p in probs])
+    values = values.astype(float, copy=False)
+    kept = np.flatnonzero(values > 0.0)
+    # Stored entries sorted by key; the sort is stable, so of two equal keys
+    # the later entry in input order comes second.
+    order = kept[np.lexsort([k[kept] for k in keys[::-1]])]
+    support = [k[order] for k in keys] + [values[order]]
+    duplicate = int(order[~_new_keys(support[:-1])].min(initial=len(values)))
+    nan, negative = _first(np.isnan(values)), _first(values < 0.0)
+    bad = min(nan, negative, duplicate)
+    if bad < len(values):
+        key, prob = _key(keys, bad), probs[bad]
+        if bad == nan:
             raise ValidationError(f"{kind}{key} = {prob!r} is not a number")
-        if prob < 0:
+        if bad == negative:
             raise NegativeProbability(f"{kind}{key} = {prob!r} is negative")
-        if prob == 0:
-            # zero entries are omitted, not stored
-            continue
-        if key in table:
-            raise DuplicateKey(f"duplicate key {key}")
-        table[key] = float(prob)
-    total = math.fsum(table.values())
+        raise DuplicateKey(f"duplicate key {key}")
+    stored = values[kept].tolist()
+    total = math.fsum(stored)
     if abs(total - 1.0) > tol:
         raise NotNormalized(f"probabilities sum to {total!r}, not 1 within {tol:g}")
-    return table
+    labels = [k[kept].tolist() for k in keys]
+    entries = dict(zip(zip(*labels) if len(labels) > 1 else labels[0], stored))
+    for a in support:
+        a.flags.writeable = False
+    return entries, tuple(support)
 
 
 @dataclass(frozen=True)
@@ -126,13 +186,9 @@ class UnivariateDegreeDist:
 
     @classmethod
     def from_entries(cls, pairs: Iterable[tuple[int, float]], *, tol: float = NORM_TOL) -> "UnivariateDegreeDist":
-        checked = []
-        for l, prob in pairs:
-            l = operator.index(l)
-            if l < 0:
-                raise NegativeIndex(f"degree {l} is negative")
-            checked.append((l, prob))
-        return cls(_validated_table(checked, "d", tol))
+        degrees, probs = tuple(zip(*pairs, strict=True)) or ((), ())
+        entries, _support = _validated_table((degrees,), probs, "d", "degree", tol)
+        return cls(entries)
 
     def moment(self, i: int) -> float:
         return math.fsum(l**i * p for l, p in self.entries.items())
@@ -143,9 +199,10 @@ class _PairTable:
     """Sparse law keyed by pairs of nonnegative integers: the base of degree
     tables and of :class:`weakgiant.evolution.BoundDist`.
 
-    Construct through the subclass's ``from_entries``; instances are never
-    mutated, so the sorted support is built once per table.  Stored
-    probabilities are strictly positive (zero entries are dropped).
+    Construct through the subclass's ``from_entries``, which validates the
+    entries and sorts the support in one pass; instances are never mutated,
+    so the support is built once per table.  Stored probabilities are
+    strictly positive (zero entries are dropped).
     """
 
     entries: dict
@@ -153,6 +210,16 @@ class _PairTable:
     @classmethod
     def from_text(cls, text: str, *, tol: float = NORM_TOL):
         return cls.from_entries(tableio.parse_records(text), tol=tol)
+
+    @classmethod
+    def _validated(cls, triples, kind: str, noun: str, tol: float):
+        """A table of ``triples`` checked by :func:`_validated_table`, with its
+        sorted support already in place."""
+        first, second, probs = tuple(zip(*triples, strict=True)) or ((), (), ())
+        entries, support = _validated_table((first, second), probs, kind, noun, tol)
+        table = cls(entries)
+        table.__dict__["support"] = support  # the value the cached property would build
+        return table
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,8 +254,7 @@ class BivariateDegreeDist(_PairTable):
     def from_entries(
         cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
     ) -> "BivariateDegreeDist":
-        checked = [(_index_pair(n, k, "degree pair"), prob) for n, k, prob in triples]
-        return cls(_validated_table(checked, "u", tol))
+        return cls._validated(triples, "u", "degree pair", tol)
 
     @cached_property
     def _moment_set(self) -> MomentSet:

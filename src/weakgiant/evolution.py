@@ -19,12 +19,15 @@ conversion and, through the inverse of mu(t), a critical time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .degdist import NORM_TOL, BivariateDegreeDist, _index_pair, _PairTable, _validated_table
+import numpy as np
+
+from .degdist import NORM_TOL, BivariateDegreeDist, _index_columns, _new_keys, _PairTable
 from .errors import (
     ConversionOutOfRange,
     NegativeTime,
@@ -62,13 +65,13 @@ class BoundDist(_PairTable):
     def from_entries(
         cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
     ) -> "BoundDist":
-        checked = [(_index_pair(nm, km, "bound pair"), prob) for nm, km, prob in triples]
-        table = _validated_table(checked, "P", tol)
-        if not any(nm > 0 for nm, _km in table):
+        table = cls._validated(triples, "P", "bound pair", tol)
+        n_max, k_max, _probs = table.support
+        if not (n_max > 0).any():
             raise NoReactivePair("no class has in-capacity; no edge can ever form")
-        if not any(km > 0 for _nm, km in table):
+        if not (k_max > 0).any():
             raise NoReactivePair("no class has out-capacity; no edge can ever form")
-        return cls(table)
+        return table
 
     @cached_property
     def _nu(self) -> NuMoments:
@@ -91,6 +94,13 @@ class FullDegreeState:
     mu: float
     c_n: float
     c_k: float
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Arrays ``(n, k, n_max, k_max, prob)``, one slot per entry, in entry
+        order."""
+        keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, 4)
+        return (*keys.T, np.array(list(self.entries.values()), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -166,25 +176,37 @@ def _binom_pmf(m: int, j: int, c: float) -> float:
     return math.comb(m, j) * c**j * (1.0 - c) ** (m - j)
 
 
-def _state_entries(P: BoundDist, c_n: float, c_k: float) -> dict:
-    entries: dict = {}
+def _state_entries(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ...]:
+    """Columns ``(n, k, n_max, k_max, prob)`` of the state's positive entries,
+    class by class in key order, then by n and k.  Per class, the entries are
+    the outer product ``(p * pn) x pk`` of binomial pmfs."""
+
+    @functools.cache
+    def pmf(m: int, c: float) -> np.ndarray:
+        return np.array([_binom_pmf(m, j, c) for j in range(m + 1)])
+
+    columns = []
     for nm, km, p in P.records():
-        for n in range(nm + 1):
-            pn = _binom_pmf(nm, n, c_n)
-            if pn == 0.0:
-                continue
-            for k in range(km + 1):
-                q = p * pn * _binom_pmf(km, k, c_k)
-                if q > 0.0:
-                    entries[(n, k, nm, km)] = q
-    return entries
+        q = np.multiply.outer(p * pmf(nm, c_n), pmf(km, c_k))
+        n, k = np.nonzero(q > 0.0)
+        columns.append((n, k, np.full(len(n), nm), np.full(len(n), km), q[n, k]))
+    return tuple(np.concatenate(c) for c in zip(*columns))
+
+
+def _state(P: BoundDist, t: float, mu: float, c_n: float, c_k: float) -> FullDegreeState:
+    """The state at conversions ``(c_n, c_k)``, its columns already in place."""
+    columns = _state_entries(P, c_n, c_k)
+    *keys, probs = (c.tolist() for c in columns)
+    state = FullDegreeState(dict(zip(zip(*keys), probs)), t, mu, c_n, c_k)
+    state.__dict__["columns"] = columns  # the value the cached property would build
+    return state
 
 
 def degree_state_at(P: BoundDist, t: float) -> FullDegreeState:
     """Joint (n, k, n_max, k_max) law at time t: per capacity class, spots
     fill independently, Binomial(n_max, c_n) x Binomial(k_max, c_k)."""
     mu, c_n, c_k = _at_time(P, t)
-    return FullDegreeState(_state_entries(P, c_n, c_k), t, mu, c_n, c_k)
+    return _state(P, t, mu, c_n, c_k)
 
 
 def _at_conversion(P: BoundDist, c_n: float) -> tuple[float, float, float]:
@@ -205,17 +227,21 @@ def degree_state_at_conversion(P: BoundDist, c_n: float) -> FullDegreeState:
     """Same state indexed by in-conversion; ``t`` is inf at the supremum."""
     mu, c_n, c_k = _at_conversion(P, c_n)
     t = time_of_conversion(P, c_n) if c_n < conversion_sup(P)[0] else math.inf
-    return FullDegreeState(_state_entries(P, c_n, c_k), t, mu, c_n, c_k)
+    return _state(P, t, mu, c_n, c_k)
 
 
 def marginal_degree_dist(state: FullDegreeState) -> BivariateDegreeDist:
     """Degree law u(n, k) obtained by summing the state over capacities."""
-    groups: dict[tuple[int, int], list[float]] = {}
-    for (n, k, _nm, _km), p in state.entries.items():
-        groups.setdefault((n, k), []).append(p)
-    return BivariateDegreeDist.from_entries(
-        [(n, k, math.fsum(ps)) for (n, k), ps in sorted(groups.items())]
-    )
+    n, k, _nm, _km, probs = state.columns
+    order = np.lexsort((k, n))
+    n, k, probs = n[order], k[order], probs[order]
+    starts = np.flatnonzero(_new_keys((n, k)))  # each cell (n, k) is one run
+    sums = probs[starts].tolist()
+    # fsum of one value is that value; only shared cells need the sum.
+    ends = np.append(starts[1:], len(probs))
+    for i in np.flatnonzero(ends - starts > 1).tolist():
+        sums[i] = math.fsum(probs[starts[i] : ends[i]].tolist())
+    return BivariateDegreeDist.from_entries(zip(n[starts].tolist(), k[starts].tolist(), sums))
 
 
 def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
@@ -231,8 +257,7 @@ def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
     # The exact supremum pair: clamping through _at_conversion would
     # recompute c_k as a product that can miss 1.0.
     sup_cn, sup_ck = conversion_sup(P)
-    state = FullDegreeState(_state_entries(P, sup_cn, sup_ck), math.inf, min(nu.nu01, nu.nu10), sup_cn, sup_ck)
-    return marginal_degree_dist(state)
+    return marginal_degree_dist(_state(P, math.inf, min(nu.nu01, nu.nu10), sup_cn, sup_ck))
 
 
 def mu_moments_at(P: BoundDist, c_n: float) -> tuple[float, float, float]:
@@ -335,7 +360,8 @@ def barycentric_grid(
     """
     if len(atoms) != 3:
         raise ValidationError(f"need exactly 3 atoms, got {len(atoms)}")
-    cleaned = [_index_pair(nm, km, "atom") for nm, km in atoms]
+    n_max, k_max = zip(*atoms, strict=True)
+    cleaned = list(zip(*(a.tolist() for a in _index_columns((n_max, k_max), "atom"))))
     if resolution < 2:
         raise ValidationError(f"resolution {resolution} too coarse; need >= 2")
 

@@ -377,11 +377,17 @@ def weak_size_distribution(
     # without their W_out factor.
     grouped = np.zeros((len(series), top_out + 1, order))
     coeffs = np.zeros((len(series), order + 1))  # rows: W, W_in, W_out
+    # The three term lists as one, series g binned at g * width + a: one
+    # bincount per coefficient, each bin summing its own terms in their order.
+    width = top_out + 1
+    weight = np.concatenate([w for w, _a, _b in series])
+    bins = np.concatenate([g * width + a for g, (_w, a, _b) in enumerate(series)])
+    in_exp = np.concatenate([b for _w, _a, b in series])
     for j in range(order):
         pow_out[1:, j] = pow_out[:-1, :j] @ coeffs[2, j:0:-1]
         pow_in[1:, j] = pow_in[:-1, :j] @ coeffs[1, j:0:-1]
-        for g, (weight, a, b) in enumerate(series):
-            grouped[g, :, j] = np.bincount(a, weights=weight * pow_in[b, j], minlength=top_out + 1)
+        terms = np.bincount(bins, weights=weight * pow_in[in_exp, j], minlength=len(series) * width)
+        grouped[:, :, j] = terms.reshape(len(series), width)
         coeffs[:, j + 1] = np.einsum("al,gal->g", pow_out[:, : j + 1], grouped[:, :, j::-1])
     w = coeffs[0, 1:]
     assert math.fsum(w.tolist()) <= 1.0 + 1e-9

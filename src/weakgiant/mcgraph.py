@@ -19,15 +19,20 @@ from .evolution import BoundDist
 
 def replica_rng(master_seed: int, replica: int = 0) -> np.random.Generator:
     """Independent, reproducible stream for one replica of an experiment."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(replica,)))
+    seed = np.random.SeedSequence(_checked_seed(master_seed), spawn_key=(replica,))
+    return np.random.default_rng(seed)
+
+
+def _checked_seed(seed):
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed {seed} is negative")
+    return seed
 
 
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError(f"seed {seed} is negative")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_checked_seed(seed))
 
 
 @dataclass

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -22,10 +23,17 @@ from hypothesis import strategies as st
 from weakgiant import (  # truncated_double_poisson is re-exported for the tests
     BivariateDegreeDist,
     BoundDist,
+    DuplicateKey,
     Exhausted,
+    NegativeIndex,
+    NegativeProbability,
+    NoReactivePair,
+    NotNormalized,
+    ParseError,
     ValidationError,
     truncated_double_poisson,
 )
+from weakgiant.degdist import _checked_tol
 from weakgiant.gfsolver import _terms
 from weakgiant.mcgraph import DirectedMultigraph, KmcResult, KmcState, _as_rng, _sample_keys
 
@@ -399,6 +407,113 @@ def random_bound_dist(rng: np.random.Generator, n_atoms: int = 3, max_bound: int
             )
         except Exception:
             continue
+
+
+# ---------------------------------------------------------------------------
+# Scalar references of the array pipeline from table text to degree state:
+# the per-line parser, the per-entry validator and the per-cell state loops
+# that the library replaced.
+
+
+def reference_parse_records(text: str) -> list:
+    """Line-by-line parse of table text into ``(n, k, prob)`` triples."""
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 fields, got {len(fields)}: {raw!r}", lineno)
+        try:
+            n = int(fields[0])
+            k = int(fields[1])
+        except ValueError:
+            raise ParseError(f"first two fields must be integers: {raw!r}", lineno) from None
+        try:
+            prob = float(fields[2])
+        except ValueError:
+            raise ParseError(f"third field must be a real number: {raw!r}", lineno) from None
+        records.append((n, k, prob))
+    return records
+
+
+def _reference_index_pair(first, second, noun: str) -> tuple:
+    first, second = operator.index(first), operator.index(second)
+    if first < 0 or second < 0:
+        raise NegativeIndex(f"{noun} ({first}, {second}) has a negative component")
+    return first, second
+
+
+def _reference_validated_table(pairs, kind: str, tol: float) -> dict:
+    _checked_tol(tol)
+    table: dict = {}
+    for key, prob in pairs:
+        if math.isnan(prob):
+            raise ValidationError(f"{kind}{key} = {prob!r} is not a number")
+        if prob < 0:
+            raise NegativeProbability(f"{kind}{key} = {prob!r} is negative")
+        if prob == 0:
+            continue
+        if key in table:
+            raise DuplicateKey(f"duplicate key {key}")
+        table[key] = float(prob)
+    total = math.fsum(table.values())
+    if abs(total - 1.0) > tol:
+        raise NotNormalized(f"probabilities sum to {total!r}, not 1 within {tol:g}")
+    return table
+
+
+def reference_pair_table(triples, kind: str, noun: str, tol: float) -> dict:
+    """Entries of a degree (``"u"``, ``"degree pair"``) or bound (``"P"``,
+    ``"bound pair"``) table, validated one entry at a time."""
+    checked = [(_reference_index_pair(a, b, noun), prob) for a, b, prob in triples]
+    table = _reference_validated_table(checked, kind, tol)
+    if kind == "P":
+        if not any(nm > 0 for nm, _km in table):
+            raise NoReactivePair("no class has in-capacity; no edge can ever form")
+        if not any(km > 0 for _nm, km in table):
+            raise NoReactivePair("no class has out-capacity; no edge can ever form")
+    return table
+
+
+def reference_univariate_table(pairs, tol: float) -> dict:
+    checked = []
+    for l, prob in pairs:
+        l = operator.index(l)
+        if l < 0:
+            raise NegativeIndex(f"degree {l} is negative")
+        checked.append((l, prob))
+    return _reference_validated_table(checked, "d", tol)
+
+
+def _reference_binom_pmf(m: int, j: int, c: float) -> float:
+    return math.comb(m, j) * c**j * (1.0 - c) ** (m - j)
+
+
+def reference_state_entries(P: BoundDist, c_n: float, c_k: float) -> dict:
+    """Joint (n, k, n_max, k_max) law, one cell at a time."""
+    entries: dict = {}
+    for nm, km, p in P.records():
+        for n in range(nm + 1):
+            pn = _reference_binom_pmf(nm, n, c_n)
+            if pn == 0.0:
+                continue
+            for k in range(km + 1):
+                q = p * pn * _reference_binom_pmf(km, k, c_k)
+                if q > 0.0:
+                    entries[(n, k, nm, km)] = q
+    return entries
+
+
+def reference_marginal(entries: dict) -> BivariateDegreeDist:
+    """Sum of a state's entries over capacities, grouped in a dict."""
+    groups: dict = {}
+    for (n, k, _nm, _km), p in entries.items():
+        groups.setdefault((n, k), []).append(p)
+    return BivariateDegreeDist.from_entries(
+        [(n, k, math.fsum(ps)) for (n, k), ps in sorted(groups.items())]
+    )
 
 
 # ---------------------------------------------------------------------------

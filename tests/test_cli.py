@@ -1,9 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weakgiant
 from helpers import run_cli, truncated_double_poisson, validate_schema
 from weakgiant import BivariateDegreeDist, evolution, mcgraph
 
@@ -11,6 +16,7 @@ FORK = "# n k prob\n1 0 0.66666666666666663\n0 2 0.33333333333333331\n"
 ATOM22 = "2 2 1.0\n"
 ORIGIN = "0 0 1.0\n"
 THREE_CLASS = "10 10 0.33333333333333331\n5 10 0.33333333333333331\n10 4 0.33333333333333337\n"
+SRC = Path(weakgiant.__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, text):
@@ -615,3 +621,32 @@ def test_evolve_requires_exactly_one_mode(tmp_path):
     assert code == 2
     code, _, _ = run_cli(["evolve", bounds, "--critical", "--at-time", "1.0"])
     assert code == 2
+
+
+def test_shared_parser_leaks_no_state_between_requests(tmp_path):
+    """One process, one parser: each request prints what a fresh process
+    prints for it."""
+    from weakgiant import cli
+
+    bounds = write(tmp_path, "p.txt", THREE_CLASS)
+    dist = write(tmp_path, "d.txt", PINNED_TABLES["dp0.45"])
+    requests = [
+        ["evolve", bounds, "--critical"],
+        ["evolve", bounds, "--at-time", "0.1"],
+        ["gf", dist, "--order", "7"],
+        ["gf", dist],
+        ["gf", dist, "--order", "seven"],
+        ["analyze", dist, "--tol", "1e-6"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    codes = []
+    for argv in requests:
+        code, out, err = run_cli(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "weakgiant.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()

@@ -1,10 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import balanced_dists, bivariate_dists, brute_moment
+from helpers import (
+    balanced_dists,
+    bivariate_dists,
+    brute_moment,
+    reference_pair_table,
+    reference_parse_records,
+    reference_univariate_table,
+)
 from weakgiant import (
     BivariateDegreeDist,
     BoundDist,
@@ -19,6 +27,7 @@ from weakgiant import (
     require_edge_balanced,
 )
 from weakgiant import tableio
+from weakgiant.degdist import NORM_TOL
 from weakgiant.errors import EdgeImbalance
 
 
@@ -265,3 +274,152 @@ def test_format_parse_round_trip(d):
 def test_from_text_propagates_validation():
     with pytest.raises(NegativeProbability):
         BivariateDegreeDist.from_text("0 0 1.5\n1 1 -0.5\n")
+
+
+# --- one validator against the per-entry reference ---------------------------
+
+
+def _outcome(build):
+    """``(value, None)``, or ``(None, (exception type, message))``."""
+    try:
+        return build(), None
+    except Exception as exc:  # compared against the reference's exception
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def faulty_tables(draw, width=2):
+    """Rows ``(*key, prob)`` of a normalized table with unique keys, then a
+    few faults: NaN, negative and zero probabilities (numpy scalars too),
+    negative, float or text key components, inserted zero rows and repeated
+    keys, some of them zero repeats."""
+    size = draw(st.integers(0, 6))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 4)] * width), min_size=size, max_size=size, unique=True))
+    weights = draw(st.lists(st.integers(1, 64), min_size=size, max_size=size))
+    total = sum(weights)
+    rows = [[*key, w / total] for key, w in zip(keys, weights)]
+    faults = ["nan", "negative", "zero", "zero row", "repeat", "negative key", "float key", "text key", "numpy"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=4)):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "nan":
+            rows[i][-1] = math.nan
+        elif fault == "negative":
+            rows[i][-1] = -rows[i][-1]
+        elif fault == "zero":
+            rows[i][-1] = draw(st.sampled_from([0.0, -0.0, 0]))
+        elif fault == "zero row":
+            rows.insert(draw(st.integers(0, len(rows))), [*rows[i][:-1], 0.0])
+        elif fault == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), [*rows[i][:-1], draw(st.sampled_from([0.25, 0.0]))])
+        elif fault == "negative key":
+            rows[i][draw(st.integers(0, width - 1))] = -draw(st.integers(1, 3))
+        elif fault in ("float key", "text key"):
+            j = draw(st.integers(0, width - 1))
+            rows[i][j] = (float if fault == "float key" else str)(rows[i][j])
+        else:
+            rows[i][-1] = np.float64(rows[i][-1])
+    tol = draw(st.sampled_from([NORM_TOL] * 6 + [math.nan, -1.0]))
+    return [tuple(r) for r in rows], tol
+
+
+def _assert_same_table(table, reference, pair):
+    got, want = _outcome(table), _outcome(reference)
+    assert got[1] == want[1]
+    if want[1] is None:
+        table, entries = got[0], want[0]
+        assert list(table.entries.items()) == list(entries.items())
+        if pair:
+            keys = sorted(entries)
+            want_support = (
+                np.array([a for a, _b in keys], dtype=np.int64),
+                np.array([b for _a, b in keys], dtype=np.int64),
+                np.array([entries[key] for key in keys], dtype=float),
+            )
+            assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(table.support, want_support))
+
+
+@given(faulty_tables())
+def test_degree_table_validation_matches_reference(case):
+    rows, tol = case
+    _assert_same_table(
+        lambda: BivariateDegreeDist.from_entries(rows, tol=tol),
+        lambda: reference_pair_table(rows, "u", "degree pair", tol),
+        True,
+    )
+
+
+@given(faulty_tables())
+def test_bound_table_validation_matches_reference(case):
+    rows, tol = case
+    _assert_same_table(
+        lambda: BoundDist.from_entries(rows, tol=tol),
+        lambda: reference_pair_table(rows, "P", "bound pair", tol),
+        True,
+    )
+
+
+@given(faulty_tables(width=1))
+def test_univariate_table_validation_matches_reference(case):
+    rows, tol = case
+    _assert_same_table(
+        lambda: UnivariateDegreeDist.from_entries(rows, tol=tol),
+        lambda: reference_univariate_table(rows, tol),
+        False,
+    )
+
+
+def test_validation_names_first_bad_entry_in_input_order():
+    # every key is checked before any probability, in input order, and the
+    # first component of a key before the second
+    with pytest.raises(NegativeIndex, match=r"\(0, -1\)"):
+        BivariateDegreeDist.from_entries([(0, 0, math.nan), (0, -1, 1.0)])
+    with pytest.raises(TypeError, match="float"):
+        BivariateDegreeDist.from_entries([(0, 0, math.nan), (0, 1.0, 1.0), (-1, 0, 1.0)])
+    with pytest.raises(TypeError, match="str"):
+        BivariateDegreeDist.from_entries([(0, 0, 1.0), ("1", 1.0, 1.0)])
+    with pytest.raises(NegativeIndex):
+        BivariateDegreeDist.from_entries([(-1, 0, 1.0), (0, 1.0, 1.0)])
+    # then the entries in order, whatever their fault
+    with pytest.raises(DuplicateKey, match=r"\(1, 1\)"):
+        BivariateDegreeDist.from_entries([(1, 1, 0.5), (1, 1, 0.5), (0, 0, math.nan)])
+    with pytest.raises(ValidationError, match=r"u\(0, 0\) = nan is not a number"):
+        BivariateDegreeDist.from_entries([(0, 0, math.nan), (1, 1, -0.5)])
+    with pytest.raises(NegativeProbability, match=r"u\(1, 1\) = -0.5 is negative"):
+        BivariateDegreeDist.from_entries([(1, 1, -0.5), (0, 0, math.nan)])
+    # a zero repeat is dropped, not a duplicate
+    d = BivariateDegreeDist.from_entries([(1, 1, 0.0), (1, 1, 1.0), (1, 1, 0.0)])
+    assert d.entries == {(1, 1): 1.0}
+
+
+# --- block parser against the line-by-line reference --------------------------
+
+GOOD_LINES = ["1 0 0.5", "+3 2 0.25", "1_000 7 1e-300", "0 0 inf", "4\t5\t0.125", " 2 2 -0.0 ",
+              "3\xa02\xa00.5", "-1 0 0.5"]
+SKIPPED_LINES = ["", "   ", "# comment", "   # indented comment", "\t#tab comment"]
+BAD_LINES = ["0 1", "1 0 0.5 9", "1.5 0 0.5", "x 0 0.5", "1 0 zebra", "1 0 1e", "0x10 1 0.5"]
+
+
+@st.composite
+def table_texts(draw):
+    lines = draw(st.lists(st.sampled_from(GOOD_LINES + SKIPPED_LINES), max_size=40))
+    if draw(st.booleans()):
+        # past the first block, so the malformed line sits in a later one
+        lines = lines + [GOOD_LINES[0]] * draw(st.integers(1000, 1100)) + lines
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\x1c", " "]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@given(table_texts())
+def test_parse_records_matches_line_reference(text):
+    got, want = _outcome(lambda: tableio.parse_records(text)), _outcome(lambda: reference_parse_records(text))
+    assert repr(got) == repr(want)
+
+
+def test_parse_error_in_a_later_block_cites_its_line():
+    text = "# n k prob\n" + "0 0 1.0\n" * 1500 + "0 1\n"
+    with pytest.raises(ParseError, match="line 1502"):
+        tableio.parse_records(text)

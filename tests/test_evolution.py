@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bound_dists, brute_moment, random_bound_dist, rk4_mu
+from helpers import (
+    bound_dists,
+    brute_moment,
+    random_bound_dist,
+    reference_marginal,
+    reference_state_entries,
+    rk4_mu,
+)
 from weakgiant import (
     BoundDist,
     ConversionOutOfRange,
@@ -28,6 +35,7 @@ from weakgiant import (
     time_of_conversion,
     transition_class,
 )
+from weakgiant.evolution import FullDegreeState
 
 asym_pair = BoundDist.from_entries([(2, 1, 1.0)])  # nu10=2, nu01=1
 dimers = BoundDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
@@ -455,3 +463,46 @@ def test_barycentric_rejects_bad_input():
         barycentric_grid([(2, 2), (2, 2)], 10)
     with pytest.raises(NegativeIndex):
         barycentric_grid([(2, -2), (2, 2), (2, 2)], 10)
+
+
+# --- growth state against the per-cell reference ------------------------------
+
+
+@st.composite
+def shared_cell_bounds(draw):
+    """Two to four capacity classes, all sharing the low (n, k) cells; some
+    tables add a class of capacity 60-80, whose pmf underflows to 0 at small
+    conversions."""
+    keys = draw(
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=2, max_size=4, unique=True).filter(
+            lambda ks: any(nm > 0 for nm, _ in ks) and any(km > 0 for _, km in ks)
+        )
+    )
+    if draw(st.booleans()):
+        keys.append((draw(st.integers(60, 80)), draw(st.integers(60, 80))))
+    weights = draw(st.lists(st.integers(1, 2**10), min_size=len(keys), max_size=len(keys)))
+    probs = [w / sum(weights) for w in weights]
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    return BoundDist.from_entries([(nm, km, p) for (nm, km), p in zip(keys, probs)], tol=1e-12)
+
+
+@given(shared_cell_bounds(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_state_and_marginal_match_cell_reference(P, u):
+    sup_cn, _ = conversion_sup(P)
+    for c_n in (0.0, 1e-9, u * sup_cn, sup_cn):
+        state = degree_state_at_conversion(P, c_n)
+        entries = reference_state_entries(P, state.c_n, state.c_k)
+        assert list(state.entries.items()) == list(entries.items())
+        assert all(len(column) == len(entries) for column in state.columns)
+        marginal = marginal_degree_dist(state)
+        want = reference_marginal(entries)
+        assert list(marginal.entries.items()) == list(want.entries.items())
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(marginal.support, want.support))
+
+
+def test_state_at_time_matches_cell_reference(three_class_bounds):
+    state = degree_state_at(three_class_bounds, 0.1)
+    assert state.entries == reference_state_entries(three_class_bounds, state.c_n, state.c_k)
+    # a state built from its entries alone reads the same columns
+    rebuilt = FullDegreeState(state.entries, state.t, state.mu, state.c_n, state.c_k)
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt.columns, state.columns))

@@ -322,6 +322,9 @@ def test_negative_seed_is_a_validation_error(fork_dist, p22_bounds):
         sample_configuration(fork_dist, 100, -1)
     with pytest.raises(ValidationError, match="seed"):
         kmc_simulate(p22_bounds, 100, -1)
+    for seed in (-1, np.int64(-1)):
+        with pytest.raises(ValidationError, match="seed -1 is negative"):
+            replica_rng(seed, 3)
 
 
 def test_kmc_times_increase(p22_bounds):

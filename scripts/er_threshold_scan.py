@@ -9,7 +9,7 @@ Writes one TSV row per lambda.
 import argparse
 import sys
 
-from weakgiant import criteria, mcgraph, truncated_double_poisson
+from weakgiant import WeakGiantError, cli, criteria, mcgraph, truncated_double_poisson
 
 
 def main() -> None:
@@ -39,4 +39,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except WeakGiantError as exc:
+        code = cli.failure_code(exc)
+        if code is None:
+            raise
+        sys.exit(code)

@@ -7,11 +7,12 @@ the moment-formula mean size for the analytic degree law.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from weakgiant import criteria, evolution, mcgraph
+from weakgiant import WeakGiantError, cli, criteria, evolution, mcgraph
 from weakgiant.evolution import BoundDist
 
 
@@ -53,4 +54,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except WeakGiantError as exc:
+        code = cli.failure_code(exc)
+        if code is None:
+            raise
+        sys.exit(code)

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     Supercritical,
     ValidationError,
+    WeakGiantError,
 )
 from .evolution import BoundDist
 
@@ -295,23 +296,33 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         text = args.func(args)
-    except ParseError as exc:
-        print(f"weakgiant: parse error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"weakgiant: i/o error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, Supercritical) as exc:
-        print(f"weakgiant: invalid input: {exc}", file=sys.stderr)
-        return 3
-    except NoConvergence as exc:
-        print(f"weakgiant: no convergence: {exc}", file=sys.stderr)
-        return 4
-    except (ConversionOutOfRange, Exhausted) as exc:
-        print(f"weakgiant: unreachable target: {exc}", file=sys.stderr)
-        return 5
+    except (WeakGiantError, OSError) as exc:
+        code = failure_code(exc)
+        if code is None:
+            raise
+        return code
     _write_output(text, args.out)
     return 0
+
+
+#: Exit code and message label of each expected failure, first match wins.
+_FAILURES = (
+    (ParseError, 2, "parse error"),
+    (OSError, 2, "i/o error"),
+    ((ValidationError, Supercritical), 3, "invalid input"),
+    (NoConvergence, 4, "no convergence"),
+    ((ConversionOutOfRange, Exhausted), 5, "unreachable target"),
+)
+
+
+def failure_code(exc: BaseException) -> int | None:
+    """Exit code of an expected failure, after its one-line message on
+    stderr; None, with nothing printed, for any other exception."""
+    for kinds, code, label in _FAILURES:
+        if isinstance(exc, kinds):
+            print(f"weakgiant: {label}: {exc}", file=sys.stderr)
+            return code
+    return None
 
 
 def console_main() -> None:

@@ -308,8 +308,13 @@ def time_of_conversion(P: BoundDist, c_n: float) -> float:
         return c_n / (v * (1.0 - c_n))
     a, b = nu.nu01, nu.nu10  # mu(t) -> min(a, b)
     # Inverting mu(t): t = log((1-c) a / (a - c b)) / (b - a), written with
-    # log1p to stay accurate when a and b nearly coincide.
-    return math.log1p(c_n * (b - a) / (a - c_n * b)) / (b - a)
+    # log1p to stay accurate when a and b nearly coincide.  Within rounding
+    # of the supremum a / b, a - c b can round to zero or below; b (sup - c)
+    # cannot, since c < sup.
+    gap = a - c_n * b
+    if gap <= 0.0:
+        gap = b * (sup_cn - c_n)
+    return math.log1p(c_n * (b - a) / gap) / (b - a)
 
 
 def transition_class(P: BoundDist) -> TransitionClass:

@@ -218,8 +218,8 @@ def sample_configuration(
 class KmcState:
     """Final per-vertex state of one kinetic run.
 
-    ``restarts`` counts the re-permutations of the vacant spots that
-    same-vertex pairs forced (see :func:`kmc_simulate`).
+    ``restarts`` counts the rejected same-vertex proposals after which the
+    run went on (see :func:`kmc_simulate`).
     """
 
     n_max: np.ndarray
@@ -253,115 +253,94 @@ class KmcResult:
 _KMC_BLOCK = 8192
 
 
-def _blocked_drops(src, dst, vin, vout) -> np.ndarray:
-    """Fall of the same-vertex spot-pair count at each event of a block.
+def _swap_remove(live: np.ndarray, size: int, positions: np.ndarray) -> int:
+    """Remove the entries at the distinct ``positions`` from the unordered
+    live prefix ``live[:size]`` and return the new size.
 
-    Event j takes an out-spot of ``src[j]`` and an in-spot of ``dst[j]``
-    (distinct vertices), so the count falls by the vacant in-count of
-    ``src[j]`` plus the vacant out-count of ``dst[j]`` just before it: their
-    values at the block start, ``vin`` and ``vout``, less the earlier events
-    of the block that took an in-spot of ``src[j]`` or an out-spot of
-    ``dst[j]``.  Those counts come from one sort of the interleaved stream
-    src[0], dst[0], src[1], ..., keyed by (vertex, position).
+    Each removed slot below the new size takes one kept entry from the
+    tail ``live[new size:size]``, so the work is O(len(positions)).
     """
-    size = 2 * src.size
-    stream = np.empty(size, dtype=np.int64)
-    stream[0::2] = src
-    stream[1::2] = dst
-    keys = np.sort(stream * size + np.arange(size))
-    vertex, pos = np.divmod(keys, size)
-    is_dst = pos & 1
-    # exclusive running counts of dst and src entries, then taken within
-    # each vertex's run of the sorted stream
-    dsts = np.cumsum(is_dst) - is_dst
-    srcs = np.arange(size) - dsts
-    new_run = np.ones(size, dtype=bool)
-    np.not_equal(vertex[1:], vertex[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    run_start = np.repeat(starts, np.diff(starts, append=size))
-    earlier = np.empty(size, dtype=np.int64)
-    earlier[pos] = np.where(is_dst, srcs - srcs[run_start], dsts - dsts[run_start])
-    return vin[src] - earlier[0::2] + vout[dst] - earlier[1::2]
+    end = size - positions.size
+    in_tail = positions >= end
+    gone = np.zeros(positions.size, dtype=bool)
+    gone[positions[in_tail] - end] = True
+    live[positions[~in_tail]] = live[end:size][~gone]
+    return end
 
 
-def _grow(vin, vout, edges, times, rng, target_events, t_end) -> tuple[int, float, int]:
-    """Event loop of :func:`kmc_simulate`: convert spot pairs from the vacant
-    counts ``vin``, ``vout`` (updated in place) and write each event's
-    (source, target) into ``edges`` and its time into ``times``, unless
-    ``times`` is None.
+def _grow(n_max, k_max, edges, times, rng, target_events, t_end) -> tuple[int, float, int]:
+    """Event loop of :func:`kmc_simulate` on vertices with in-capacities
+    ``n_max`` and out-capacities ``k_max``: write each event's (source,
+    target) into ``edges`` and its time into ``times``, unless ``times`` is
+    None.
 
     Returns the number of events, the final time and the number of
-    restarts.  The spot arrays live only here, so they are freed before
-    the caller builds its outputs.
+    restarts; raises :class:`Exhausted` if ``target_events`` cannot be
+    reached.  The spot arrays live only here, so they are freed before the
+    caller builds its outputs.
     """
-    n_vertices = vin.size
-    total_in = int(vin.sum())
-    total_out = int(vout.sum())
-    # After e events the vacant spots are out_spots[e:] and in_spots[e:],
-    # each in uniformly random order.
-    out_spots = np.repeat(np.arange(n_vertices, dtype=np.int64), vout)
-    in_spots = np.repeat(np.arange(n_vertices, dtype=np.int64), vin)
-    rng.shuffle(out_spots)
-    rng.shuffle(in_spots)
-    blocked = int((vin * vout).sum())  # same-vertex spot pairs
+    n_vertices = n_max.size
+    ids = np.arange(n_vertices, dtype=np.int64)
+    # the vacant spots are out_live[:v_out] and in_live[:v_in], in no order
+    out_live = np.repeat(ids, k_max)
+    in_live = np.repeat(ids, n_max)
+    v_out, v_in = out_live.size, in_live.size
 
     t = 0.0
     events = 0
     restarts = 0
-    rejected = False
-    while True:
-        if target_events is not None and events >= target_events:
-            break
-        v_in = total_in - events
-        v_out = total_out - events
-        if v_in * v_out - blocked <= 0:
-            if target_events is not None:
-                raise Exhausted(
-                    f"no admissible pair after {events} events; "
-                    f"target was {target_events}"
-                )
-            break
-        if rejected:
-            rng.shuffle(out_spots[events:])
-            rng.shuffle(in_spots[events:])
-            restarts += 1
-
+    while target_events is None or events < target_events:
         span = min(_KMC_BLOCK, v_in, v_out)
         if target_events is not None:
             span = min(span, target_events - events)
-        src = out_spots[events : events + span]
-        dst = in_spots[events : events + span]
+        if not span:
+            break  # one side has no vacant spot left
+        i = rng.choice(v_out, span, replace=False)
+        j = rng.choice(v_in, span, replace=False)
+        src, dst = out_live[i], in_live[j]
         same = np.flatnonzero(src == dst)
         rejected = same.size > 0
-        if rejected:
-            src, dst = src[: same[0]], dst[: same[0]]
-        if not src.size:
-            continue
+        taken = int(same[0]) if rejected else span
 
-        drops = _blocked_drops(src, dst, vin, vout)
-        step = np.arange(src.size)
-        blocked_before = blocked - (np.cumsum(drops) - drops)
-        rate = ((v_in - step) * (v_out - step) - blocked_before) / n_vertices
-        dt = rng.standard_exponential(src.size) / rate
+        # every proposal, the rejected one too, waits at the rate of all
+        # spot pairs left
+        step = np.arange(taken + rejected)
+        rate = (v_in - step) * (v_out - step) / n_vertices
+        dt = rng.standard_exponential(step.size) / rate
         dt[0] += t
-        block_t = np.cumsum(dt)
-        cut = t_end is not None and block_t[-1] > t_end
-        if cut:
-            count = int(np.searchsorted(block_t, t_end, side="right"))
-            src, dst, drops, block_t = src[:count], dst[:count], drops[:count], block_t[:count]
+        clock = np.cumsum(dt)
 
-        np.subtract.at(vout, src, 1)
-        np.subtract.at(vin, dst, 1)
-        blocked -= int(drops.sum())
-        end = events + src.size
-        edges[events:end, 0] = src
-        edges[events:end, 1] = dst
+        v_out = _swap_remove(out_live, v_out, i[:taken])
+        v_in = _swap_remove(in_live, v_in, j[:taken])
+        # no admissible pair is left iff every vacant spot sits on the
+        # rejected pair's vertex; then the run ends at its last event
+        stuck = rejected and (
+            (out_live[:v_out] == src[taken]).all() and (in_live[:v_in] == src[taken]).all()
+        )
+        if stuck:
+            clock = clock[:taken]
+
+        kept = taken
+        cut = t_end is not None and clock.size > 0 and clock[-1] > t_end
+        if cut:
+            kept = int(np.searchsorted(clock, t_end, side="right"))
+        end = events + kept
+        edges[events:end, 0] = src[:kept]
+        edges[events:end, 1] = dst[:kept]
         if times is not None:
-            times[events:end] = block_t
+            times[events:end] = clock[:kept]
         events = end
         if cut:
             return events, t_end, restarts
-        t = float(block_t[-1])
+        if clock.size:
+            t = float(clock[-1])
+        if stuck:
+            break
+        restarts += rejected
+    if target_events is not None and events < target_events:
+        raise Exhausted(
+            f"no admissible pair after {events} events; target was {target_events}"
+        )
     return events, t, restarts
 
 
@@ -383,18 +362,22 @@ def kmc_simulate(
     (raising :class:`Exhausted` if the target cannot be reached), or, with
     neither given, when no admissible pair remains.
 
-    The pairs come from permutation prefixes.  The vacant out-spots and the
-    vacant in-spots are each put in uniformly random order and paired
-    position by position.  Given the pairs before it, each pair is uniform
-    over the remaining spots, so each accepted pair is uniform over the
-    admissible ones.  The run takes pairs up to the first same-vertex pair,
-    then puts all vacant spots in a fresh random order, which is exactly the
-    redraw of a rejection sampler; ``state.restarts`` counts these.  The
-    rate before event e is ``((v_in - e)(v_out - e) - blocked_e)/N``, with
-    ``v_in``, ``v_out`` the vacant spots and ``blocked_e`` the same-vertex
-    spot pairs before e.  Pairs and times are taken in blocks of at most
-    ``_KMC_BLOCK`` events; a ``t_end`` stop cuts the block at the first
-    event later than ``t_end``.
+    The run is a rejection sampler with its own clock (thinning: Lewis &
+    Shedler, Naval Res. Logist. Q. 26 (1979)).  Each proposal is a uniform
+    pair of a vacant out-spot and a vacant in-spot and waits an exponential
+    time at rate ``v_in * v_out / N``, with ``v_in``, ``v_out`` the vacant
+    spots.  A same-vertex proposal is rejected, and its wait still counts;
+    ``state.restarts`` counts these.  The geometric sum of the waits up to
+    an accepted proposal is exponential at the admissible rate, so pairs and
+    times have the law above.  Proposals come in blocks of at most
+    ``_KMC_BLOCK``: a block draws distinct vacant spots per side in uniformly
+    random order and pairs them position by position, so given the pairs
+    before it each pair is uniform over the remaining spots.  The block
+    accepts pairs up to its first same-vertex pair and the next block draws
+    afresh.  At a rejection the run checks for a dead end: no admissible
+    pair is left when every vacant spot sits on the rejected pair's vertex,
+    and then the run ends at its last event, even below ``t_end``.  A
+    ``t_end`` stop cuts the block at the first event later than ``t_end``.
     """
     if n_vertices < 2:
         raise ValidationError(f"need at least 2 vertices, got {n_vertices}")
@@ -407,22 +390,20 @@ def kmc_simulate(
 
     rng = _as_rng(seed)
     n_max, k_max = _sample_keys(P, n_vertices, rng)
-    vin = n_max.copy()
-    vout = k_max.copy()
 
-    total_in = int(vin.sum())
+    total_in = int(n_max.sum())
     target_events = None
     if c_n_target is not None:
         target_events = int(round(c_n_target * total_in))
-    capacity = min(total_in, int(vout.sum())) if target_events is None else target_events
+    capacity = min(total_in, int(k_max.sum())) if target_events is None else target_events
     edges = np.empty((max(capacity, 0), 2), dtype=np.int64)
     times = np.empty(max(capacity, 0), dtype=float) if record_trajectory else None
-    events, t, restarts = _grow(vin, vout, edges, times, rng, target_events, t_end)
+    events, t, restarts = _grow(n_max, k_max, edges, times, rng, target_events, t_end)
 
     graph = DirectedMultigraph(n_vertices, edges[:events].copy())
     traj_t = times[:events].copy() if record_trajectory else np.empty(0)
-    in_deg = n_max - vin
-    out_deg = k_max - vout
+    in_deg = np.bincount(graph.edges[:, 1], minlength=n_vertices)
+    out_deg = np.bincount(graph.edges[:, 0], minlength=n_vertices)
     base = int(out_deg.max()) + 1
     codes, counts = np.unique(in_deg * base + out_deg, return_counts=True)
     empirical = BivariateDegreeDist.from_entries(
@@ -434,8 +415,8 @@ def kmc_simulate(
     state = KmcState(
         n_max=n_max,
         k_max=k_max,
-        vacant_in=vin,
-        vacant_out=vout,
+        vacant_in=n_max - in_deg,
+        vacant_out=k_max - out_deg,
         t=t,
         events=events,
         seed=seed,

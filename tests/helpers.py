@@ -2,9 +2,9 @@
 
 The oracles here deliberately take independent routes from the library:
 RK4 integration instead of closed forms, explicit double loops instead of
-vectorized evaluation, a per-event loop instead of permutation prefixes,
-dyadic-rational probabilities so grouping identities hold exactly in
-floating point.
+vectorized evaluation, a per-event loop on the admissible rate instead of
+blocks of rejection-clock proposals, dyadic-rational probabilities so
+grouping identities hold exactly in floating point.
 """
 
 import contextlib

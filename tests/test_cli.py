@@ -456,9 +456,9 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
 # purpose updates them and says so in CHANGES.md.
 PINNED_CONFIG_STDOUT = "0deeecacd769d72c512058aaa91da5b4ec851578979f6a1e4b2e005f1a314e81"
 PINNED_KMC = {
-    "stdout": "fb73457eb4e91ba0756c9b14d2c3ba5e3f684b2d6c6c4c97744e36bfa1689b1f",
-    "trajectory": "39fa9025c79c6462cea5249e56494229bc54fbe0e56b781cb5e5062a5fe22045",
-    "graph": "c25ca713961264c2553af1ce2c64f21987a2cea9684163b2b9ebdf07eb673bbe",
+    "stdout": "0dd58d027709ac2d81b6d20aebe7af8d0406ae731996c48d667dd1b333875418",
+    "trajectory": "c70d79c08aaa6d5bb44f4a7ddd2972007be1caf5189015c2d9e05d7be9289c49",
+    "graph": "b49d8c5631593d14fa1826e20f740a8eb160206886f5b7b2eea27573a878198d",
 }
 
 

@@ -324,6 +324,16 @@ def test_time_of_conversion_examples(p22_bounds):
     assert time_of_conversion(p22_bounds, 1 / 3) == pytest.approx(0.25, abs=1e-12)
 
 
+def test_time_of_conversion_just_below_supremum():
+    # c_n * nu10 rounds to nu01 here, one ulp below the supremum nu01 / nu10
+    P = BoundDist.from_entries([(0, 0, 0.14285714285714285), (8, 5, 0.8571428571428572)])
+    sup_cn, _ = conversion_sup(P)
+    c_n = 0.9999999999999998 * sup_cn
+    t = time_of_conversion(P, c_n)
+    assert math.isfinite(t) and t > time_of_conversion(P, 0.999 * sup_cn)
+    assert degree_state_at_conversion(P, c_n).c_n == c_n
+
+
 def test_time_of_conversion_rejects_supremum(p22_bounds, three_class_bounds):
     with pytest.raises(ConversionOutOfRange):
         time_of_conversion(p22_bounds, 1.0)

@@ -394,6 +394,42 @@ def test_kmc_exhausted_only_when_target_unreachable():
         kmc_simulate(lopsided, 4000, replica_rng(14, 7), c_n_target=0.9)
 
 
+def test_kmc_exhaustion_before_t_end_reports_last_event_time():
+    # dimers exhaust after min(#(1, 0), #(0, 1)) events whatever the draws,
+    # and both samplers draw the bound keys first from the same stream
+    ends = []
+    for sampler in (kmc_simulate, sequential_kmc):
+        capped = sampler(dimers, 2000, replica_rng(14, 11), t_end=1e6)
+        free = sampler(dimers, 2000, replica_rng(14, 11))
+        assert 0 < capped.state.t == capped.times[-1] < 1e6
+        assert capped.state.t == free.state.t
+        assert np.array_equal(capped.graph.edges, free.graph.edges)
+        assert np.array_equal(capped.times, free.times)
+        ends.append(capped.state.events)
+    n_max, k_max = capped.state.n_max, capped.state.k_max
+    assert ends[0] == ends[1] == min(int(n_max.sum()), int(k_max.sum()))
+
+
+def test_kmc_exhaustion_on_one_vertex():
+    # on three (1, 1) vertices a run ends with a 3-cycle, or after a 2-cycle
+    # with one vertex whose only spots face each other; that dead end is
+    # found at a rejected same-vertex pair
+    ones = BoundDist.from_entries([(1, 1, 1.0)])
+    rng = replica_rng(14, 12)
+    ends = Counter()
+    for _ in range(30):
+        res = kmc_simulate(ones, 3, rng, t_end=1e6)
+        assert res.state.t == res.times[-1] < 1e6
+        ends[res.state.events] += 1
+        try:
+            full = kmc_simulate(ones, 3, rng, c_n_target=1.0)
+        except Exhausted:
+            ends["exhausted"] += 1
+        else:
+            assert full.state.events == 3
+    assert set(ends) == {2, 3, "exhausted"}
+
+
 def test_kmc_target_zero_is_empty_run(p22_bounds):
     res = kmc_simulate(p22_bounds, 100, replica_rng(14, 8), c_n_target=0.0)
     assert res.state.events == 0
@@ -409,6 +445,19 @@ def test_kmc_counts_restarts(p22_bounds):
     assert sum(kmc_simulate(p22_bounds, 3, rng).state.restarts for _ in range(20)) > 0
 
 
+@given(st.data())
+def test_swap_remove_leaves_the_other_entries(data):
+    values = data.draw(st.lists(st.integers(0, 1000), max_size=40))
+    size = data.draw(st.integers(0, len(values)))
+    positions = data.draw(st.lists(st.integers(0, max(size - 1, 0)), unique=True, max_size=size))
+    live = np.array(values, dtype=np.int64)
+    end = mcgraph._swap_remove(live, size, np.array(positions, dtype=np.int64))
+    assert end == size - len(positions)
+    kept = Counter(values[:size]) - Counter(values[p] for p in positions)
+    assert Counter(live[:end].tolist()) == kept
+    assert live[size:].tolist() == values[size:]
+
+
 # --- kinetic sampler against the per-event oracle ----------------------------
 
 TINY_BOUNDS = {
@@ -416,14 +465,18 @@ TINY_BOUNDS = {
     "atom22": BoundDist.from_entries([(2, 2, 1.0)]),
 }
 # (bounds, vertices, t_end): same-vertex pairs are frequent, and t_end = 3
-# cuts about 70% of the (2, 2)-atom runs on four vertices.  Runs, seed and
-# level were fixed before the first run.
+# cuts about 70% of the (2, 2)-atom runs on four vertices.  With t_end = 50
+# nearly every run exhausts first: on three vertices about 4% of the mixed
+# runs and 35% of the (2, 2)-atom runs end at a vertex whose own spots are
+# all that is left.  Runs, seed and level were fixed before the first run.
 TINY_CASES = [
     ("mixed", 3, None),
     ("mixed", 4, None),
     ("atom22", 3, None),
     ("atom22", 4, None),
     ("atom22", 4, 3.0),
+    ("mixed", 3, 50.0),
+    ("atom22", 3, 50.0),
 ]
 TINY_RUNS = 3000
 TINY_SEED = 20261018

@@ -23,12 +23,25 @@ SRC = Path(weakgiant.__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run(script, args)
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines() if not line.startswith("#")]
     assert rows
+
+
+@pytest.mark.parametrize("script", ["er_threshold_scan.py", "kmc_vs_theory.py"])
+def test_script_negative_seed_exits_3(script):
+    proc = _run(script, ["--vertices", "200", "--seed", "-1"])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("weakgiant: invalid input: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def _run(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )

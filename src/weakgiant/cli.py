@@ -124,11 +124,8 @@ def _cmd_evolve(args) -> str:
         state = evolution.degree_state_at(P, args.at_time)
     else:
         # The output needs a finite time: the supremum itself is unreachable.
-        c_n = args.at_conversion
-        sup_cn, _ = evolution.conversion_sup(P)
-        if not 0.0 <= c_n < sup_cn:
-            raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r})")
-        state = evolution.degree_state_at_conversion(P, c_n)
+        evolution.check_reachable(P, args.at_conversion)
+        state = evolution.degree_state_at_conversion(P, args.at_conversion)
     marginal = evolution.marginal_degree_dist(state)
     report = criteria.criteria_report(marginal, balance_tol=max(args.tol, 1e-9))
     return _json17(
@@ -209,7 +206,7 @@ def _cmd_simulate(args) -> str:
             "t_final": t_final,
             "mu_hat": graph.edges.shape[0] / graph.vertex_count,
             "largest_weak_fraction": float(sizes.max()) / graph.vertex_count,
-            "size_histogram": [[s, p] for s, p in sorted(hist.entries.items())],
+            "size_histogram": hist.records(),
         }
     )
 

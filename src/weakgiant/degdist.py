@@ -142,8 +142,8 @@ def _validated_table(columns, probs, kind: str, noun: str, tol: float):
     Checks every key first (see :func:`_index_columns`), then the tolerance,
     then the entries in input order: the first one that is NaN, negative, or
     (zeros are dropped) a repeat of an earlier stored key raises.  Returns
-    the entries as a dict in input order, and the key columns and
-    probabilities sorted by key as read-only arrays.
+    the key columns and probabilities of the stored entries, sorted by key,
+    as read-only arrays: the one form in which a table is kept.
     """
     keys = _index_columns(columns, noun)
     _checked_tol(tol)
@@ -167,45 +167,54 @@ def _validated_table(columns, probs, kind: str, noun: str, tol: float):
         if bad == negative:
             raise NegativeProbability(f"{kind}{key} = {prob!r} is negative")
         raise DuplicateKey(f"duplicate key {key}")
-    stored = values[kept].tolist()
-    total = math.fsum(stored)
+    total = math.fsum(values[kept].tolist())
     if abs(total - 1.0) > tol:
         raise NotNormalized(f"probabilities sum to {total!r}, not 1 within {tol:g}")
-    labels = [k[kept].tolist() for k in keys]
-    entries = dict(zip(zip(*labels) if len(labels) > 1 else labels[0], stored))
     for a in support:
         a.flags.writeable = False
-    return entries, tuple(support)
+    return tuple(support)
 
 
-@dataclass(frozen=True)
-class UnivariateDegreeDist:
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """Sparse law kept as ``support``: read-only arrays of the key
+    components and the probabilities, one slot per entry, sorted by key.
+    Stored probabilities are strictly positive (zero entries are dropped)."""
+
+    support: tuple[np.ndarray, ...]
+
+    @cached_property
+    def entries(self) -> dict:
+        """Key (an int, or a tuple of ints) -> probability, sorted by key;
+        built on first read (no request reads it)."""
+        *keys, probs = (a.tolist() for a in self.support)
+        return dict(zip(zip(*keys) if len(keys) > 1 else keys[0], probs))
+
+    def records(self) -> list[tuple]:
+        """Entries as ``(*key, prob)`` tuples sorted by key."""
+        return list(zip(*(a.tolist() for a in self.support)))
+
+
+class UnivariateDegreeDist(_Table):
     """Sparse law of a single nonnegative integer degree."""
-
-    entries: dict
 
     @classmethod
     def from_entries(cls, pairs: Iterable[tuple[int, float]], *, tol: float = NORM_TOL) -> "UnivariateDegreeDist":
         degrees, probs = tuple(zip(*pairs, strict=True)) or ((), ())
-        entries, _support = _validated_table((degrees,), probs, "d", "degree", tol)
-        return cls(entries)
+        return cls(_validated_table((degrees,), probs, "d", "degree", tol))
 
     def moment(self, i: int) -> float:
-        return math.fsum(l**i * p for l, p in self.entries.items())
+        return math.fsum(l**i * p for l, p in self.records())
 
 
-@dataclass(frozen=True)
-class _PairTable:
+class _PairTable(_Table):
     """Sparse law keyed by pairs of nonnegative integers: the base of degree
     tables and of :class:`weakgiant.evolution.BoundDist`.
 
     Construct through the subclass's ``from_entries``, which validates the
-    entries and sorts the support in one pass; instances are never mutated,
-    so the support is built once per table.  Stored probabilities are
-    strictly positive (zero entries are dropped).
+    entries and sorts them into ``support`` (first and second key
+    components, probabilities) in one pass.
     """
-
-    entries: dict
 
     @classmethod
     def from_text(cls, text: str, *, tol: float = NORM_TOL):
@@ -213,27 +222,9 @@ class _PairTable:
 
     @classmethod
     def _validated(cls, triples, kind: str, noun: str, tol: float):
-        """A table of ``triples`` checked by :func:`_validated_table`, with its
-        sorted support already in place."""
+        """A table of ``triples`` checked by :func:`_validated_table`."""
         first, second, probs = tuple(zip(*triples, strict=True)) or ((), (), ())
-        entries, support = _validated_table((first, second), probs, kind, noun, tol)
-        table = cls(entries)
-        table.__dict__["support"] = support  # the value the cached property would build
-        return table
-
-    @cached_property
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only arrays of the first and second key components and the
-        probabilities, one slot per entry, sorted by key."""
-        items = sorted(self.entries.items())
-        keys = np.array([key for key, _p in items], dtype=np.int64).reshape(-1, 2)
-        probs = np.array([p for _key, p in items], dtype=float)
-        keys.flags.writeable = probs.flags.writeable = False
-        return keys[:, 0], keys[:, 1], probs
-
-    def records(self) -> list[tuple[int, int, float]]:
-        """Entries as ``(first, second, prob)`` triples sorted by key."""
-        return list(zip(*(a.tolist() for a in self.support)))
+        return cls(_validated_table((first, second), probs, kind, noun, tol))
 
     def to_text(self) -> str:
         return tableio.format_records(self.records())
@@ -283,7 +274,7 @@ class BivariateDegreeDist(_PairTable):
     def undirected_projection(self) -> UnivariateDegreeDist:
         """Law of the total degree l = n + k, ignoring edge directions."""
         groups: dict[int, list[float]] = defaultdict(list)
-        for (n, k), p in self.entries.items():
+        for n, k, p in self.records():
             groups[n + k].append(p)
         return UnivariateDegreeDist.from_entries(
             [(l, math.fsum(ps)) for l, ps in sorted(groups.items())]

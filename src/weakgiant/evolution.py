@@ -84,23 +84,25 @@ class BoundDist(_PairTable):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullDegreeState:
     """Joint law of ``(n, k, n_max, k_max)`` at one instant of the process,
-    with the time, edge density and conversions of that instant."""
+    kept as ``columns`` (arrays ``(n, k, n_max, k_max, prob)``, one slot per
+    positive entry), with the time, edge density and conversions of that
+    instant."""
 
-    entries: dict
+    columns: tuple[np.ndarray, ...]
     t: float
     mu: float
     c_n: float
     c_k: float
 
     @cached_property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """Arrays ``(n, k, n_max, k_max, prob)``, one slot per entry, in entry
-        order."""
-        keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, 4)
-        return (*keys.T, np.array(list(self.entries.values()), dtype=float))
+    def entries(self) -> dict:
+        """``(n, k, n_max, k_max) -> prob`` in column order; built on first
+        read (no request reads it)."""
+        *keys, probs = (c.tolist() for c in self.columns)
+        return dict(zip(zip(*keys), probs))
 
 
 @dataclass(frozen=True)
@@ -176,10 +178,10 @@ def _binom_pmf(m: int, j: int, c: float) -> float:
     return math.comb(m, j) * c**j * (1.0 - c) ** (m - j)
 
 
-def _state_entries(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ...]:
-    """Columns ``(n, k, n_max, k_max, prob)`` of the state's positive entries,
-    class by class in key order, then by n and k.  Per class, the entries are
-    the outer product ``(p * pn) x pk`` of binomial pmfs."""
+def _state_columns(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ...]:
+    """The :class:`FullDegreeState` columns at conversions ``(c_n, c_k)``:
+    class by class in key order, then by n and k.  Per class, the entries
+    are the outer product ``(p * pn) x pk`` of binomial pmfs."""
 
     @functools.cache
     def pmf(m: int, c: float) -> np.ndarray:
@@ -193,20 +195,26 @@ def _state_entries(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ..
     return tuple(np.concatenate(c) for c in zip(*columns))
 
 
-def _state(P: BoundDist, t: float, mu: float, c_n: float, c_k: float) -> FullDegreeState:
-    """The state at conversions ``(c_n, c_k)``, its columns already in place."""
-    columns = _state_entries(P, c_n, c_k)
-    *keys, probs = (c.tolist() for c in columns)
-    state = FullDegreeState(dict(zip(zip(*keys), probs)), t, mu, c_n, c_k)
-    state.__dict__["columns"] = columns  # the value the cached property would build
-    return state
-
-
 def degree_state_at(P: BoundDist, t: float) -> FullDegreeState:
     """Joint (n, k, n_max, k_max) law at time t: per capacity class, spots
     fill independently, Binomial(n_max, c_n) x Binomial(k_max, c_k)."""
     mu, c_n, c_k = _at_time(P, t)
-    return _state(P, t, mu, c_n, c_k)
+    return FullDegreeState(_state_columns(P, c_n, c_k), t, mu, c_n, c_k)
+
+
+def _not_nan(c_n: float) -> float:
+    """``c_n``, unless it is NaN: invalid input, not an unreachable target."""
+    if math.isnan(c_n):
+        raise ValidationError(f"c_n = {c_n!r} is not a number")
+    return c_n
+
+
+def check_reachable(P: BoundDist, c_n: float) -> float:
+    """Raise unless ``c_n`` lies in [0, sup), reached at a finite time; returns sup."""
+    sup_cn, _ = conversion_sup(P)
+    if not 0.0 <= _not_nan(c_n) < sup_cn:
+        raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r})")
+    return sup_cn
 
 
 def _at_conversion(P: BoundDist, c_n: float) -> tuple[float, float, float]:
@@ -217,7 +225,7 @@ def _at_conversion(P: BoundDist, c_n: float) -> tuple[float, float, float]:
     """
     nu = nu_moments(P)
     sup_cn, _ = conversion_sup(P)
-    if not 0.0 <= c_n <= sup_cn * (1.0 + 1e-12):
+    if not 0.0 <= _not_nan(c_n) <= sup_cn * (1.0 + 1e-12):
         raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r}]")
     c_n = min(c_n, sup_cn, 1.0)
     return c_n * nu.nu10, c_n, min(c_n * nu.nu10 / nu.nu01, 1.0)
@@ -227,7 +235,7 @@ def degree_state_at_conversion(P: BoundDist, c_n: float) -> FullDegreeState:
     """Same state indexed by in-conversion; ``t`` is inf at the supremum."""
     mu, c_n, c_k = _at_conversion(P, c_n)
     t = time_of_conversion(P, c_n) if c_n < conversion_sup(P)[0] else math.inf
-    return _state(P, t, mu, c_n, c_k)
+    return FullDegreeState(_state_columns(P, c_n, c_k), t, mu, c_n, c_k)
 
 
 def marginal_degree_dist(state: FullDegreeState) -> BivariateDegreeDist:
@@ -257,7 +265,8 @@ def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
     # The exact supremum pair: clamping through _at_conversion would
     # recompute c_k as a product that can miss 1.0.
     sup_cn, sup_ck = conversion_sup(P)
-    return marginal_degree_dist(_state(P, math.inf, min(nu.nu01, nu.nu10), sup_cn, sup_ck))
+    columns = _state_columns(P, sup_cn, sup_ck)
+    return marginal_degree_dist(FullDegreeState(columns, math.inf, min(nu.nu01, nu.nu10), sup_cn, sup_ck))
 
 
 def mu_moments_at(P: BoundDist, c_n: float) -> tuple[float, float, float]:
@@ -299,9 +308,7 @@ def critical_conversion(P: BoundDist) -> tuple[float, float] | None:
 
 def time_of_conversion(P: BoundDist, c_n: float) -> float:
     """Time at which the in-conversion reaches ``c_n`` (must be < sup)."""
-    sup_cn, _ = conversion_sup(P)
-    if not 0.0 <= c_n < sup_cn:
-        raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r})")
+    sup_cn = check_reachable(P, c_n)
     nu = nu_moments(P)
     if _is_symmetric(nu):
         v = 0.5 * (nu.nu01 + nu.nu10)
@@ -360,8 +367,9 @@ def barycentric_grid(
     lattice with spacing 1/resolution, row-major in (j1, j2).
 
     Lattice points where one capacity species is absent (``nu_10 = 0`` or
-    ``nu_01 = 0``) are classified ``never`` directly, since such tables
-    admit no edges and never form a giant component.
+    ``nu_01 = 0``) are classified ``never``: such tables admit no edges, so
+    :meth:`BoundDist.from_entries` rejects them, and they never form a giant
+    component.
     """
     if len(atoms) != 3:
         raise ValidationError(f"need exactly 3 atoms, got {len(atoms)}")
@@ -380,11 +388,9 @@ def barycentric_grid(
             for atom, w in zip(cleaned, weights):
                 if w > 0.0:
                     mix[atom] = mix.get(atom, 0.0) + w
-            P = BoundDist(mix)
-            nu = nu_moments(P)
-            if nu.nu10 == 0.0 or nu.nu01 == 0.0:
+            try:
+                cls = transition_class(BoundDist.from_entries((*key, w) for key, w in mix.items()))
+            except NoReactivePair:
                 cls = TransitionClass("never")
-            else:
-                cls = transition_class(P)
             points.append(BarycentricPoint(weights[0], weights[1], weights[2], cls))
     return points

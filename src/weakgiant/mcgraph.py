@@ -19,7 +19,7 @@ from .evolution import BoundDist
 
 def replica_rng(master_seed: int, replica: int = 0) -> np.random.Generator:
     """Independent, reproducible stream for one replica of an experiment."""
-    seed = np.random.SeedSequence(_checked_seed(master_seed), spawn_key=(replica,))
+    seed = np.random.SeedSequence(_checked_seed(master_seed), spawn_key=(_checked_seed(replica),))
     return np.random.default_rng(seed)
 
 
@@ -99,6 +99,8 @@ def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
     if not sizes.size:
         raise ValidationError("no component sizes given")
     values, counts = np.unique(sizes, return_counts=True)
+    if values[0] < 1:
+        raise ValidationError(f"component size {values[0]} is below 1")
     bins = list(zip(values.tolist(), counts.tolist()))
     if vertex_weighted:
         total = sum(s * c for s, c in bins)

@@ -129,6 +129,9 @@ PINNED_STDOUT = [
     # classes never, asymptotic and finite; no input table
     (None, ["barycentric", "--atoms", "2,2", "3,1", "1,0", "--resolution", "5"],
      "c9481835fa39ea1f5846b2f6e45b4cc6575a3c562e5803dd0338e365e35fb547"),
+    # a point with no capacity at all, points with no out-capacity, finite points
+    (None, ["barycentric", "--atoms", "0,0", "2,2", "1,0", "--resolution", "4"],
+     "cce0f46631f02ae1b5d03d6efef8c9711fce0370436ba185830282c44396ee92"),
 ]
 
 
@@ -140,6 +143,32 @@ def test_analytic_stdout_is_pinned(tmp_path, table, argv, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+
+def test_no_request_builds_entries(tmp_path, monkeypatch):
+    def unread(self):
+        raise AssertionError(f"{type(self).__name__}.entries read")
+
+    for cls in (weakgiant.UnivariateDegreeDist, BivariateDegreeDist, evolution.BoundDist,
+                evolution.FullDegreeState):
+        monkeypatch.setattr(cls, "entries", property(unread))
+    for table, argv, digest in PINNED_STDOUT:
+        if table is not None:
+            argv = [argv[0], write(tmp_path, "t.txt", PINNED_TABLES[table]), *argv[1:]]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert _sha256(out) == digest
+    dist = write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
+    code, out, _ = run_cli(["simulate", dist, "--mode", "config", "--vertices", "2000"])
+    assert code == 0
+    assert _sha256(out) == PINNED_CONFIG_STDOUT
+    code, out, _ = run_cli(
+        ["simulate", write(tmp_path, "p.txt", ATOM22), "--mode", "kmc", "--vertices", "2000",
+         "--target-conversion", "0.3", "--dump-graph", str(tmp_path / "g.txt"),
+         "--dump-trajectory", str(tmp_path / "traj.tsv")]
+    )
+    assert code == 0
+    assert _sha256(out) == PINNED_KMC["stdout"]
 
 
 @pytest.mark.parametrize("command", ["analyze", "gf"])
@@ -293,6 +322,15 @@ def test_evolve_unreachable_conversion_exits_5(tmp_path):
         ["evolve", write(tmp_path, "p.txt", THREE_CLASS), "--at-conversion", "0.97"]
     )
     assert code == 5
+
+
+def test_evolve_nan_conversion_exits_3(tmp_path):
+    code, out, err = run_cli(
+        ["evolve", write(tmp_path, "p.txt", ATOM22), "--at-conversion", "nan"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "invalid input: c_n = nan is not a number" in err
 
 
 def test_evolve_rejects_nan_probability(tmp_path):

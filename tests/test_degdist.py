@@ -195,7 +195,7 @@ def rough_tables(draw):
 def test_shared_moment_matches_generator_sum_bit_for_bit(d):
     pairs = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
     oracle = [generator_moment(d.entries, i, j) for i, j in pairs]
-    nu = nu_moments(BoundDist(d.entries))
+    nu = nu_moments(BoundDist(d.support))  # the same arrays; some draws admit no edge
     assert [nu.nu10, nu.nu01, nu.nu20, nu.nu02, nu.nu11] == oracle
     assert [d.moment(i, j) for i, j in pairs] == oracle
     assert d.moment(0, 0) == generator_moment(d.entries, 0, 0)
@@ -329,7 +329,7 @@ def _assert_same_table(table, reference, pair):
     assert got[1] == want[1]
     if want[1] is None:
         table, entries = got[0], want[0]
-        assert list(table.entries.items()) == list(entries.items())
+        assert list(table.entries.items()) == sorted(entries.items())
         if pair:
             keys = sorted(entries)
             want_support = (

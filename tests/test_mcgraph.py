@@ -148,6 +148,14 @@ def test_size_histogram_rejects_empty():
         size_histogram([])
 
 
+@pytest.mark.parametrize(
+    "sizes, weighted, size", [([0], True, 0), ([0, 3], False, 0), ([-1, 2], True, -1)]
+)
+def test_size_histogram_rejects_sizes_below_1(sizes, weighted, size):
+    with pytest.raises(ValidationError, match=f"component size {size} is below 1"):
+        size_histogram(sizes, vertex_weighted=weighted)
+
+
 # --- configuration model -----------------------------------------------------
 
 
@@ -325,6 +333,8 @@ def test_negative_seed_is_a_validation_error(fork_dist, p22_bounds):
     for seed in (-1, np.int64(-1)):
         with pytest.raises(ValidationError, match="seed -1 is negative"):
             replica_rng(seed, 3)
+        with pytest.raises(ValidationError, match="seed -1 is negative"):
+            replica_rng(3, seed)
 
 
 def test_kmc_times_increase(p22_bounds):

@@ -8,6 +8,7 @@ index) through ``SeedSequence`` spawn keys.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,13 @@ def _checked_seed(seed):
     return seed
 
 
+def _vertex_count(n_vertices) -> int:
+    try:
+        return operator.index(n_vertices)
+    except TypeError:
+        raise ValidationError(f"vertex count {n_vertices} is not an integer") from None
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -47,36 +55,69 @@ class DirectedMultigraph:
     edges: np.ndarray  # shape (E, 2), int64
 
 
+def _checked_edges(g: DirectedMultigraph) -> np.ndarray:
+    """The edges of g as an int64 (E, 2) array whose endpoints are vertices."""
+    edges = np.asarray(g.edges)
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        raise ValidationError(
+            f"edges must be an integer array of shape (E, 2), got {edges.dtype} {edges.shape}"
+        )
+    if edges.size and (edges.min() < 0 or edges.max() >= g.vertex_count):
+        row = int(np.flatnonzero(((edges < 0) | (edges >= g.vertex_count)).any(axis=1))[0])
+        raise ValidationError(
+            f"edge {row} {tuple(edges[row].tolist())} has an endpoint outside "
+            f"[0, {g.vertex_count})"
+        )
+    return edges.astype(np.int64, copy=False)
+
+
 def weak_component_sizes(g: DirectedMultigraph) -> np.ndarray:
     """Multiset of weak-component sizes (directions ignored), sorted; sums to
     the vertex count.
 
     Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
     Algorithms 3 (1982)), all in array operations.  ``parent`` maps every
-    vertex to the least label of its component found so far, and every
-    entry points at a root (``parent[r] == r``).  Each round replaces the
-    edges by their endpoints' roots and drops those inside one component;
-    each root that is the larger end of a remaining edge is hooked to the
-    least smaller root it meets, then the chains are compressed fully.
-    Labels only fall, so no cycle forms, and every round with edges left
-    hooks at least one root.
+    vertex to a smaller label of its component, or to itself at a root.
+    Each round takes edges between roots: the larger end of each is hooked
+    to the least smaller root it meets.  Only the hooked roots moved, so
+    only they are pointer-jumped, each until it points at a root; the edges
+    then move to their endpoints' roots, and those inside one component are
+    dropped.  Labels only fall, so no cycle forms, and every round with
+    edges left hooks at least one root.  Other vertices sink at most one
+    level per round, so no chain is longer than the number of rounds, and
+    pointer jumping over all vertices at the end points every vertex at its
+    component's least vertex.
     """
-    parent = np.arange(g.vertex_count, dtype=np.int64)
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    while True:
-        u, v = parent[u], parent[v]
+    edges = _checked_edges(g)
+    n_vertices = g.vertex_count
+    parent = np.arange(n_vertices, dtype=np.int64)
+    # parent is the identity, so in round 1 every endpoint is a root; a
+    # self-loop hooks nothing, since parent[r] <= r
+    u, v = edges[:, 0], edges[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    while hi.size:
+        np.minimum.at(parent, hi, lo)
+        hooked = np.zeros(n_vertices, dtype=bool)
+        hooked[hi] = True
+        moving = np.flatnonzero(hooked)
+        while moving.size:
+            up = parent[moving]
+            jumped = parent[up]
+            still = jumped != up
+            moving = moving[still]
+            parent[moving] = jumped[still]
+        u, v = parent[lo], parent[hi]
         keep = u != v
-        if not keep.any():
-            break
         u, v = u[keep], v[keep]
-        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-    counts = np.bincount(parent, minlength=g.vertex_count)
-    return np.sort(counts[counts > 0])
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            break
+        parent = jumped
+    counts = np.bincount(np.bincount(parent, minlength=n_vertices), minlength=1)
+    counts[0] = 0
+    return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
 
 
 def largest_weak_fraction(g: DirectedMultigraph) -> float:
@@ -95,7 +136,12 @@ def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
     sequence or an integer array; each probability is an exact integer
     ratio, correctly rounded.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
+    sizes = np.asarray(sizes)
+    if sizes.dtype.kind == "f":
+        bad = np.flatnonzero(~(np.isfinite(sizes) & (sizes == np.trunc(sizes))))
+        if bad.size:
+            raise ValidationError(f"component size {sizes[bad[0]]} is not an integer")
+    sizes = sizes.astype(np.int64)
     if not sizes.size:
         raise ValidationError("no component sizes given")
     values, counts = np.unique(sizes, return_counts=True)
@@ -110,9 +156,22 @@ def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
     return UnivariateDegreeDist.from_entries(pairs)
 
 
+def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. draws of a slot 0..K-1 with probabilities ``probs``.
+
+    The counts of the n draws are multinomial, and given the counts every
+    order is equally likely; so the slots repeated by their multinomial
+    counts and shuffled have the law of the i.i.d. draws.
+    """
+    slots = np.repeat(np.arange(probs.size, dtype=np.int64), rng.multinomial(n, probs))
+    if probs.size > 1:
+        rng.shuffle(slots)
+    return slots
+
+
 def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
     first, second, probs = P.support
-    idx = rng.choice(len(probs), size=n, p=probs / probs.sum())
+    idx = _draw_slots(probs / probs.sum(), n, rng)
     return first[idx], second[idx]
 
 
@@ -158,7 +217,7 @@ def _balance_by_redraw(idx: np.ndarray, diff: np.ndarray, probs: np.ndarray, rng
     tried = 0
     while delta and tried < budget and _can_shrink(delta, dvals, class_count > 0):
         vertices = rng.integers(0, n_vertices, size=_REDRAW_BATCH).tolist()
-        slots = rng.choice(len(probs), size=_REDRAW_BATCH, p=probs).tolist()
+        slots = _draw_slots(probs, _REDRAW_BATCH, rng).tolist()
         tried += _REDRAW_BATCH
         for v, new in zip(vertices, slots):
             old = int(idx[v])
@@ -193,12 +252,12 @@ def sample_configuration(
     random stubs of the surplus side are deleted, so the graph has
     min(sum(n), sum(k)) edges.
     """
-    if n_vertices < 1:
+    if _vertex_count(n_vertices) < 1:
         raise ValidationError(f"need at least 1 vertex, got {n_vertices}")
     rng = _as_rng(seed)
     n_of, k_of, probs = d.support
     probs = probs / probs.sum()
-    idx = rng.choice(len(probs), size=n_vertices, p=probs)
+    idx = _draw_slots(probs, n_vertices, rng)
     _balance_by_redraw(idx, n_of - k_of, probs, rng)
 
     vertex_ids = np.arange(n_vertices, dtype=np.int64)
@@ -212,7 +271,7 @@ def sample_configuration(
         raise Unrealizable("stub repair failed to balance sides")
 
     src = rng.permutation(out_stubs)
-    edges = np.column_stack([src, in_stubs]).astype(np.int64)
+    edges = np.column_stack([src, in_stubs])
     return DirectedMultigraph(n_vertices, edges)
 
 
@@ -381,7 +440,7 @@ def kmc_simulate(
     and then the run ends at its last event, even below ``t_end``.  A
     ``t_end`` stop cuts the block at the first event later than ``t_end``.
     """
-    if n_vertices < 2:
+    if _vertex_count(n_vertices) < 2:
         raise ValidationError(f"need at least 2 vertices, got {n_vertices}")
     if t_end is not None and c_n_target is not None:
         raise ValidationError("give at most one of t_end and c_n_target")

@@ -259,6 +259,13 @@ def er_giant_fraction(c: float) -> float:
     return lo
 
 
+def choice_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. slots 0..K-1 drawn one by one by ``Generator.choice``, which
+    searches the cumulative probabilities: the reference for
+    ``mcgraph._draw_slots``."""
+    return rng.choice(probs.size, size=n, p=probs)
+
+
 # ---------------------------------------------------------------------------
 # kinetic Monte Carlo oracle
 

@@ -492,11 +492,11 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
 # sha256 of the Monte Carlo outputs at the default seed.  They move only
 # with the RNG stream or the output format; a change that moves them on
 # purpose updates them and says so in CHANGES.md.
-PINNED_CONFIG_STDOUT = "0deeecacd769d72c512058aaa91da5b4ec851578979f6a1e4b2e005f1a314e81"
+PINNED_CONFIG_STDOUT = "0fff4253d591aa8e3da9fb6f5c4beddef062df8fa2217b674218abb1633dbe2f"
 PINNED_KMC = {
-    "stdout": "0dd58d027709ac2d81b6d20aebe7af8d0406ae731996c48d667dd1b333875418",
-    "trajectory": "c70d79c08aaa6d5bb44f4a7ddd2972007be1caf5189015c2d9e05d7be9289c49",
-    "graph": "b49d8c5631593d14fa1826e20f740a8eb160206886f5b7b2eea27573a878198d",
+    "stdout": "14599c9e6b0653cbbece96d93653b098f109096197dc968784ade115198f7127",
+    "trajectory": "4609594e3b2995f9e75f56c7be101808c2fdddebb400e1430578e270e0b26c9b",
+    "graph": "c6196bf92df72428dbb8e21300de0b804e5594132e1d911e7d5cb908845c7feb",
 }
 
 

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import chi2_two_sample, ks_critical, ks_two_sample, sequential_kmc, tv_distance
+from helpers import (
+    chi2_two_sample,
+    choice_slots,
+    ks_critical,
+    ks_two_sample,
+    sequential_kmc,
+    truncated_double_poisson,
+    tv_distance,
+)
 from weakgiant import (
     BivariateDegreeDist,
     BoundDist,
@@ -116,6 +124,35 @@ def test_weak_components_of_kmc_graph_match_networkx(p22_bounds):
     assert weak_component_sizes(g).tolist() == networkx_weak_sizes(g)
 
 
+@pytest.mark.parametrize("kind", ["config_dp0.7", "kmc_gate6"])
+def test_weak_components_of_large_graphs_match_networkx(kind, three_class_bounds):
+    # a supercritical double Poisson graph (five hooking rounds) and a dense
+    # gate-6 growth graph at t = 0.06 (three rounds, 2.7 edges per vertex):
+    # hooked roots chain within a round, and vertices hooked in earlier
+    # rounds are left behind them until the final pointer jumping
+    n = 20_000
+    if kind == "config_dp0.7":
+        g = sample_configuration(truncated_double_poisson(0.7), n, replica_rng(11, 4))
+    else:
+        g = kmc_simulate(three_class_bounds, n, replica_rng(11, 5), t_end=0.06).graph
+    assert weak_component_sizes(g).tolist() == networkx_weak_sizes(g)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 1], [0, -1]], r"edge 1 \(0, -1\) has an endpoint outside \[0, 3\)"),
+        ([[0, 5], [1, 2]], r"edge 0 \(0, 5\) has an endpoint outside \[0, 3\)"),
+        ([[0.0, 1.0]], r"edges must be an integer array of shape \(E, 2\), got float64"),
+        ([0, 1, 2], r"edges must be an integer array of shape \(E, 2\), got int64 \(3,\)"),
+    ],
+)
+def test_weak_components_reject_bad_edges(edges, message):
+    g = DirectedMultigraph(3, np.array(edges))
+    with pytest.raises(ValidationError, match=message):
+        weak_component_sizes(g)
+
+
 def test_sizes_sum_to_vertex_count(atom22):
     g = sample_configuration(atom22, 5000, replica_rng(11, 1))
     assert int(weak_component_sizes(g).sum()) == 5000
@@ -154,6 +191,48 @@ def test_size_histogram_rejects_empty():
 def test_size_histogram_rejects_sizes_below_1(sizes, weighted, size):
     with pytest.raises(ValidationError, match=f"component size {size} is below 1"):
         size_histogram(sizes, vertex_weighted=weighted)
+
+
+@pytest.mark.parametrize("sizes, value", [([2.5, 1], "2.5"), ([1, 3, math.nan], "nan"), ([math.inf], "inf")])
+def test_size_histogram_rejects_non_integral_sizes(sizes, value):
+    with pytest.raises(ValidationError, match=f"component size {value} is not an integer"):
+        size_histogram(sizes)
+    assert size_histogram([2.0, 1.0]).entries == size_histogram([2, 1]).entries
+
+
+# --- slot draws ----------------------------------------------------------------
+
+# (table, slots per sample): two slots, the gate-6 three-class table and the
+# 961-entry double Poisson.  Seed and level were fixed before the first run.
+SLOT_TABLES = {
+    "two": (np.array([0.3, 0.7]), 20_000),
+    "gate6": (np.full(3, 1 / 3), 40_000),
+    "dp0.6": (truncated_double_poisson(0.6).support[2], 400_000),
+}
+SLOT_SEED = 20261019
+SLOT_ALPHA = 1e-4
+
+
+def _slot_pairs(draw, probs, n, rng):
+    """Counts of the non-overlapping pairs (slot 2i, slot 2i + 1)."""
+    slots = draw(probs, n, rng)
+    return Counter(zip(slots[0::2].tolist(), slots[1::2].tolist()))
+
+
+@pytest.mark.parametrize("table", list(SLOT_TABLES))
+def test_draw_slots_matches_choice(table):
+    # consecutive pairs test the marginal and the independence of the order
+    probs, n = SLOT_TABLES[table]
+    probs = probs / probs.sum()
+    case = list(SLOT_TABLES).index(table)
+    oracle = _slot_pairs(choice_slots, probs, n, replica_rng(SLOT_SEED, 2 * case))
+    ours = _slot_pairs(mcgraph._draw_slots, probs, n, replica_rng(SLOT_SEED, 2 * case + 1))
+    assert chi2_two_sample(oracle, ours) > SLOT_ALPHA
+
+
+def test_draw_slots_of_one_slot():
+    slots = mcgraph._draw_slots(np.array([1.0]), 5, replica_rng(SLOT_SEED, 9))
+    assert slots.tolist() == [0] * 5 and slots.dtype == np.int64
 
 
 # --- configuration model -----------------------------------------------------
@@ -281,6 +360,15 @@ def test_kmc_is_deterministic(p22_bounds):
     assert np.array_equal(a.times, b.times)
     c = kmc_simulate(p22_bounds, 3000, 100, c_n_target=0.3)
     assert not np.array_equal(a.graph.edges, c.graph.edges)
+
+
+@pytest.mark.parametrize("sampler", ["config", "kmc"])
+def test_samplers_reject_non_integer_vertex_count(sampler, fork_dist, p22_bounds):
+    # checked before any draw: a multinomial draw would truncate 2.5 silently
+    run, table = (sample_configuration, fork_dist) if sampler == "config" else (kmc_simulate, p22_bounds)
+    for n in (2.5, 10.0):
+        with pytest.raises(ValidationError, match=f"vertex count {n} is not an integer"):
+            run(table, n, 1)
 
 
 def test_kmc_validates_arguments(p22_bounds):

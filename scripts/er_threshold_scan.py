@@ -23,6 +23,8 @@ def main() -> None:
 
     lo, hi, count = args.lambdas
     count = int(count)
+    if count < 2:
+        ap.error("COUNT must be at least 2")
     print("# lambda\tD\tmean_size\tfraction_theory\tlargest_mc")
     for i in range(count):
         lam = lo + (hi - lo) * i / (count - 1)

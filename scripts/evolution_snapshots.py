@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from weakgiant import criteria, evolution
+from weakgiant import WeakGiantError, cli, criteria, evolution
 from weakgiant.evolution import BoundDist
 
 DEMO = "10 10 0.333333333333333315\n5 10 0.333333333333333315\n10 4 0.33333333333333337\n"
@@ -24,6 +24,8 @@ def main() -> None:
     ap.add_argument("--t-max", type=float, default=None,
                     help="default: 40x the transition time, or 5.0 if never")
     args = ap.parse_args()
+    if args.points < 1:
+        ap.error("--points must be at least 1")
 
     text = Path(args.bounds).read_text() if args.bounds else DEMO
     P = BoundDist.from_text(text)
@@ -54,4 +56,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except WeakGiantError as exc:
+        code = cli.failure_code(exc)
+        if code is None:
+            raise
+        sys.exit(code)

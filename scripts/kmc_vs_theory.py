@@ -25,13 +25,15 @@ def main() -> None:
     ap.add_argument("--vertices", type=int, default=30_000)
     ap.add_argument("--seed", type=int, default=12345)
     args = ap.parse_args()
+    lo, hi, count = args.conversions
+    count = int(count)
+    if count < 2:
+        ap.error("COUNT must be at least 2")
 
     P = (BoundDist.from_text(Path(args.bounds).read_text())
          if args.bounds else BoundDist.from_entries([(2, 2, 1.0)]))
     sup_cn, _ = evolution.conversion_sup(P)
 
-    lo, hi, count = args.conversions
-    count = int(count)
     print("# c_n\tt\tfraction_theory\tfraction_mc\tmean_theory\tmean_mc")
     for i in range(count):
         c = lo + (hi - lo) * i / (count - 1)

@@ -194,6 +194,15 @@ class _Table:
         """Entries as ``(*key, prob)`` tuples sorted by key."""
         return list(zip(*(a.tolist() for a in self.support)))
 
+    def moment(self, *exponents: int) -> float:
+        """Partial moment ``sum a^i b^j ... P(a, b, ...)``, one exponent per
+        key component (``0**0 == 1``).  Each term rounds once and ``fsum``
+        rounds correctly, so no term order moves a bit."""
+        *keys, probs = self.support
+        if math.prod(int(a.max(initial=0)) ** e for a, e in zip(keys, exponents, strict=True)) >= 2**63:
+            keys = [a.astype(object) for a in keys]  # int64 would wrap
+        return math.fsum((math.prod(a**e for a, e in zip(keys, exponents)) * probs).tolist())
+
 
 class UnivariateDegreeDist(_Table):
     """Sparse law of a single nonnegative integer degree."""
@@ -202,9 +211,6 @@ class UnivariateDegreeDist(_Table):
     def from_entries(cls, pairs: Iterable[tuple[int, float]], *, tol: float = NORM_TOL) -> "UnivariateDegreeDist":
         degrees, probs = tuple(zip(*pairs, strict=True)) or ((), ())
         return cls(_validated_table((degrees,), probs, "d", "degree", tol))
-
-    def moment(self, i: int) -> float:
-        return math.fsum(l**i * p for l, p in self.records())
 
 
 class _PairTable(_Table):
@@ -228,14 +234,6 @@ class _PairTable(_Table):
 
     def to_text(self) -> str:
         return tableio.format_records(self.records())
-
-    def moment(self, i: int, j: int) -> float:
-        """Partial moment ``sum a^i b^j P(a, b)`` (``0**0 == 1``).  Each term
-        rounds once and ``fsum`` rounds correctly, so no term order moves a bit."""
-        first, second, probs = self.support
-        if int(first.max(initial=0)) ** i * int(second.max(initial=0)) ** j >= 2**63:
-            first, second = first.astype(object), second.astype(object)  # int64 would wrap
-        return math.fsum((first**i * second**j * probs).tolist())
 
 
 class BivariateDegreeDist(_PairTable):

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .degdist import NORM_TOL, BivariateDegreeDist, _index_columns, _new_keys, _PairTable
+from .degdist import NORM_TOL, BivariateDegreeDist, _index_columns, _new_keys, _PairTable, _Table
 from .errors import (
     ConversionOutOfRange,
     NegativeTime,
@@ -85,24 +85,15 @@ class BoundDist(_PairTable):
 
 
 @dataclass(frozen=True, eq=False)
-class FullDegreeState:
+class FullDegreeState(_Table):
     """Joint law of ``(n, k, n_max, k_max)`` at one instant of the process,
-    kept as ``columns`` (arrays ``(n, k, n_max, k_max, prob)``, one slot per
-    positive entry), with the time, edge density and conversions of that
-    instant."""
+    a table keyed ``(n, k, n_max, k_max)``, with the time, edge density and
+    conversions of that instant."""
 
-    columns: tuple[np.ndarray, ...]
     t: float
     mu: float
     c_n: float
     c_k: float
-
-    @cached_property
-    def entries(self) -> dict:
-        """``(n, k, n_max, k_max) -> prob`` in column order; built on first
-        read (no request reads it)."""
-        *keys, probs = (c.tolist() for c in self.columns)
-        return dict(zip(zip(*keys), probs))
 
 
 @dataclass(frozen=True)
@@ -178,10 +169,10 @@ def _binom_pmf(m: int, j: int, c: float) -> float:
     return math.comb(m, j) * c**j * (1.0 - c) ** (m - j)
 
 
-def _state_columns(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ...]:
-    """The :class:`FullDegreeState` columns at conversions ``(c_n, c_k)``:
-    class by class in key order, then by n and k.  Per class, the entries
-    are the outer product ``(p * pn) x pk`` of binomial pmfs."""
+def _state_support(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ...]:
+    """The :class:`FullDegreeState` support at conversions ``(c_n, c_k)``,
+    sorted by ``(n, k, n_max, k_max)``.  Per class, the entries are the
+    outer product ``(p * pn) x pk`` of binomial pmfs."""
 
     @functools.cache
     def pmf(m: int, c: float) -> np.ndarray:
@@ -192,14 +183,21 @@ def _state_columns(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ..
         q = np.multiply.outer(p * pmf(nm, c_n), pmf(km, c_k))
         n, k = np.nonzero(q > 0.0)
         columns.append((n, k, np.full(len(n), nm), np.full(len(n), km), q[n, k]))
-    return tuple(np.concatenate(c) for c in zip(*columns))
+    n, k, *rest = (np.concatenate(c) for c in zip(*columns))
+    # classes come in key order and lexsort is stable, so sorting by (n, k)
+    # sorts by the whole key
+    order = np.lexsort((k, n))
+    support = tuple(a[order] for a in (n, k, *rest))
+    for a in support:
+        a.flags.writeable = False
+    return support
 
 
 def degree_state_at(P: BoundDist, t: float) -> FullDegreeState:
     """Joint (n, k, n_max, k_max) law at time t: per capacity class, spots
     fill independently, Binomial(n_max, c_n) x Binomial(k_max, c_k)."""
     mu, c_n, c_k = _at_time(P, t)
-    return FullDegreeState(_state_columns(P, c_n, c_k), t, mu, c_n, c_k)
+    return FullDegreeState(_state_support(P, c_n, c_k), t, mu, c_n, c_k)
 
 
 def _not_nan(c_n: float) -> float:
@@ -235,14 +233,12 @@ def degree_state_at_conversion(P: BoundDist, c_n: float) -> FullDegreeState:
     """Same state indexed by in-conversion; ``t`` is inf at the supremum."""
     mu, c_n, c_k = _at_conversion(P, c_n)
     t = time_of_conversion(P, c_n) if c_n < conversion_sup(P)[0] else math.inf
-    return FullDegreeState(_state_columns(P, c_n, c_k), t, mu, c_n, c_k)
+    return FullDegreeState(_state_support(P, c_n, c_k), t, mu, c_n, c_k)
 
 
 def marginal_degree_dist(state: FullDegreeState) -> BivariateDegreeDist:
     """Degree law u(n, k) obtained by summing the state over capacities."""
-    n, k, _nm, _km, probs = state.columns
-    order = np.lexsort((k, n))
-    n, k, probs = n[order], k[order], probs[order]
+    n, k, _nm, _km, probs = state.support
     starts = np.flatnonzero(_new_keys((n, k)))  # each cell (n, k) is one run
     sums = probs[starts].tolist()
     # fsum of one value is that value; only shared cells need the sum.
@@ -265,8 +261,8 @@ def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
     # The exact supremum pair: clamping through _at_conversion would
     # recompute c_k as a product that can miss 1.0.
     sup_cn, sup_ck = conversion_sup(P)
-    columns = _state_columns(P, sup_cn, sup_ck)
-    return marginal_degree_dist(FullDegreeState(columns, math.inf, min(nu.nu01, nu.nu10), sup_cn, sup_ck))
+    support = _state_support(P, sup_cn, sup_ck)
+    return marginal_degree_dist(FullDegreeState(support, math.inf, min(nu.nu01, nu.nu10), sup_cn, sup_ck))
 
 
 def mu_moments_at(P: BoundDist, c_n: float) -> tuple[float, float, float]:

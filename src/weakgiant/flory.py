@@ -11,6 +11,7 @@ coincides with the critical conversion of the growth process.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .evolution import BoundDist
@@ -36,6 +37,10 @@ class FloryMixture:
         total = math.fsum((self.f1, self.f2, self.f3))
         if abs(total - 1.0) > MIX_TOL:
             raise ValidationError(f"fractions sum to {total!r}, not 1 within {MIX_TOL:g}")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValidationError(f"branch functionality n = {self.n!r} is not an integer") from None
         if self.n < 2:
             raise ValidationError(f"branch functionality n = {self.n} must be >= 2")
 

@@ -57,6 +57,8 @@ class DirectedMultigraph:
 
 def _checked_edges(g: DirectedMultigraph) -> np.ndarray:
     """The edges of g as an int64 (E, 2) array whose endpoints are vertices."""
+    if _vertex_count(g.vertex_count) < 0:
+        raise ValidationError(f"vertex count {g.vertex_count} is negative")
     edges = np.asarray(g.edges)
     if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
         raise ValidationError(
@@ -277,7 +279,8 @@ def sample_configuration(
 
 @dataclass
 class KmcState:
-    """Final per-vertex state of one kinetic run.
+    """Per-vertex capacities and final clock of one kinetic run; realized
+    degrees are read from the run's graph.
 
     ``restarts`` counts the rejected same-vertex proposals after which the
     run went on (see :func:`kmc_simulate`).
@@ -285,27 +288,15 @@ class KmcState:
 
     n_max: np.ndarray
     k_max: np.ndarray
-    vacant_in: np.ndarray
-    vacant_out: np.ndarray
     t: float
     events: int
-    seed: object
     restarts: int = 0
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return self.n_max - self.vacant_in
-
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return self.k_max - self.vacant_out
 
 
 @dataclass
 class KmcResult:
     graph: DirectedMultigraph
     times: np.ndarray
-    empirical: BivariateDegreeDist
     state: KmcState
 
 
@@ -463,24 +454,5 @@ def kmc_simulate(
 
     graph = DirectedMultigraph(n_vertices, edges[:events].copy())
     traj_t = times[:events].copy() if record_trajectory else np.empty(0)
-    in_deg = np.bincount(graph.edges[:, 1], minlength=n_vertices)
-    out_deg = np.bincount(graph.edges[:, 0], minlength=n_vertices)
-    base = int(out_deg.max()) + 1
-    codes, counts = np.unique(in_deg * base + out_deg, return_counts=True)
-    empirical = BivariateDegreeDist.from_entries(
-        [
-            (n, k, c / n_vertices)
-            for n, k, c in zip((codes // base).tolist(), (codes % base).tolist(), counts.tolist())
-        ]
-    )
-    state = KmcState(
-        n_max=n_max,
-        k_max=k_max,
-        vacant_in=n_max - in_deg,
-        vacant_out=k_max - out_deg,
-        t=t,
-        events=events,
-        seed=seed,
-        restarts=restarts,
-    )
-    return KmcResult(graph=graph, times=traj_t, empirical=empirical, state=state)
+    state = KmcState(n_max=n_max, k_max=k_max, t=t, events=events, restarts=restarts)
+    return KmcResult(graph=graph, times=traj_t, state=state)

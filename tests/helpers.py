@@ -45,6 +45,14 @@ def tv_distance(p: dict, q: dict) -> float:
     return 0.5 * math.fsum(abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in keys)
 
 
+def realized_degree_law(g: DirectedMultigraph) -> dict:
+    """Share of the vertices of g with each realized (in-degree, out-degree)."""
+    in_deg = np.bincount(g.edges[:, 1], minlength=g.vertex_count)
+    out_deg = np.bincount(g.edges[:, 0], minlength=g.vertex_count)
+    counts = Counter(zip(in_deg.tolist(), out_deg.tolist()))
+    return {key: c / g.vertex_count for key, c in counts.items()}
+
+
 def tv_size_law(w, hist_entries: dict, order: int) -> float:
     """TV between an analytic size law w(1..order) and an empirical histogram,
     lumping everything above the truncation order into one tail bucket."""
@@ -379,20 +387,8 @@ def sequential_kmc(
 
     graph = DirectedMultigraph(n_vertices, edges[:events].copy())
     traj_t = times[:events].copy() if record_trajectory else np.empty(0)
-    degs = Counter(zip((n_max - vin).tolist(), (k_max - vout).tolist()))
-    empirical = BivariateDegreeDist.from_entries(
-        [(n, k, c / n_vertices) for (n, k), c in sorted(degs.items())]
-    )
-    state = KmcState(
-        n_max=n_max,
-        k_max=k_max,
-        vacant_in=vin,
-        vacant_out=vout,
-        t=t,
-        events=events,
-        seed=seed,
-    )
-    return KmcResult(graph=graph, times=traj_t, empirical=empirical, state=state)
+    state = KmcState(n_max=n_max, k_max=k_max, t=t, events=events)
+    return KmcResult(graph=graph, times=traj_t, state=state)
 
 
 def random_bound_dist(rng: np.random.Generator, n_atoms: int = 3, max_bound: int = 6) -> BoundDist:

@@ -36,6 +36,9 @@ def test_mixture_validation():
         FloryMixture(0.0, 0.6, 0.4, 1)
     with pytest.raises(ValidationError):
         FloryMixture(math.nan, 0.5, 0.5, 3)
+    for n in (2.5, math.nan):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            FloryMixture(0.5, 0.3, 0.2, n)
 
 
 def test_to_bound_dist(flory_063):

@@ -38,6 +38,35 @@ def test_script_negative_seed_exits_3(script):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("er_threshold_scan.py", ["--lambdas", "0.3", "0.7", "1"]),
+        ("kmc_vs_theory.py", ["--conversions", "0.1", "0.3", "1"]),
+        ("evolution_snapshots.py", ["--points", "0"]),
+    ],
+)
+def test_script_rejects_a_grid_of_one_point(script, args):
+    proc = _run(script, args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    # argparse prints its usage lines, then the one error line
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].startswith(f"{script}: error: ")
+
+
+@pytest.mark.parametrize("script", ["kmc_vs_theory.py", "evolution_snapshots.py"])
+def test_script_malformed_bounds_exits_2(script, tmp_path):
+    bounds = tmp_path / "bounds.txt"
+    bounds.write_text("1 1\n")
+    proc = _run(script, [str(bounds)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("weakgiant: parse error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def _run(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -37,8 +37,23 @@ from .evolution import BoundDist
 DEFAULT_SEED = 12345
 
 
+class _Rows(tuple):
+    """Columns of a table, written as a JSON list of rows: the integer key
+    columns, then the float column, each a list."""
+
+
+def _rows(table) -> _Rows:
+    """The rows of a sparse table, sorted by key."""
+    return _Rows(a.tolist() for a in table.support)
+
+
 def _json17(obj) -> str:
-    """Minimal JSON emitter with 17-significant-digit floats."""
+    """JSON text of a CLI payload, with floats to 17 significant digits.
+
+    Takes the shapes the CLI emits: a dict whose values are None, bools,
+    ints, floats, strings, dicts of these, lists of floats or :class:`_Rows`.
+    A non-finite float raises :class:`ValueError` naming the first one.
+    """
     if obj is None:
         return "null"
     if obj is True:
@@ -48,17 +63,28 @@ def _json17(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite value {obj!r} in JSON output")
-        return format(obj, ".17g")
+        return _finite(format(obj, ".17g"), (obj,))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {_json17(v)}" for k, v in obj.items())
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json17(v) for v in obj) + "]"
+    if isinstance(obj, _Rows):
+        row = "[" + "{}, " * (len(obj) - 1) + "{:.17g}]"
+        return _finite("[" + ", ".join(map(row.format, *obj)) + "]", obj[-1])
+    if isinstance(obj, list):
+        return _finite("[" + ", ".join(map("{:.17g}".format, obj)) + "]", obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _finite(text: str, floats) -> str:
+    """``text``, the JSON of ``floats`` (and of integers), once no float in
+    it is non-finite.  Only inf and nan write an "n", so one scan of the
+    text checks them all."""
+    if "n" in text:
+        bad = next(x for x in floats if not math.isfinite(x))
+        raise ValueError(f"non-finite value {bad!r} in JSON output")
+    return text
 
 
 def _read_text(path: str) -> str:
@@ -134,7 +160,7 @@ def _cmd_evolve(args) -> str:
             "mu": state.mu,
             "c_n": state.c_n,
             "c_k": state.c_k,
-            "marginal": [[n, k, p] for n, k, p in marginal.records()],
+            "marginal": _rows(marginal),
             "report": report.to_json_dict(),
         }
     )
@@ -206,7 +232,7 @@ def _cmd_simulate(args) -> str:
             "t_final": t_final,
             "mu_hat": graph.edges.shape[0] / graph.vertex_count,
             "largest_weak_fraction": float(sizes.max()) / graph.vertex_count,
-            "size_histogram": hist.records(),
+            "size_histogram": _rows(hist),
         }
     )
 

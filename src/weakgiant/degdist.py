@@ -37,6 +37,8 @@ from .errors import (
 NORM_TOL = 1e-9
 #: Default tolerance on |mu_10 - mu_01| relative to max(mu_10, mu_01, 1).
 BALANCE_TOL = 1e-9
+#: Largest key component a table holds (its keys are int64 arrays).
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -106,28 +108,33 @@ def _new_keys(columns) -> np.ndarray:
 
 
 def _index_columns(columns, noun: str) -> list[np.ndarray]:
-    """Key columns as int64 arrays.
+    """Key columns as int64 arrays; int64 arrays pass as they are.
 
-    The first key in input order with a component that is not an integer
-    raises :class:`TypeError` (from ``operator.index``), or, with a negative
-    component, :class:`NegativeIndex`.
+    The first key in input order that has a component that is not an
+    integer raises :class:`TypeError` (from ``operator.index``); else, with
+    a negative component, :class:`NegativeIndex`; else, with a component
+    above int64's range, :class:`ValidationError`.
     """
     try:
-        arrays = [np.fromiter(map(operator.index, c), np.int64, len(c)) for c in columns]
-    except TypeError:
-        for stop, key in enumerate(zip(*columns)):
-            try:
-                list(map(operator.index, key))
-            except TypeError:
-                # A negative key before this one is named instead.
-                _index_columns([c[:stop] for c in columns], noun)
-                raise
-    negative = min(_first(a < 0) for a in arrays)
-    if negative < len(arrays[0]):
-        key = _key(arrays, negative)
-        shape = "is negative" if len(arrays) == 1 else "has a negative component"
-        raise NegativeIndex(f"{noun} {key} {shape}")
-    return arrays
+        arrays = [
+            c if isinstance(c, np.ndarray) and c.dtype == np.int64
+            else np.fromiter(map(operator.index, c), np.int64, len(c))
+            for c in columns
+        ]
+    except (TypeError, OverflowError):
+        pass
+    else:
+        if min(_first(a < 0) for a in arrays) == len(arrays[0]):
+            return arrays
+    one = len(columns) == 1
+    for key in zip(*columns):
+        key = tuple(map(operator.index, key))
+        shown = key[0] if one else key
+        if min(key) < 0:
+            raise NegativeIndex(f"{noun} {shown} " + ("is negative" if one else "has a negative component"))
+        if max(key) > _INT64_MAX:
+            raise ValidationError(f"{noun} {shown} " + ("is" if one else "has a component") + f" above {_INT64_MAX}")
+    raise AssertionError("no bad key in columns that failed to convert")
 
 
 def _key(arrays, i: int):
@@ -161,7 +168,9 @@ def _validated_table(columns, probs, kind: str, noun: str, tol: float):
     nan, negative = _first(np.isnan(values)), _first(values < 0.0)
     bad = min(nan, negative, duplicate)
     if bad < len(values):
-        key, prob = _key(keys, bad), probs[bad]
+        key = _key(keys, bad)
+        # a float, as text reads it, not a numpy scalar
+        prob = probs[bad].item() if isinstance(probs, np.ndarray) else probs[bad]
         if bad == nan:
             raise ValidationError(f"{kind}{key} = {prob!r} is not a number")
         if bad == negative:
@@ -204,12 +213,17 @@ class _Table:
         return math.fsum((math.prod(a**e for a, e in zip(keys, exponents)) * probs).tolist())
 
 
+def _columns(rows, width: int) -> tuple:
+    """Rows of ``width`` values as ``width`` columns."""
+    return tuple(zip(*rows, strict=True)) or ((),) * width
+
+
 class UnivariateDegreeDist(_Table):
     """Sparse law of a single nonnegative integer degree."""
 
     @classmethod
     def from_entries(cls, pairs: Iterable[tuple[int, float]], *, tol: float = NORM_TOL) -> "UnivariateDegreeDist":
-        degrees, probs = tuple(zip(*pairs, strict=True)) or ((), ())
+        degrees, probs = _columns(pairs, 2)
         return cls(_validated_table((degrees,), probs, "d", "degree", tol))
 
 
@@ -217,20 +231,24 @@ class _PairTable(_Table):
     """Sparse law keyed by pairs of nonnegative integers: the base of degree
     tables and of :class:`weakgiant.evolution.BoundDist`.
 
-    Construct through the subclass's ``from_entries``, which validates the
-    entries and sorts them into ``support`` (first and second key
-    components, probabilities) in one pass.
+    Construct through ``from_text`` or the subclass's ``from_entries``,
+    which validate the entries and sort them into ``support`` (first and
+    second key components, probabilities) in one pass.  A subclass names
+    its law and its keys in messages with ``_kind`` and ``_noun``.
     """
+
+    _kind: str
+    _noun: str
 
     @classmethod
     def from_text(cls, text: str, *, tol: float = NORM_TOL):
-        return cls.from_entries(tableio.parse_records(text), tol=tol)
+        return cls._validated(*tableio.parse_records(text), tol)
 
     @classmethod
-    def _validated(cls, triples, kind: str, noun: str, tol: float):
-        """A table of ``triples`` checked by :func:`_validated_table`."""
-        first, second, probs = tuple(zip(*triples, strict=True)) or ((), (), ())
-        return cls(_validated_table((first, second), probs, kind, noun, tol))
+    def _validated(cls, first, second, probs, tol: float):
+        """A table of the columns ``first``, ``second`` and ``probs``,
+        checked by :func:`_validated_table`."""
+        return cls(_validated_table((first, second), probs, cls._kind, cls._noun, tol))
 
     def to_text(self) -> str:
         return tableio.format_records(self.records())
@@ -239,11 +257,13 @@ class _PairTable(_Table):
 class BivariateDegreeDist(_PairTable):
     """Sparse joint law of (in-degree n, out-degree k)."""
 
+    _kind, _noun = "u", "degree pair"
+
     @classmethod
     def from_entries(
         cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
     ) -> "BivariateDegreeDist":
-        return cls._validated(triples, "u", "degree pair", tol)
+        return cls._validated(*_columns(triples, 3), tol)
 
     @cached_property
     def _moment_set(self) -> MomentSet:

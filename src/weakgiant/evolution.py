@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .degdist import NORM_TOL, BivariateDegreeDist, _index_columns, _new_keys, _PairTable, _Table
+from .degdist import NORM_TOL, BivariateDegreeDist, _columns, _index_columns, _new_keys, _PairTable, _Table
 from .errors import (
     ConversionOutOfRange,
     NegativeTime,
@@ -61,11 +61,17 @@ class BoundDist(_PairTable):
     out-capacity; otherwise no edge can ever form and construction fails.
     """
 
+    _kind, _noun = "P", "bound pair"
+
     @classmethod
     def from_entries(
         cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
     ) -> "BoundDist":
-        table = cls._validated(triples, "P", "bound pair", tol)
+        return cls._validated(*_columns(triples, 3), tol)
+
+    @classmethod
+    def _validated(cls, n_max, k_max, probs, tol: float) -> "BoundDist":
+        table = super()._validated(n_max, k_max, probs, tol)
         n_max, k_max, _probs = table.support
         if not (n_max > 0).any():
             raise NoReactivePair("no class has in-capacity; no edge can ever form")

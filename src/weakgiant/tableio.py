@@ -7,41 +7,78 @@ bound distributions.
 
 from __future__ import annotations
 
+import warnings
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ParseError
 
-Record = tuple[int, int, float]
+#: One table row as numpy's reader converts it.
+_ROW = np.dtype([("n", np.int64), ("k", np.int64), ("prob", np.float64)])
 
-
-#: Lines converted per block: enough to amortize the per-block calls, few
-#: enough that the split rows of one block stay small.
+#: Lines converted per block by the line reader: enough to amortize the
+#: per-block calls, few enough that the split rows of one block stay small.
 BLOCK_LINES = 1024
 
 
-def parse_records(text: str) -> list[Record]:
-    """Parse table text into a list of ``(n, k, prob)`` triples.
+def parse_records(text: str) -> tuple:
+    """Parse table text into its three columns: first keys, second keys and
+    probabilities.
 
-    Converts blocks of lines at a time; a block that holds a malformed line
-    is read again line by line to raise :class:`ParseError` naming the first
-    one.
+    Lines are split as :meth:`str.splitlines` splits them.  numpy's C reader
+    converts the lines after the leading comments and blank lines into
+    int64, int64 and float64 arrays.  Text that it declines goes to the line
+    reader: a malformed line, a comment line below the first record, a key
+    beyond int64, or a number that only Python reads, such as ``1_000`` or
+    non-ASCII digits.  That reader raises :class:`ParseError` naming the
+    first malformed line, or returns the columns as lists of Python ints
+    and floats.
     """
     lines = text.splitlines()
-    records: list[Record] = []
+    start = 0
+    for line in lines:
+        head = line.lstrip()
+        if head and head[0] != "#":
+            break
+        start += 1
+    # With comments=None numpy reads a "#" as data.  Text with a "#" below
+    # the leading comments goes to the line reader, which skips comment
+    # lines there and rejects a "#" after a record's fields.
+    if start < len(lines) and text.count("#") == sum(line.count("#") for line in lines[:start]):
+        with warnings.catch_warnings():
+            # Older numpy warns and then reads a float such as "1.0" as an int.
+            warnings.simplefilter("error")
+            try:
+                return tuple(np.loadtxt(lines[start:], dtype=_ROW, comments=None, ndmin=1, unpack=True))
+            except (ValueError, Warning):
+                pass
+    return _read_lines(lines)
+
+
+def _read_lines(lines: list[str]) -> tuple[list[int], list[int], list[float]]:
+    """The columns of ``lines``, converted a block of lines at a time with
+    Python's ``int`` and ``float``; a block that holds a malformed line is
+    read again line by line to raise :class:`ParseError` naming the first
+    one."""
+    ns: list[int] = []
+    ks: list[int] = []
+    probs: list[float] = []
     for start in range(0, len(lines), BLOCK_LINES):
         block = lines[start : start + BLOCK_LINES]
-        rows = list(filter(None, map(str.split, block)))  # blank lines dropped
-        if "#" in "".join(block):  # most blocks hold no comment line
-            rows = [fields for fields in rows if fields[0][0] != "#"]
+        # blank lines and comment lines dropped
+        rows = [fields for fields in map(str.split, block) if fields and fields[0][0] != "#"]
         if not rows:
             continue
         try:
             # A row without exactly three fields fails the strict zip or the unpacking.
-            ns, ks, probs = zip(*rows, strict=True)
-            records += zip(map(int, ns), map(int, ks), map(float, probs))
+            n, k, prob = zip(*rows, strict=True)
+            ns += map(int, n)
+            ks += map(int, k)
+            probs += map(float, prob)
         except ValueError:
             _raise_first_error(block, start + 1)
-    return records
+    return ns, ks, probs
 
 
 def _raise_first_error(lines: list[str], first_lineno: int) -> None:

@@ -441,10 +441,26 @@ def reference_parse_records(text: str) -> list:
     return records
 
 
+def outcome(build):
+    """``(value, None)``, or ``(None, (exception type, message))``."""
+    try:
+        return build(), None
+    except Exception as exc:  # compared against the reference's exception
+        return None, (type(exc), str(exc))
+
+
+def parsed_records(columns) -> list:
+    """The columns that ``tableio.parse_records`` returns, as ``(n, k, prob)``
+    tuples of Python numbers."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns)))
+
+
 def _reference_index_pair(first, second, noun: str) -> tuple:
     first, second = operator.index(first), operator.index(second)
     if first < 0 or second < 0:
         raise NegativeIndex(f"{noun} ({first}, {second}) has a negative component")
+    if max(first, second) >= 2**63:
+        raise ValidationError(f"{noun} ({first}, {second}) has a component above {2**63 - 1}")
     return first, second
 
 
@@ -486,6 +502,8 @@ def reference_univariate_table(pairs, tol: float) -> dict:
         l = operator.index(l)
         if l < 0:
             raise NegativeIndex(f"degree {l} is negative")
+        if l >= 2**63:
+            raise ValidationError(f"degree {l} is above {2**63 - 1}")
         checked.append((l, prob))
     return _reference_validated_table(checked, "d", tol)
 
@@ -605,6 +623,31 @@ def bound_dists(draw, max_bound=6, max_entries=4):
 
 # ---------------------------------------------------------------------------
 # CLI and schema plumbing
+
+
+def reference_json17(obj) -> str:
+    """Recursive JSON emitter with 17-significant-digit floats: the writer
+    that ``cli._json17`` replaced.  Rows are lists of lists."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj!r} in JSON output")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {reference_json17(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_json17(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def run_cli(argv, stdin_text=None):

@@ -7,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import weakgiant
-from helpers import run_cli, truncated_double_poisson, validate_schema
-from weakgiant import BivariateDegreeDist, evolution, mcgraph
+from helpers import outcome, reference_json17, run_cli, truncated_double_poisson, validate_schema
+from weakgiant import BivariateDegreeDist, cli, evolution, mcgraph
 
 FORK = "# n k prob\n1 0 0.66666666666666663\n0 2 0.33333333333333331\n"
 ATOM22 = "2 2 1.0\n"
@@ -106,6 +108,11 @@ PINNED_TABLES = {
     "dp0.45": truncated_double_poisson(0.45).to_text(),
     "dp0.6": truncated_double_poisson(0.6).to_text(),
     "gate6": THREE_CLASS,
+    "cap70": "70 70 1\n",
+    # CRLF line ends, and an indented comment below the first record
+    "dp0.6 crlf": "\r\n".join(
+        (lines := truncated_double_poisson(0.6).to_text().splitlines())[:100] + ["   # indented comment"] + lines[100:]
+    ) + "\r\n",
 }
 # sha256 of stdout.  A change that moves analytic digits on purpose updates
 # these and says so in CHANGES.md.
@@ -132,6 +139,16 @@ PINNED_STDOUT = [
     # a point with no capacity at all, points with no out-capacity, finite points
     (None, ["barycentric", "--atoms", "0,0", "2,2", "1,0", "--resolution", "4"],
      "cce0f46631f02ae1b5d03d6efef8c9711fce0370436ba185830282c44396ee92"),
+    # null, true, and floats that print as integers ("rho": 1); no input table
+    (None, ["flory", "--f1", "0", "--f2", "0.6", "--f3", "0.4", "--n", "3"],
+     "d59520738496f1e22b13f72f205bb0f702940cefe5efd1fc6672a2acbd93e610"),
+    (None, ["flory", "--f1", "0", "--f2", "0.6", "--f3", "0.4", "--n", "3", "--pa", "0.8"],
+     "a9cd1606261960340caa96947ba98c343770fd701dd8b775e1e646fc48a654ce"),
+    # 5,041 marginal rows
+    ("cap70", ["evolve", "--at-conversion", "0.015"],
+     "15485b5f2b23a1b20a2b9e9229611e3167c1c12cb46e39fd213f96ed7a9fbf78"),
+    ("dp0.6 crlf", ["gf", "--order", "40"],
+     "7b5697124def071bc904ee9362cea78cd968c2293c30a47c11016b6eac4bbf34"),
 ]
 
 
@@ -143,6 +160,52 @@ def test_analytic_stdout_is_pinned(tmp_path, table, argv, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+
+
+@st.composite
+def json_payloads(draw, depth=2):
+    """A payload of the shapes the CLI writes, for ``cli._json17``, and the
+    same payload for the reference, whose rows are lists of lists.  Floats
+    include infinities and NaN."""
+    new, ref = {}, {}
+    for key in draw(st.lists(st.text(max_size=4), max_size=5, unique=True)):
+        shape = draw(st.sampled_from(["scalar", "floats", "rows", "dict"][: 4 if depth else 3]))
+        if shape == "scalar":
+            new[key] = ref[key] = draw(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()))
+        elif shape == "floats":
+            new[key] = ref[key] = draw(st.lists(st.floats(), max_size=6))
+        elif shape == "rows":
+            size = draw(st.integers(0, 6))
+            column = st.lists(st.integers(0, 2**63 - 1), min_size=size, max_size=size)
+            columns = [draw(column) for _ in range(draw(st.sampled_from([1, 2])))]
+            columns.append(draw(st.lists(st.floats(), min_size=size, max_size=size)))
+            new[key] = cli._Rows(columns)
+            ref[key] = [list(row) for row in zip(*columns)]
+        else:
+            new[key], ref[key] = draw(json_payloads(depth - 1))
+    return new, ref
+
+
+@given(json_payloads())
+def test_writer_matches_recursive_reference(payload):
+    new, ref = payload
+    assert outcome(lambda: cli._json17(new)) == outcome(lambda: reference_json17(ref))
+
+
+@pytest.mark.parametrize("text", ["", "# n k prob\n  # indented comment\n\n"])
+def test_table_without_records_exits_3(tmp_path, text):
+    code, out, err = run_cli(["analyze", write(tmp_path, "d.txt", text)])
+    assert (code, out) == (3, "")
+    assert err == "weakgiant: invalid input: probabilities sum to 0.0, not 1 within 1e-09\n"
+
+
+def test_key_beyond_int64_exits_3(tmp_path):
+    code, out, err = run_cli(["analyze", write(tmp_path, "d.txt", "0 0 0.5\n99999999999999999999 0 0.5\n")])
+    assert (code, out) == (3, "")
+    assert err == (
+        "weakgiant: invalid input: degree pair (99999999999999999999, 0) has a component above "
+        "9223372036854775807\n"
+    )
 
 
 def test_no_request_builds_entries(tmp_path, monkeypatch):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
     balanced_dists,
     bivariate_dists,
     brute_moment,
+    outcome,
+    parsed_records,
     reference_pair_table,
     reference_parse_records,
     reference_univariate_table,
@@ -25,6 +27,7 @@ from weakgiant import (
     ValidationError,
     nu_moments,
     require_edge_balanced,
+    truncated_double_poisson,
 )
 from weakgiant import tableio
 from weakgiant.degdist import NORM_TOL
@@ -242,7 +245,7 @@ def test_univariate_rejects_negative_degree():
 
 def test_parse_records_skips_blanks_and_comments():
     text = "# header\n\n1 0 0.5\n  # indented comment\n0 1 0.5\n"
-    assert tableio.parse_records(text) == [(1, 0, 0.5), (0, 1, 0.5)]
+    assert parsed_records(tableio.parse_records(text)) == [(1, 0, 0.5), (0, 1, 0.5)]
 
 
 def test_parse_records_cites_line_number_for_field_count():
@@ -268,7 +271,7 @@ def test_text_round_trip_is_exact(fork_dist):
 @given(bivariate_dists())
 def test_format_parse_round_trip(d):
     text = tableio.format_records(d.records())
-    assert tableio.parse_records(text) == d.records()
+    assert parsed_records(tableio.parse_records(text)) == d.records()
 
 
 def test_from_text_propagates_validation():
@@ -279,26 +282,19 @@ def test_from_text_propagates_validation():
 # --- one validator against the per-entry reference ---------------------------
 
 
-def _outcome(build):
-    """``(value, None)``, or ``(None, (exception type, message))``."""
-    try:
-        return build(), None
-    except Exception as exc:  # compared against the reference's exception
-        return None, (type(exc), str(exc))
-
-
 @st.composite
 def faulty_tables(draw, width=2):
     """Rows ``(*key, prob)`` of a normalized table with unique keys, then a
     few faults: NaN, negative and zero probabilities (numpy scalars too),
-    negative, float or text key components, inserted zero rows and repeated
-    keys, some of them zero repeats."""
+    negative, float or text key components, components beyond int64,
+    inserted zero rows and repeated keys, some of them zero repeats."""
     size = draw(st.integers(0, 6))
     keys = draw(st.lists(st.tuples(*[st.integers(0, 4)] * width), min_size=size, max_size=size, unique=True))
     weights = draw(st.lists(st.integers(1, 64), min_size=size, max_size=size))
     total = sum(weights)
     rows = [[*key, w / total] for key, w in zip(keys, weights)]
-    faults = ["nan", "negative", "zero", "zero row", "repeat", "negative key", "float key", "text key", "numpy"]
+    faults = ["nan", "negative", "zero", "zero row", "repeat", "negative key", "float key", "text key", "huge key",
+              "numpy"]
     for fault in draw(st.lists(st.sampled_from(faults), max_size=4)):
         if not rows:
             break
@@ -315,6 +311,8 @@ def faulty_tables(draw, width=2):
             rows.insert(draw(st.integers(0, len(rows))), [*rows[i][:-1], draw(st.sampled_from([0.25, 0.0]))])
         elif fault == "negative key":
             rows[i][draw(st.integers(0, width - 1))] = -draw(st.integers(1, 3))
+        elif fault == "huge key":
+            rows[i][draw(st.integers(0, width - 1))] = draw(st.sampled_from([2**63, 10**20, -(2**63) - 1]))
         elif fault in ("float key", "text key"):
             j = draw(st.integers(0, width - 1))
             rows[i][j] = (float if fault == "float key" else str)(rows[i][j])
@@ -325,7 +323,7 @@ def faulty_tables(draw, width=2):
 
 
 def _assert_same_table(table, reference, pair):
-    got, want = _outcome(table), _outcome(reference)
+    got, want = outcome(table), outcome(reference)
     assert got[1] == want[1]
     if want[1] is None:
         table, entries = got[0], want[0]
@@ -388,6 +386,13 @@ def test_validation_names_first_bad_entry_in_input_order():
         BivariateDegreeDist.from_entries([(0, 0, math.nan), (1, 1, -0.5)])
     with pytest.raises(NegativeProbability, match=r"u\(1, 1\) = -0.5 is negative"):
         BivariateDegreeDist.from_entries([(1, 1, -0.5), (0, 0, math.nan)])
+    # a key beyond int64 raises ValidationError, unless a bad key comes first
+    with pytest.raises(NegativeIndex):
+        BivariateDegreeDist.from_entries([(0, -1, 1.0), (2**64, 0, 1.0)])
+    with pytest.raises(ValidationError, match=r"degree pair \(0, 99999999999999999999\) has a component above"):
+        BivariateDegreeDist.from_entries([(0, 99999999999999999999, 1.0), (0, -1, 1.0)])
+    with pytest.raises(ValidationError, match=r"bound pair \(99999999999999999999, 0\) has a component above"):
+        BoundDist.from_text("1 1 0.5\n99999999999999999999 0 0.5\n")
     # a zero repeat is dropped, not a duplicate
     d = BivariateDegreeDist.from_entries([(1, 1, 0.0), (1, 1, 1.0), (1, 1, 0.0)])
     assert d.entries == {(1, 1): 1.0}
@@ -396,9 +401,13 @@ def test_validation_names_first_bad_entry_in_input_order():
 # --- block parser against the line-by-line reference --------------------------
 
 GOOD_LINES = ["1 0 0.5", "+3 2 0.25", "1_000 7 1e-300", "0 0 inf", "4\t5\t0.125", " 2 2 -0.0 ",
-              "3\xa02\xa00.5", "-1 0 0.5"]
-SKIPPED_LINES = ["", "   ", "# comment", "   # indented comment", "\t#tab comment"]
-BAD_LINES = ["0 1", "1 0 0.5 9", "1.5 0 0.5", "x 0 0.5", "1 0 zebra", "1 0 1e", "0x10 1 0.5"]
+              "3\xa02\xa00.5", "-1 0 0.5", "-3 +4 -2.5E-3", "1 1 -Infinity", "2 0 nan", "2 1 NaN",
+              "0 3 1_0.5", "\u0661\u0662 3 0.5", "3 \u0663 \u0660.\u0665", "5\u30006\x1f0.5",
+              "9223372036854775807 0 1", "9223372036854775808 0 1", "-99999999999999999999 1 0.5"]
+SKIPPED_LINES = ["", "   ", "# comment", "   # indented comment", "\t#tab comment", "#1 2 0.5"]
+BAD_LINES = ["0 1", "1 0 0.5 9", "1.5 0 0.5", "x 0 0.5", "1 0 zebra", "1 0 1e", "0x10 1 0.5",
+             "1 0 0.5 # inline comment", "1 0 #0.5", "1e3 0 0.5", "1 0 0x1p3", "1 0 nan(1)", "1 0 0.5\x00"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\f", "\v", "\x1c", "\x85", "\u2028", " ", "\t"]
 
 
 @st.composite
@@ -408,15 +417,38 @@ def table_texts(draw):
         # past the first block, so the malformed line sits in a later one
         lines = lines + [GOOD_LINES[0]] * draw(st.integers(1000, 1100)) + lines
     if draw(st.booleans()):
+        # comment lines only at the top, as in the tables the library writes
+        lines.sort(key=lambda line: "#" not in line)
+    if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\x1c", " "]), min_size=len(lines), max_size=len(lines)))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
     return "".join(line + end for line, end in zip(lines, ends))
 
 
 @given(table_texts())
+@example("")
+@example("# n k prob\n  # only comments\n\n")
+@example("# n k prob\n1 0 0.5\n# comment below the first record\n0 1 0.5\n")
 def test_parse_records_matches_line_reference(text):
-    got, want = _outcome(lambda: tableio.parse_records(text)), _outcome(lambda: reference_parse_records(text))
+    got = outcome(lambda: parsed_records(tableio.parse_records(text)))
+    want = outcome(lambda: reference_parse_records(text))
     assert repr(got) == repr(want)
+
+
+@given(table_texts())
+def test_from_text_matches_reference(text):
+    _assert_same_table(
+        lambda: BivariateDegreeDist.from_text(text),
+        lambda: reference_pair_table(reference_parse_records(text), "u", "degree pair", NORM_TOL),
+        True,
+    )
+
+
+def test_parse_records_reads_plain_tables_into_arrays():
+    text = truncated_double_poisson(0.6).to_text().replace("\n", "\r\n")
+    columns = tableio.parse_records("  # indented comment\n\n" + text)
+    assert [c.dtype for c in columns] == [np.int64, np.int64, np.float64]
+    assert parsed_records(columns) == truncated_double_poisson(0.6).records()
 
 
 def test_parse_error_in_a_later_block_cites_its_line():

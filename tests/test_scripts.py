@@ -67,6 +67,15 @@ def test_script_malformed_bounds_exits_2(script, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("script", ["kmc_vs_theory.py", "evolution_snapshots.py"])
+def test_script_missing_bounds_exits_2(script, tmp_path):
+    proc = _run(script, [str(tmp_path / "missing.txt")])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("weakgiant: i/o error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def _run(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -21,7 +21,7 @@ directions reduces ``D < 0`` to the Molloy-Reed criterion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import gfsolver
 from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, require_edge_balanced
@@ -42,24 +42,7 @@ class ConnectivityReport:
     giant_weak_fraction: float | None
 
     def to_json_dict(self) -> dict:
-        m = self.moments
-        return {
-            "moments": {
-                "mu00": m.mu00,
-                "mu10": m.mu10,
-                "mu01": m.mu01,
-                "mu20": m.mu20,
-                "mu02": m.mu02,
-                "mu11": m.mu11,
-            },
-            "determinant_D": self.determinant_D,
-            "paper_A": self.paper_A,
-            "giant_weak": self.giant_weak,
-            "giant_in_out": self.giant_in_out,
-            "giant_undirected_projection": self.giant_undirected_projection,
-            "mean_weak_size": self.mean_weak_size,
-            "giant_weak_fraction": self.giant_weak_fraction,
-        }
+        return asdict(self)
 
 
 def criticality_determinant(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> float:

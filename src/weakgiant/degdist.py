@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -92,6 +91,16 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
+def _checked_count(value, noun: str) -> int:
+    """``value`` as an ``int``, through ``operator.index``; a value that is
+    not an integer, even a float such as ``3.0``, raises
+    :class:`ValidationError` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{noun} {value} is not an integer") from None
+
+
 def _first(mask: np.ndarray) -> int:
     """Index of the first true entry of ``mask``, or its length."""
     hits = np.flatnonzero(mask)
@@ -143,54 +152,63 @@ def _key(arrays, i: int):
     return key if len(key) > 1 else key[0]
 
 
-def _validated_table(columns, probs, kind: str, noun: str, tol: float):
-    """Validate a sparse table given as key columns and a probability column.
-
-    Checks every key first (see :func:`_index_columns`), then the tolerance,
-    then the entries in input order: the first one that is NaN, negative, or
-    (zeros are dropped) a repeat of an earlier stored key raises.  Returns
-    the key columns and probabilities of the stored entries, sorted by key,
-    as read-only arrays: the one form in which a table is kept.
-    """
-    keys = _index_columns(columns, noun)
-    _checked_tol(tol)
-    values = np.array(probs)
-    if values.dtype.kind not in "biuf":
-        # e.g. Fractions; fsum, like the NaN test, takes any real but no text
-        values = np.array([math.fsum((p,)) for p in probs])
-    values = values.astype(float, copy=False)
-    kept = np.flatnonzero(values > 0.0)
-    # Stored entries sorted by key; the sort is stable, so of two equal keys
-    # the later entry in input order comes second.
-    order = kept[np.lexsort([k[kept] for k in keys[::-1]])]
-    support = [k[order] for k in keys] + [values[order]]
-    duplicate = int(order[~_new_keys(support[:-1])].min(initial=len(values)))
-    nan, negative = _first(np.isnan(values)), _first(values < 0.0)
-    bad = min(nan, negative, duplicate)
-    if bad < len(values):
-        key = _key(keys, bad)
-        # a float, as text reads it, not a numpy scalar
-        prob = probs[bad].item() if isinstance(probs, np.ndarray) else probs[bad]
-        if bad == nan:
-            raise ValidationError(f"{kind}{key} = {prob!r} is not a number")
-        if bad == negative:
-            raise NegativeProbability(f"{kind}{key} = {prob!r} is negative")
-        raise DuplicateKey(f"duplicate key {key}")
-    total = math.fsum(values[kept].tolist())
-    if abs(total - 1.0) > tol:
-        raise NotNormalized(f"probabilities sum to {total!r}, not 1 within {tol:g}")
-    for a in support:
-        a.flags.writeable = False
-    return tuple(support)
-
-
 @dataclass(frozen=True, eq=False)
 class _Table:
     """Sparse law kept as ``support``: read-only arrays of the key
     components and the probabilities, one slot per entry, sorted by key.
-    Stored probabilities are strictly positive (zero entries are dropped)."""
+    Stored probabilities are strictly positive (zero entries are dropped).
+
+    Construction makes the ``support`` arrays read-only.  A subclass names
+    its law and its keys in messages with ``_kind`` and ``_noun``.
+    """
 
     support: tuple[np.ndarray, ...]
+
+    _kind: ClassVar[str]
+    _noun: ClassVar[str]
+
+    def __post_init__(self):
+        for a in self.support:
+            a.flags.writeable = False
+
+    @classmethod
+    def _validated(cls, *columns, tol: float = NORM_TOL):
+        """A table of the key ``columns`` and a last column of probabilities.
+
+        Checks every key first (see :func:`_index_columns`), then the
+        tolerance, then the entries in input order: the first one that is
+        NaN, negative, or (zeros are dropped) a repeat of an earlier stored
+        key raises.  Stores the entries sorted by key.
+        """
+        *columns, probs = columns
+        keys = _index_columns(columns, cls._noun)
+        _checked_tol(tol)
+        values = np.array(probs)
+        if values.dtype.kind not in "biuf":
+            # e.g. Fractions; fsum, like the NaN test, takes any real but no text
+            values = np.array([math.fsum((p,)) for p in probs])
+        values = values.astype(float, copy=False)
+        kept = np.flatnonzero(values > 0.0)
+        # Stored entries sorted by key; the sort is stable, so of two equal keys
+        # the later entry in input order comes second.
+        order = kept[np.lexsort([k[kept] for k in keys[::-1]])]
+        support = [k[order] for k in keys] + [values[order]]
+        duplicate = int(order[~_new_keys(support[:-1])].min(initial=len(values)))
+        nan, negative = _first(np.isnan(values)), _first(values < 0.0)
+        bad = min(nan, negative, duplicate)
+        if bad < len(values):
+            key = _key(keys, bad)
+            # a float, as text reads it, not a numpy scalar
+            prob = probs[bad].item() if isinstance(probs, np.ndarray) else probs[bad]
+            if bad == nan:
+                raise ValidationError(f"{cls._kind}{key} = {prob!r} is not a number")
+            if bad == negative:
+                raise NegativeProbability(f"{cls._kind}{key} = {prob!r} is negative")
+            raise DuplicateKey(f"duplicate key {key}")
+        total = math.fsum(values[kept].tolist())
+        if abs(total - 1.0) > tol:
+            raise NotNormalized(f"probabilities sum to {total!r}, not 1 within {tol:g}")
+        return cls(tuple(support))
 
     @cached_property
     def entries(self) -> dict:
@@ -218,37 +236,44 @@ def _columns(rows, width: int) -> tuple:
     return tuple(zip(*rows, strict=True)) or ((),) * width
 
 
+def _run_sums(keys, probs: np.ndarray) -> list:
+    """Key-sorted ``keys`` and ``probs`` with each run of equal keys summed:
+    the run's key columns, then the ``fsum`` of its probabilities."""
+    starts = np.flatnonzero(_new_keys(keys))
+    sums = probs[starts].tolist()
+    # fsum of one value is that value; only runs of two or more need the sum.
+    ends = np.append(starts[1:], len(probs))
+    for i in np.flatnonzero(ends - starts > 1).tolist():
+        sums[i] = math.fsum(probs[starts[i] : ends[i]].tolist())
+    return [k[starts] for k in keys] + [sums]
+
+
 class UnivariateDegreeDist(_Table):
     """Sparse law of a single nonnegative integer degree."""
 
+    _kind, _noun = "d", "degree"
+
     @classmethod
     def from_entries(cls, pairs: Iterable[tuple[int, float]], *, tol: float = NORM_TOL) -> "UnivariateDegreeDist":
-        degrees, probs = _columns(pairs, 2)
-        return cls(_validated_table((degrees,), probs, "d", "degree", tol))
+        return cls._validated(*_columns(pairs, 2), tol=tol)
 
 
 class _PairTable(_Table):
     """Sparse law keyed by pairs of nonnegative integers: the base of degree
     tables and of :class:`weakgiant.evolution.BoundDist`.
 
-    Construct through ``from_text`` or the subclass's ``from_entries``,
-    which validate the entries and sort them into ``support`` (first and
-    second key components, probabilities) in one pass.  A subclass names
-    its law and its keys in messages with ``_kind`` and ``_noun``.
+    Construct through ``from_text`` or ``from_entries``, which validate the
+    entries and sort them into ``support`` (first and second key
+    components, probabilities) in one pass.
     """
-
-    _kind: str
-    _noun: str
 
     @classmethod
     def from_text(cls, text: str, *, tol: float = NORM_TOL):
-        return cls._validated(*tableio.parse_records(text), tol)
+        return cls._validated(*tableio.parse_records(text), tol=tol)
 
     @classmethod
-    def _validated(cls, first, second, probs, tol: float):
-        """A table of the columns ``first``, ``second`` and ``probs``,
-        checked by :func:`_validated_table`."""
-        return cls(_validated_table((first, second), probs, cls._kind, cls._noun, tol))
+    def from_entries(cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL):
+        return cls._validated(*_columns(triples, 3), tol=tol)
 
     def to_text(self) -> str:
         return tableio.format_records(self.records())
@@ -258,12 +283,8 @@ class BivariateDegreeDist(_PairTable):
     """Sparse joint law of (in-degree n, out-degree k)."""
 
     _kind, _noun = "u", "degree pair"
-
-    @classmethod
-    def from_entries(
-        cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
-    ) -> "BivariateDegreeDist":
-        return cls._validated(*_columns(triples, 3), tol)
+    # This class's own attribute, so that it can be wrapped on this class alone.
+    from_entries = vars(_PairTable)["from_entries"]
 
     @cached_property
     def _moment_set(self) -> MomentSet:
@@ -291,12 +312,12 @@ class BivariateDegreeDist(_PairTable):
 
     def undirected_projection(self) -> UnivariateDegreeDist:
         """Law of the total degree l = n + k, ignoring edge directions."""
-        groups: dict[int, list[float]] = defaultdict(list)
-        for n, k, p in self.records():
-            groups[n + k].append(p)
-        return UnivariateDegreeDist.from_entries(
-            [(l, math.fsum(ps)) for l, ps in sorted(groups.items())]
-        )
+        n, k, probs = self.support
+        if int(n.max(initial=0)) + int(k.max(initial=0)) > _INT64_MAX:
+            n = n.astype(object)  # int64 would wrap; validation names the degree
+        degrees = n + k
+        order = np.argsort(degrees, kind="stable")
+        return UnivariateDegreeDist._validated(*_run_sums((degrees[order],), probs[order]))
 
 
 def truncated_double_poisson(lam: float, cutoff: int = 30) -> BivariateDegreeDist:

@@ -23,11 +23,11 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .degdist import NORM_TOL, BivariateDegreeDist, _columns, _index_columns, _new_keys, _PairTable, _Table
+from .degdist import NORM_TOL, BivariateDegreeDist, _checked_count, _index_columns, _PairTable, _run_sums, _Table
 from .errors import (
     ConversionOutOfRange,
     NegativeTime,
@@ -64,14 +64,8 @@ class BoundDist(_PairTable):
     _kind, _noun = "P", "bound pair"
 
     @classmethod
-    def from_entries(
-        cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL
-    ) -> "BoundDist":
-        return cls._validated(*_columns(triples, 3), tol)
-
-    @classmethod
-    def _validated(cls, n_max, k_max, probs, tol: float) -> "BoundDist":
-        table = super()._validated(n_max, k_max, probs, tol)
+    def _validated(cls, *columns, tol: float = NORM_TOL) -> "BoundDist":
+        table = super()._validated(*columns, tol=tol)
         n_max, k_max, _probs = table.support
         if not (n_max > 0).any():
             raise NoReactivePair("no class has in-capacity; no edge can ever form")
@@ -193,10 +187,7 @@ def _state_support(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ..
     # classes come in key order and lexsort is stable, so sorting by (n, k)
     # sorts by the whole key
     order = np.lexsort((k, n))
-    support = tuple(a[order] for a in (n, k, *rest))
-    for a in support:
-        a.flags.writeable = False
-    return support
+    return tuple(a[order] for a in (n, k, *rest))
 
 
 def degree_state_at(P: BoundDist, t: float) -> FullDegreeState:
@@ -245,13 +236,7 @@ def degree_state_at_conversion(P: BoundDist, c_n: float) -> FullDegreeState:
 def marginal_degree_dist(state: FullDegreeState) -> BivariateDegreeDist:
     """Degree law u(n, k) obtained by summing the state over capacities."""
     n, k, _nm, _km, probs = state.support
-    starts = np.flatnonzero(_new_keys((n, k)))  # each cell (n, k) is one run
-    sums = probs[starts].tolist()
-    # fsum of one value is that value; only shared cells need the sum.
-    ends = np.append(starts[1:], len(probs))
-    for i in np.flatnonzero(ends - starts > 1).tolist():
-        sums[i] = math.fsum(probs[starts[i] : ends[i]].tolist())
-    return BivariateDegreeDist.from_entries(zip(n[starts].tolist(), k[starts].tolist(), sums))
+    return BivariateDegreeDist._validated(*_run_sums((n, k), probs))
 
 
 def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
@@ -263,7 +248,7 @@ def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
     """
     nu = nu_moments(P)
     if _is_symmetric(nu):
-        return BivariateDegreeDist.from_entries(P.records())
+        return BivariateDegreeDist._validated(*P.support)
     # The exact supremum pair: clamping through _at_conversion would
     # recompute c_k as a product that can miss 1.0.
     sup_cn, sup_ck = conversion_sup(P)
@@ -377,7 +362,7 @@ def barycentric_grid(
         raise ValidationError(f"need exactly 3 atoms, got {len(atoms)}")
     n_max, k_max = zip(*atoms, strict=True)
     cleaned = list(zip(*(a.tolist() for a in _index_columns((n_max, k_max), "atom"))))
-    if resolution < 2:
+    if _checked_count(resolution, "resolution") < 2:
         raise ValidationError(f"resolution {resolution} too coarse; need >= 2")
 
     m = resolution

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, require_edge_balanced
+from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, _checked_count, require_edge_balanced
 from .errors import NoConvergence, ValidationError
 
 #: Default fixed-point tolerance (on the error bound) and iteration budget.
@@ -253,7 +253,7 @@ def interior_fixed_point(
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"fixed-point tolerance {tol!r} must be positive and finite")
-    if not max_iter >= 1:
+    if _checked_count(max_iter, "fixed-point iteration budget") < 1:
         raise ValidationError(f"fixed-point iteration budget {max_iter!r} must be >= 1")
     require_edge_balanced(d, balance_tol)
     if not d.moments().giant_weak:
@@ -361,7 +361,7 @@ def weak_size_distribution(
     coefficients are the finite-component size law, summing to one minus the
     giant fraction.
     """
-    if order < 1:
+    if _checked_count(order, "order") < 1:
         raise ValidationError(f"order {order} must be >= 1")
     require_edge_balanced(d, balance_tol)
     u, u_in, u_out = _terms(d)

@@ -8,12 +8,11 @@ index) through ``SeedSequence`` spawn keys.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BivariateDegreeDist, UnivariateDegreeDist
+from .degdist import BivariateDegreeDist, UnivariateDegreeDist, _checked_count
 from .errors import Exhausted, Unrealizable, ValidationError
 from .evolution import BoundDist
 
@@ -28,13 +27,6 @@ def _checked_seed(seed):
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValidationError(f"seed {seed} is negative")
     return seed
-
-
-def _vertex_count(n_vertices) -> int:
-    try:
-        return operator.index(n_vertices)
-    except TypeError:
-        raise ValidationError(f"vertex count {n_vertices} is not an integer") from None
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -57,7 +49,7 @@ class DirectedMultigraph:
 
 def _checked_edges(g: DirectedMultigraph) -> np.ndarray:
     """The edges of g as an int64 (E, 2) array whose endpoints are vertices."""
-    if _vertex_count(g.vertex_count) < 0:
+    if _checked_count(g.vertex_count, "vertex count") < 0:
         raise ValidationError(f"vertex count {g.vertex_count} is negative")
     edges = np.asarray(g.edges)
     if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
@@ -149,13 +141,11 @@ def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
     values, counts = np.unique(sizes, return_counts=True)
     if values[0] < 1:
         raise ValidationError(f"component size {values[0]} is below 1")
-    bins = list(zip(values.tolist(), counts.tolist()))
+    weights = counts.tolist()
     if vertex_weighted:
-        total = sum(s * c for s, c in bins)
-        pairs = [(s, s * c / total) for s, c in bins]
-    else:
-        pairs = [(s, c / sizes.size) for s, c in bins]
-    return UnivariateDegreeDist.from_entries(pairs)
+        weights = [s * c for s, c in zip(values.tolist(), weights)]
+    total = sum(weights)
+    return UnivariateDegreeDist._validated(values, [w / total for w in weights])
 
 
 def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -254,7 +244,7 @@ def sample_configuration(
     random stubs of the surplus side are deleted, so the graph has
     min(sum(n), sum(k)) edges.
     """
-    if _vertex_count(n_vertices) < 1:
+    if _checked_count(n_vertices, "vertex count") < 1:
         raise ValidationError(f"need at least 1 vertex, got {n_vertices}")
     rng = _as_rng(seed)
     n_of, k_of, probs = d.support
@@ -431,7 +421,7 @@ def kmc_simulate(
     and then the run ends at its last event, even below ``t_end``.  A
     ``t_end`` stop cuts the block at the first event later than ``t_end``.
     """
-    if _vertex_count(n_vertices) < 2:
+    if _checked_count(n_vertices, "vertex count") < 2:
         raise ValidationError(f"need at least 2 vertices, got {n_vertices}")
     if t_end is not None and c_n_target is not None:
         raise ValidationError("give at most one of t_end and c_n_target")

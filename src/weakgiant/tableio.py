@@ -17,10 +17,6 @@ from .errors import ParseError
 #: One table row as numpy's reader converts it.
 _ROW = np.dtype([("n", np.int64), ("k", np.int64), ("prob", np.float64)])
 
-#: Lines converted per block by the line reader: enough to amortize the
-#: per-block calls, few enough that the split rows of one block stay small.
-BLOCK_LINES = 1024
-
 
 def parse_records(text: str) -> tuple:
     """Parse table text into its three columns: first keys, second keys and
@@ -57,49 +53,28 @@ def parse_records(text: str) -> tuple:
 
 
 def _read_lines(lines: list[str]) -> tuple[list[int], list[int], list[float]]:
-    """The columns of ``lines``, converted a block of lines at a time with
-    Python's ``int`` and ``float``; a block that holds a malformed line is
-    read again line by line to raise :class:`ParseError` naming the first
-    one."""
+    """The columns of ``lines``, converted one line at a time with Python's
+    ``int`` and ``float``; the first malformed line raises
+    :class:`ParseError`."""
     ns: list[int] = []
     ks: list[int] = []
     probs: list[float] = []
-    for start in range(0, len(lines), BLOCK_LINES):
-        block = lines[start : start + BLOCK_LINES]
-        # blank lines and comment lines dropped
-        rows = [fields for fields in map(str.split, block) if fields and fields[0][0] != "#"]
-        if not rows:
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        try:
-            # A row without exactly three fields fails the strict zip or the unpacking.
-            n, k, prob = zip(*rows, strict=True)
-            ns += map(int, n)
-            ks += map(int, k)
-            probs += map(float, prob)
-        except ValueError:
-            _raise_first_error(block, start + 1)
-    return ns, ks, probs
-
-
-def _raise_first_error(lines: list[str], first_lineno: int) -> None:
-    """Raise :class:`ParseError` for the first malformed line of ``lines``."""
-    for lineno, raw in enumerate(lines, start=first_lineno):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
         if len(fields) != 3:
             raise ParseError(f"expected 3 fields, got {len(fields)}: {raw!r}", lineno)
         try:
-            int(fields[0])
-            int(fields[1])
+            ns.append(int(fields[0]))
+            ks.append(int(fields[1]))
         except ValueError:
             raise ParseError(f"first two fields must be integers: {raw!r}", lineno) from None
         try:
-            float(fields[2])
+            probs.append(float(fields[2]))
         except ValueError:
             raise ParseError(f"third field must be a real number: {raw!r}", lineno) from None
-    raise AssertionError("no malformed line in a block that failed to convert")
+    return ns, ks, probs
 
 
 def format_records(records: Iterable[tuple[int, int, float]]) -> str:

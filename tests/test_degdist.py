@@ -29,7 +29,7 @@ from weakgiant import (
     require_edge_balanced,
     truncated_double_poisson,
 )
-from weakgiant import tableio
+from weakgiant import evolution, mcgraph, tableio
 from weakgiant.degdist import NORM_TOL
 from weakgiant.errors import EdgeImbalance
 
@@ -221,6 +221,41 @@ def test_support_is_sorted_and_built_once(d):
     assert not probs.flags.writeable
 
 
+CAP70 = BoundDist.from_entries([(70, 70, 1.0)])
+ASYMMETRIC = BoundDist.from_entries([(3, 1, 0.5), (0, 2, 0.5)])
+
+BUILT_TABLES = {
+    "from_text": lambda: BivariateDegreeDist.from_text("1 0 0.5\n0 1 0.5\n"),
+    "bivariate from_entries": lambda: BivariateDegreeDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)]),
+    "bound from_entries": lambda: BoundDist.from_entries([(2, 1, 0.5), (0, 3, 0.5)]),
+    "univariate from_entries": lambda: UnivariateDegreeDist.from_entries([(2, 0.25), (1, 0.75)]),
+    "degree_state_at": lambda: evolution.degree_state_at(ASYMMETRIC, 0.3),
+    "degree_state_at_conversion": lambda: evolution.degree_state_at_conversion(CAP70, 0.015),
+    "marginal_degree_dist": lambda: evolution.marginal_degree_dist(
+        evolution.degree_state_at_conversion(ASYMMETRIC, 0.2)
+    ),
+    "asymptotic_dist symmetric": lambda: evolution.asymptotic_dist(CAP70),
+    "asymptotic_dist asymmetric": lambda: evolution.asymptotic_dist(ASYMMETRIC),
+    "undirected_projection": lambda: truncated_double_poisson(0.6).undirected_projection(),
+    "size_histogram": lambda: mcgraph.size_histogram([3, 1, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("build", BUILT_TABLES.values(), ids=BUILT_TABLES)
+def test_every_built_table_is_read_only(build):
+    support = build().support
+    assert support and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in support)
+    with pytest.raises(ValueError, match="read-only"):
+        support[-1][0] = 0.5
+
+
+def test_projection_names_a_degree_beyond_int64():
+    # n + k in int64 would wrap to a negative degree
+    d = BivariateDegreeDist.from_entries([(2**62, 2**62, 0.5), (3, 4, 0.5)])
+    with pytest.raises(ValidationError, match=f"degree {2**63} is above {2**63 - 1}$"):
+        d.undirected_projection()
+
+
 def test_mean_degree(fork_dist):
     assert fork_dist.mean_degree() == pytest.approx(2 / 3, abs=1e-15)
 
@@ -272,6 +307,24 @@ def test_text_round_trip_is_exact(fork_dist):
 def test_format_parse_round_trip(d):
     text = tableio.format_records(d.records())
     assert parsed_records(tableio.parse_records(text)) == d.records()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        truncated_double_poisson(0.6),
+        evolution.marginal_degree_dist(evolution.degree_state_at_conversion(CAP70, 0.015)),
+        BoundDist.from_entries([(10, 10, 1 / 3), (5, 10, 1 / 3), (10, 4, 1 / 3)]),
+    ],
+    ids=["double Poisson", "cap70 marginal", "bounds"],
+)
+def test_written_tables_are_read_by_numpy(table, monkeypatch):
+    def declined(lines):
+        raise AssertionError("numpy's reader declined a written table")
+
+    monkeypatch.setattr(tableio, "_read_lines", declined)
+    again = type(table).from_text(table.to_text())
+    assert again.records() == table.records()
 
 
 def test_from_text_propagates_validation():

@@ -471,6 +471,12 @@ def test_barycentric_grid_order_is_row_major():
     ]
 
 
+@pytest.mark.parametrize("resolution", [2.5, math.nan])
+def test_barycentric_resolution_must_be_an_integer(resolution):
+    with pytest.raises(ValidationError, match=f"resolution {resolution} is not an integer"):
+        barycentric_grid([(1, 0), (0, 1), (2, 2)], resolution)
+
+
 def test_barycentric_rejects_bad_input():
     with pytest.raises(ValidationError):
         barycentric_grid([(2, 2), (2, 2), (2, 2)], 1)

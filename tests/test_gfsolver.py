@@ -19,6 +19,7 @@ from weakgiant import (
     BivariateDegreeDist,
     BoundDist,
     NoConvergence,
+    ValidationError,
     criticality_determinant,
     giant_weak_fraction,
     has_giant_weak,
@@ -180,6 +181,18 @@ def test_edge_following_terms_are_size_biased(d):
         expected = {key: key[side] * p for key, p in d.entries.items() if key[side] >= 1}
         assert len(keys) == len(expected)
         assert dict(zip(keys, w.tolist())) == expected
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0])
+def test_iteration_budget_must_be_an_integer(max_iter):
+    with pytest.raises(ValidationError, match=f"budget {max_iter} is not an integer"):
+        interior_fixed_point(truncated_double_poisson(0.6), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("order", [2.5, math.nan])
+def test_order_must_be_an_integer(fork_dist, order):
+    with pytest.raises(ValidationError, match=f"order {order} is not an integer"):
+        weak_size_distribution(fork_dist, order)
 
 
 def test_order_must_be_positive(fork_dist):

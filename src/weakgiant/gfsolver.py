@@ -29,8 +29,11 @@ support, built once per call.
 The power series need no iteration: because of the factor z, coefficient m
 of every series depends only on coefficients below m, so one pass computes
 each coefficient once, in order ("relaxed" evaluation, van der Hoeven,
-J. Symbolic Comput. 34(6), 2002).  The result is exact for the truncated
-recursion up to roundoff.
+J. Symbolic Comput. 34(6), 2002).  The series read the term table as one
+dense box of weights cut at the order (exponents up to order - 1; higher
+powers of W_out and W_in start beyond it), and each coefficient costs four
+matrix-vector products.  The result is exact for the truncated recursion up
+to roundoff.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, _checked_count, require_edge_balanced
+from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, _checked_count, _new_keys, require_edge_balanced
 from .errors import NoConvergence, ValidationError
 
 #: Default fixed-point tolerance (on the error bound) and iteration budget.
@@ -53,8 +56,8 @@ MAX_ITER = 10**6
 _EPS = float(np.finfo(float).eps)
 _ROUNDOFF = 64 * _EPS
 #: Stand-in for log 0: finite, so 0 * log 0 == 0, and exp of any positive
-#: multiple is 0.
-_LOG_ZERO = -1e300
+#: multiple is 0; any int64 multiple of it, and the sum of two, stays finite.
+_LOG_ZERO = -1e280
 
 
 @dataclass(frozen=True)
@@ -123,18 +126,21 @@ def _linear_part_solved(out, inn):
     if not det > 0.0:
         return out, inn
 
-    # Both new rows run over the union of the exponent pairs of R.
-    base = int(max(r_out[2].max(initial=0), r_in[2].max(initial=0))) + 1
-    keys, index = np.unique(
-        np.concatenate([r_out[1] * base + r_out[2], r_in[1] * base + r_in[2]]), return_inverse=True
-    )
-    a, b = keys // base, keys % base
+    # Both new rows run over the union of the exponent pairs of R, in key
+    # order; index maps each term to its pair.
+    pairs = [np.concatenate([r_out[i], r_in[i]]) for i in (1, 2)]
+    by_key = np.lexsort(pairs[::-1])
+    sorted_pairs = [x[by_key] for x in pairs]
+    starts = _new_keys(sorted_pairs)
+    a, b = (x[starts] for x in sorted_pairs)
+    index = np.empty_like(by_key)
+    index[by_key] = np.cumsum(starts) - 1
     cut = len(r_out[0])
 
     def row(c_out, c_in):
         return (
-            np.bincount(index[:cut], weights=r_out[0] * (c_out / det), minlength=len(keys))
-            + np.bincount(index[cut:], weights=r_in[0] * (c_in / det), minlength=len(keys)),
+            np.bincount(index[:cut], weights=r_out[0] * (c_out / det), minlength=len(a))
+            + np.bincount(index[cut:], weights=r_in[0] * (c_in / det), minlength=len(a)),
             a,
             b,
         )
@@ -151,7 +157,7 @@ def _edge_rows(u_in, u_out, m: MomentSet) -> tuple[np.ndarray, np.ndarray, np.nd
     values = _linear_part_solved((u_out[0] / m.mu01, *u_out[1:]), (u_in[0] / m.mu10, *u_in[1:]))
     # A derivative row is a subset of its value row, so no row is wider.
     shape = (6, max(len(w) for w, _a, _b in values))
-    table = np.zeros(shape), np.zeros(shape, dtype=np.int32), np.zeros(shape, dtype=np.int32)
+    table = np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
     derivatives = (_partial(term, axis) for term in values for axis in (1, 2))
     for i, row in enumerate(itertools.chain(values, derivatives)):
         for column, entries in zip(table, row):
@@ -355,11 +361,16 @@ def weak_size_distribution(
     """Probabilities ``w(1), ..., w(order)`` that a random vertex lies in a
     finite weak component of each size.
 
-    One pass over the coefficients: ``[z^j]`` of ``W_out^a`` and ``W_in^b``
-    is built from the coefficients up to j, and then gives coefficient j + 1
-    of ``W_in``, ``W_out`` and ``W``.  In the supercritical phase the
-    coefficients are the finite-component size law, summing to one minus the
-    giant fraction.
+    One pass over the coefficients.  The weights of U, U_in and U_out sit
+    in one dense box, a row per (series, W_out exponent a) and a column per
+    W_in exponent b, cut at a, b <= order - 1: ``W_out(0) = W_in(0) = 0``,
+    so ``[z^j] W_out^a W_in^b = 0`` for ``a + b > j`` and the cut drops
+    nothing.  Per coefficient j, two matrix-vector products give ``[z^j]``
+    of every power ``W_out^a`` and ``W_in^b`` from the coefficients up to
+    j, one more groups the box by W_out exponent, and a fourth gives
+    coefficient j + 1 of ``W``, ``W_in`` and ``W_out``.  In the
+    supercritical phase the coefficients are the finite-component size law,
+    summing to one minus the giant fraction.
     """
     if _checked_count(order, "order") < 1:
         raise ValidationError(f"order {order} must be >= 1")
@@ -369,26 +380,27 @@ def weak_size_distribution(
     # Terms of U, U_in and U_out.
     series = [u] + [(w / mu, a, b) for w, a, b in (u_in, u_out)]
     _ps, ns, ks = u
-    top_out = int(ns.max())
-    pow_out = np.zeros((top_out + 1, order))  # pow_out[a, j] = [z^j] W_out^a
-    pow_in = np.zeros((int(ks.max()) + 1, order))
+    width, depth = (min(int(x.max()), order - 1) + 1 for x in (ns, ks))
+    # box[g * width + a, b]: weight of the term W_out^a W_in^b of series g.
+    box = np.zeros((len(series) * width, depth))
+    for g, (w, a, b) in enumerate(series):
+        kept = (a < width) & (b < depth)
+        box[g * width + a[kept], b[kept]] = w[kept]
+    # pow_out[j, a] = [z^j] W_out^a, and pow_in likewise.
+    pow_out, pow_in = np.zeros((order, width)), np.zeros((order, depth))
     pow_out[0, 0] = pow_in[0, 0] = 1.0
-    # grouped[g, a, j] = [z^j] of the terms of series g with W_out exponent a,
-    # without their W_out factor.
-    grouped = np.zeros((len(series), top_out + 1, order))
-    coeffs = np.zeros((len(series), order + 1))  # rows: W, W_in, W_out
-    # The three term lists as one, series g binned at g * width + a: one
-    # bincount per coefficient, each bin summing its own terms in their order.
-    width = top_out + 1
-    weight = np.concatenate([w for w, _a, _b in series])
-    bins = np.concatenate([g * width + a for g, (_w, a, _b) in enumerate(series)])
-    in_exp = np.concatenate([b for _w, _a, b in series])
+    # Newest first, so each step reads one contiguous slice:
+    # coeffs[:, order - m] = [z^m] of W, W_in, W_out for m >= 1, and
+    # grouped[g, order - 1 - m, a] = [z^m] of the terms of series g with
+    # W_out exponent a, without their W_out factor.
+    coeffs = np.zeros((len(series), order))
+    grouped = np.zeros((len(series), order, width))
     for j in range(order):
-        pow_out[1:, j] = pow_out[:-1, :j] @ coeffs[2, j:0:-1]
-        pow_in[1:, j] = pow_in[:-1, :j] @ coeffs[1, j:0:-1]
-        terms = np.bincount(bins, weights=weight * pow_in[in_exp, j], minlength=len(series) * width)
-        grouped[:, :, j] = terms.reshape(len(series), width)
-        coeffs[:, j + 1] = np.einsum("al,gal->g", pow_out[:, : j + 1], grouped[:, :, j::-1])
-    w = coeffs[0, 1:]
+        pow_out[j, 1:] = coeffs[2, order - j :] @ pow_out[:j, :-1]
+        pow_in[j, 1:] = coeffs[1, order - j :] @ pow_in[:j, :-1]
+        col = order - 1 - j
+        grouped[:, col] = (box @ pow_in[j]).reshape(len(series), width)
+        coeffs[:, col] = grouped[:, col:].reshape(len(series), -1) @ pow_out[: j + 1].ravel()
+    w = coeffs[0, ::-1]
     assert math.fsum(w.tolist()) <= 1.0 + 1e-9
     return w.tolist()

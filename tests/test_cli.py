@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import weakgiant
 from helpers import outcome, reference_json17, run_cli, truncated_double_poisson, validate_schema
-from weakgiant import BivariateDegreeDist, cli, evolution, mcgraph
+from weakgiant import BivariateDegreeDist, cli, evolution, interior_fixed_point, mcgraph
 
 FORK = "# n k prob\n1 0 0.66666666666666663\n0 2 0.33333333333333331\n"
 ATOM22 = "2 2 1.0\n"
@@ -120,11 +121,11 @@ PINNED_STDOUT = [
     ("dp0.45", ["analyze"],
      "fa58d62bf001e7d8c35ce45d65f2e4cb91301a75aec7435dc3af41149fb13bef"),
     ("dp0.45", ["gf", "--order", "60"],
-     "f993133530e8758d3e513d28220046b4daeb9a985dff549959a5b80b2920dcf5"),
+     "2ae9f38e7ce80c5d122c03e03d551fc842cf243ae6fd22d569d32347d525993e"),
     ("dp0.6", ["analyze"],
      "a264613e69db4baec5b9ab809851c759aeafa37bcc3a80b22c4b2c56939e79a6"),
     ("dp0.6", ["gf", "--order", "60"],
-     "8e1e673361007a2ab77b3c493542e611ccb6ed35ec8bcf549b7c427edfc0fe2a"),
+     "63920b77678e887b33cf57e3806c4fafcd3483c883cfd38b5c500788e2c1105f"),
     ("gate6", ["evolve", "--at-conversion", "0.2"],
      "5ccef8eab93712ab550486a6913952da7ae659318c42e6852a833f25d971b800"),
     ("gate6", ["evolve", "--at-conversion", "0.6"],
@@ -148,7 +149,7 @@ PINNED_STDOUT = [
     ("cap70", ["evolve", "--at-conversion", "0.015"],
      "15485b5f2b23a1b20a2b9e9229611e3167c1c12cb46e39fd213f96ed7a9fbf78"),
     ("dp0.6 crlf", ["gf", "--order", "40"],
-     "7b5697124def071bc904ee9362cea78cd968c2293c30a47c11016b6eac4bbf34"),
+     "20c98bd6aaa9e49d12a0d01f3b6900a1c892ec6a1f5945691c95634052a4580b"),
 ]
 
 
@@ -304,6 +305,39 @@ def test_gf_non_convergence_exits_4(tmp_path):
     )
     assert code == 4
     assert "residual" in err
+
+
+def huge_degree_table(K):
+    return f"0 0 0.4\n1 0 0.25\n0 1 0.25\n{K} {K} 0.1\n"
+
+
+@pytest.mark.parametrize("K", [2**31 - 1, 2**31 + 1, 3037000500])
+def test_huge_degrees_solve_cleanly(tmp_path, K):
+    # exponents beyond int32, and pairs whose product leaves int64
+    table = write(tmp_path, "d.txt", huge_degree_table(K))
+    code, out, err = run_cli(["analyze", table])
+    assert (code, err) == (0, "")
+    validate_schema("analyze", json.loads(out))
+    code, out, err = run_cli(["gf", table, "--order", "3"])
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    # w(2): a (1, 0) vertex on the edge of a (0, 1) vertex, or the reverse;
+    # no table term has a + b = 2, so w(3) = 0.
+    mu = Fraction(0.25) + K * Fraction(0.1)
+    w1, w2, w3 = result["size_distribution"]
+    assert (w1, w3) == (0.4, 0.0)
+    assert abs(w2 - float(Fraction(0.125) / mu)) <= 1e-15 * w2
+    # s^K underflows, so the least fixed point is s_in = 0.25 / mu
+    bound = interior_fixed_point(BivariateDegreeDist.from_text(huge_degree_table(K))).error_bound
+    assert abs(result["s_in"] - float(Fraction(0.25) / mu)) <= bound
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["gf", "--order", "3"]])
+def test_int64_max_degree_fails_with_one_line(tmp_path, command):
+    table = write(tmp_path, "d.txt", huge_degree_table(2**63 - 1))
+    code, _out, err = run_cli([command[0], table, *command[1:]])
+    assert code in (0, 4)
+    assert err.count("\n") == (code == 4) and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

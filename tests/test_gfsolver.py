@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import (
     atom22_fixed_point,
@@ -13,6 +14,7 @@ from helpers import (
     exact_picard_size_law,
     picard_fixed_point,
     run_cli,
+    symmetrized_dists,
     truncated_double_poisson,
 )
 from weakgiant import (
@@ -249,6 +251,18 @@ def test_size_distribution_matches_atom22_lagrange(c):
 def test_size_distribution_matches_exact_picard(d):
     w = weak_size_distribution(d, 8)
     exact = exact_picard_size_law(d, 8)
+    assert max(abs(a - float(b)) for a, b in zip(w, exact)) <= 1e-12
+
+
+@given(st.integers(1, 8).flatmap(lambda order: st.tuples(st.just(order), symmetrized_dists(3 * order))))
+@example(
+    # the (24, 24) terms lie outside the box cut at the order
+    (8, BivariateDegreeDist.from_entries([(0, 0, 0.5), (1, 2, 0.125), (2, 1, 0.125), (24, 24, 0.25)]))
+)
+def test_size_distribution_cut_at_the_order_matches_exact_picard(case):
+    order, d = case
+    w = weak_size_distribution(d, order)
+    exact = exact_picard_size_law(d, order)
     assert max(abs(a - float(b)) for a, b in zip(w, exact)) <= 1e-12
 
 

@@ -255,7 +255,9 @@ def interior_fixed_point(
     near the threshold that size grows like 1/t, so the bound does not stall
     at a roundoff floor there.  An iterate that stops moving ends the
     iteration early with :class:`~weakgiant.errors.NoConvergence`, as does
-    an exhausted budget.
+    an exhausted budget; unless it lies within ``tol/2`` of s = 0 and
+    ``H(p) >= p`` holds at ``p = 1 - tol/2``, which puts s* there too, and
+    the iterate is returned with the bound ``max(t - p)``.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"fixed-point tolerance {tol!r} must be positive and finite")
@@ -284,6 +286,7 @@ def interior_fixed_point(
     # Rounding bound of each Jacobian entry (row total plus an excess sum).
     jac_err = 2.0 * _ROUNDOFF * float(jacobian_at_one.max()) + _EPS
     t_out = t_in = 1.0
+    near_origin = 1.0 - 0.5 * tol
     for iteration in range(1, max_iter + 1):
         excess, value = _sums(rows, t_out, t_in)
         (f_out, r_out), (f_in, r_in) = map(
@@ -320,6 +323,13 @@ def interior_fixed_point(
         tight = max(t_out - p_out, t_in - p_in) + _EPS
         if tight < bound and tight <= tol and _is_below_fixed_point(values, p_out, p_in):
             bound = tight
+        elif (
+            (t_out + step_out, t_in + step_in) == (t_out, t_in)
+            and min(t_out, t_in) >= near_origin
+            and _is_below_fixed_point(values, near_origin, near_origin)
+        ):
+            # stalled within tol/2 of s = 0, and s* <= tol/2 there too
+            bound = max(t_out, t_in) - near_origin + _EPS
         if bound <= tol:
             return FixedPointSolution(
                 s_out=1.0 - t_out,

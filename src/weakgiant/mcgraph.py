@@ -65,6 +65,15 @@ def _checked_edges(g: DirectedMultigraph) -> np.ndarray:
     return edges.astype(np.int64, copy=False)
 
 
+def _pointer_jumped(parent: np.ndarray) -> np.ndarray:
+    """``parent`` with every vertex pointed at the root of its chain."""
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
+
+
 def weak_component_sizes(g: DirectedMultigraph) -> np.ndarray:
     """Multiset of weak-component sizes (directions ignored), sorted; sums to
     the vertex count.
@@ -81,6 +90,18 @@ def weak_component_sizes(g: DirectedMultigraph) -> np.ndarray:
     level per round, so no chain is longer than the number of rounds, and
     pointer jumping over all vertices at the end points every vertex at its
     component's least vertex.
+
+    A round that hooks more than half of the vertices runs full passes
+    ``parent[parent]`` instead, until nothing changes; they reach the same
+    roots.  Jumping the hooked roots costs about six array passes over them
+    per step against two over all vertices for a full pass, and the steps
+    follow the depth of the chains the round built.  With N = 1e5 (numpy
+    2.4, min of 15 calls), full passes won from a hooked share of about 0.3
+    on an ascending path that spans that share (long chains), but only from
+    about 0.75 on uniform random edges (short chains).  Both kinds of round
+    compact their survivors by an index from ``np.flatnonzero``: gathering
+    with it is several times faster than boolean-mask indexing with a
+    random mask (0.16 against 1.03 ms on 90k entries).
     """
     edges = _checked_edges(g)
     n_vertices = g.vertex_count
@@ -94,21 +115,20 @@ def weak_component_sizes(g: DirectedMultigraph) -> np.ndarray:
         hooked = np.zeros(n_vertices, dtype=bool)
         hooked[hi] = True
         moving = np.flatnonzero(hooked)
-        while moving.size:
-            up = parent[moving]
-            jumped = parent[up]
-            still = jumped != up
-            moving = moving[still]
-            parent[moving] = jumped[still]
+        if 2 * moving.size > n_vertices:
+            parent = _pointer_jumped(parent)
+        else:
+            while moving.size:
+                up = parent[moving]
+                jumped = parent[up]
+                still = np.flatnonzero(jumped != up)
+                moving = moving[still]
+                parent[moving] = jumped[still]
         u, v = parent[lo], parent[hi]
-        keep = u != v
+        keep = np.flatnonzero(u != v)
         u, v = u[keep], v[keep]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-    while True:
-        jumped = parent[parent]
-        if np.array_equal(jumped, parent):
-            break
-        parent = jumped
+    parent = _pointer_jumped(parent)
     counts = np.bincount(np.bincount(parent, minlength=n_vertices), minlength=1)
     counts[0] = 0
     return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
@@ -198,29 +218,37 @@ def _balance_by_redraw(idx: np.ndarray, diff: np.ndarray, probs: np.ndarray, rng
 
     Stops at zero, when no redraw can shrink the imbalance, or after
     ``_REDRAW_CANDIDATES_PER_VERTEX`` candidates per vertex.
+
+    Candidates come in batches of ``_REDRAW_BATCH``.  Each batch reads the
+    slots of its vertices from ``idx`` in one gather, keeps the redraws it
+    accepts in a dict (a vertex drawn again starts from its kept redraw)
+    and the class counts in a list, and writes ``idx`` back once; per
+    candidate this is plain Python, with no numpy scalar access.
     """
     n_vertices = idx.size
     dvals, dclass = np.unique(diff, return_inverse=True)
-    class_count = np.bincount(dclass[idx], minlength=dvals.size)
-    delta = int(class_count @ dvals)
+    class_count = np.bincount(dclass[idx], minlength=dvals.size).tolist()
+    delta = int(np.dot(class_count, dvals))
     diff_of = diff.tolist()
     class_of = dclass.tolist()
     budget = _REDRAW_CANDIDATES_PER_VERTEX * n_vertices
     tried = 0
-    while delta and tried < budget and _can_shrink(delta, dvals, class_count > 0):
-        vertices = rng.integers(0, n_vertices, size=_REDRAW_BATCH).tolist()
+    while delta and tried < budget and _can_shrink(delta, dvals, np.array(class_count) > 0):
+        vertices = rng.integers(0, n_vertices, size=_REDRAW_BATCH)
         slots = _draw_slots(probs, _REDRAW_BATCH, rng).tolist()
         tried += _REDRAW_BATCH
-        for v, new in zip(vertices, slots):
-            old = int(idx[v])
+        redrawn = {}
+        for v, old, new in zip(vertices.tolist(), idx[vertices].tolist(), slots):
+            old = redrawn.get(v, old)
             after = delta + diff_of[new] - diff_of[old]
             if abs(after) < abs(delta):
-                idx[v] = new
+                redrawn[v] = new
                 class_count[class_of[old]] -= 1
                 class_count[class_of[new]] += 1
                 delta = after
                 if not delta:
                     break
+        idx[list(redrawn)] = list(redrawn.values())
 
 
 def sample_configuration(
@@ -442,7 +470,11 @@ def kmc_simulate(
     times = np.empty(max(capacity, 0), dtype=float) if record_trajectory else None
     events, t, restarts = _grow(n_max, k_max, edges, times, rng, target_events, t_end)
 
-    graph = DirectedMultigraph(n_vertices, edges[:events].copy())
-    traj_t = times[:events].copy() if record_trajectory else np.empty(0)
+    if events < capacity:  # a c_n_target run fills its buffers exactly
+        edges = edges[:events].copy()
+        if times is not None:
+            times = times[:events].copy()
+    graph = DirectedMultigraph(n_vertices, edges)
+    traj_t = times if times is not None else np.empty(0)
     state = KmcState(n_max=n_max, k_max=k_max, t=t, events=events, restarts=restarts)
     return KmcResult(graph=graph, times=traj_t, state=state)

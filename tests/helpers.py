@@ -35,7 +35,17 @@ from weakgiant import (  # truncated_double_poisson is re-exported for the tests
 )
 from weakgiant.degdist import _checked_tol
 from weakgiant.gfsolver import _terms
-from weakgiant.mcgraph import DirectedMultigraph, KmcResult, KmcState, _as_rng, _sample_keys
+from weakgiant.mcgraph import (
+    _REDRAW_BATCH,
+    _REDRAW_CANDIDATES_PER_VERTEX,
+    DirectedMultigraph,
+    KmcResult,
+    KmcState,
+    _as_rng,
+    _can_shrink,
+    _draw_slots,
+    _sample_keys,
+)
 
 DYADIC_SCALE = 2**20
 
@@ -272,6 +282,34 @@ def choice_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     searches the cumulative probabilities: the reference for
     ``mcgraph._draw_slots``."""
     return rng.choice(probs.size, size=n, p=probs)
+
+
+def reference_balance_by_redraw(idx: np.ndarray, diff: np.ndarray, probs: np.ndarray, rng) -> None:
+    """The stub balance one candidate at a time, reading and writing ``idx``
+    per candidate: the reference for ``mcgraph._balance_by_redraw``, with
+    the same candidates, accept rule and stop rule."""
+    n_vertices = idx.size
+    dvals, dclass = np.unique(diff, return_inverse=True)
+    class_count = np.bincount(dclass[idx], minlength=dvals.size)
+    delta = int(class_count @ dvals)
+    diff_of = diff.tolist()
+    class_of = dclass.tolist()
+    budget = _REDRAW_CANDIDATES_PER_VERTEX * n_vertices
+    tried = 0
+    while delta and tried < budget and _can_shrink(delta, dvals, class_count > 0):
+        vertices = rng.integers(0, n_vertices, size=_REDRAW_BATCH).tolist()
+        slots = _draw_slots(probs, _REDRAW_BATCH, rng).tolist()
+        tried += _REDRAW_BATCH
+        for v, new in zip(vertices, slots):
+            old = int(idx[v])
+            after = delta + diff_of[new] - diff_of[old]
+            if abs(after) < abs(delta):
+                idx[v] = new
+                class_count[class_of[old]] -= 1
+                class_count[class_of[new]] += 1
+                delta = after
+                if not delta:
+                    break
 
 
 # ---------------------------------------------------------------------------

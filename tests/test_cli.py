@@ -334,10 +334,19 @@ def test_huge_degrees_solve_cleanly(tmp_path, K):
 
 @pytest.mark.parametrize("command", [["analyze"], ["gf", "--order", "3"]])
 def test_int64_max_degree_fails_with_one_line(tmp_path, command):
+    # s* is about 2.7e-19: Newton's first step does not move t = 1, and the
+    # stalled iterate is returned once s* <= tol/2 is verified
     table = write(tmp_path, "d.txt", huge_degree_table(2**63 - 1))
-    code, _out, err = run_cli([command[0], table, *command[1:]])
-    assert code in (0, 4)
-    assert err.count("\n") == (code == 4) and "Traceback" not in err
+    code, out, err = run_cli([command[0], table, *command[1:]])
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    if command[0] == "gf":
+        assert 0.0 <= result["s_in"] <= 1e-12 and 0.0 <= result["s_out"] <= 1e-12
+        assert result["giant_fraction"] == 0.6
+    else:
+        assert result["giant_weak_fraction"] == 0.6
+    solution = interior_fixed_point(BivariateDegreeDist.from_text(huge_degree_table(2**63 - 1)))
+    assert solution.s_in <= 1e-12 and solution.error_bound <= 1e-12
 
 
 @pytest.mark.parametrize(

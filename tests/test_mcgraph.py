@@ -10,11 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    bivariate_dists,
     chi2_two_sample,
     choice_slots,
     ks_critical,
     ks_two_sample,
     realized_degree_law,
+    reference_balance_by_redraw,
     sequential_kmc,
     truncated_double_poisson,
     tv_distance,
@@ -36,6 +38,8 @@ from weakgiant import (
 from weakgiant import mcgraph
 
 dimers = BoundDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
+# the gate-1 fork: n - k in {1, -2}, so redraws move the imbalance by 3
+FORK = BivariateDegreeDist.from_entries([(1, 0, 2 / 3), (0, 2, 1 / 3)])
 
 
 # --- component extraction ----------------------------------------------------
@@ -137,6 +141,60 @@ def test_weak_components_of_large_graphs_match_networkx(kind, three_class_bounds
     else:
         g = kmc_simulate(three_class_bounds, n, replica_rng(11, 5), t_end=0.06).graph
     assert weak_component_sizes(g).tolist() == networkx_weak_sizes(g)
+
+
+def _count_full_passes(monkeypatch) -> list:
+    calls = []
+    jumped = mcgraph._pointer_jumped
+
+    def counted(parent):
+        calls.append(parent.size)
+        return jumped(parent)
+
+    monkeypatch.setattr(mcgraph, "_pointer_jumped", counted)
+    return calls
+
+
+@pytest.mark.parametrize("hub", ["first", "last"])
+def test_weak_components_of_stars_match_networkx(monkeypatch, hub):
+    # hub 0 hooks every leaf in round 1 (full passes); hub n - 1 is hooked
+    # alone in round 1 and its leaves in round 2 (hooked roots, then full)
+    n = 501
+    center = 0 if hub == "first" else n - 1
+    leaves = np.setdiff1d(np.arange(n), [center])
+    flip = np.random.default_rng(3).random(leaves.size) < 0.5
+    edges = np.column_stack([np.full(leaves.size, center), leaves])
+    edges[flip] = edges[flip, ::-1]
+    calls = _count_full_passes(monkeypatch)
+    g = DirectedMultigraph(n, edges)
+    assert weak_component_sizes(g).tolist() == networkx_weak_sizes(g) == [n]
+    assert len(calls) >= 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_weak_components_on_both_sides_of_the_half_share(monkeypatch, seed, extra):
+    # round 1 hooks exactly n / 2 + extra vertices: at n / 2 the hooked roots
+    # are jumped, one more and the round runs full passes
+    n = 2000
+    rng = np.random.default_rng(seed)
+    hooked = rng.choice(np.arange(1, n), n // 2 + extra, replace=False)
+    his = np.repeat(hooked, rng.integers(1, 4, hooked.size))
+    los = (rng.random(his.size) * his).astype(np.int64)
+    edges = np.column_stack([los, his])
+    flip = rng.random(his.size) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    calls = _count_full_passes(monkeypatch)
+    g = DirectedMultigraph(n, edges)
+    assert weak_component_sizes(g).tolist() == networkx_weak_sizes(g)
+    assert len(calls) == 1 + extra
+
+
+def test_weak_components_of_a_long_ascending_path():
+    # round 1 hooks every vertex but 0 into one chain of depth n - 1
+    n = 100_000
+    edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    assert weak_component_sizes(DirectedMultigraph(n, edges)).tolist() == [n]
 
 
 @pytest.mark.parametrize(
@@ -317,6 +375,25 @@ def test_config_redraw_budget_bounds_rare_shrinking_moves():
     rare = BivariateDegreeDist.from_entries([(1, 0, 1 - 1e-12), (0, 1, 1e-12)])
     g = sample_configuration(rare, 100, replica_rng(13, 16))
     assert g.edges.shape == (0, 2)
+
+
+@given(
+    st.one_of(bivariate_dists(), st.just(FORK)),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_stub_balance_matches_its_per_candidate_loop(d, n, seed):
+    # with N <= 64 a 4096-candidate batch draws each vertex many times
+    n_of, k_of, probs = d.support
+    probs = probs / probs.sum()
+    rng = np.random.default_rng(seed)
+    idx = mcgraph._draw_slots(probs, n, rng)
+    ref_idx, ref_rng = idx.copy(), np.random.default_rng()
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    mcgraph._balance_by_redraw(idx, n_of - k_of, probs, rng)
+    reference_balance_by_redraw(ref_idx, n_of - k_of, probs, ref_rng)
+    assert idx.tolist() == ref_idx.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_config_degree_fidelity(fork_dist):

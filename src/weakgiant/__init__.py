@@ -9,10 +9,6 @@ and Monte Carlo samplers that cross-validate the analytics.
 from .criteria import (
     ConnectivityReport,
     criteria_report,
-    criticality_determinant,
-    has_giant_in_out,
-    has_giant_undirected_projection,
-    has_giant_weak,
     mean_weak_component_size,
 )
 from .degdist import (
@@ -51,7 +47,6 @@ from .evolution import (
     asymptotic_dist,
     barycentric_grid,
     conversion_sup,
-    conversions,
     critical_conversion,
     degree_state_at,
     degree_state_at_conversion,

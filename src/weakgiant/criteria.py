@@ -17,6 +17,10 @@ Newman-Strogatz-Watts condition for each direction; either both in- and
 out-giants exist or neither does under edge balance), and ignoring edge
 directions reduces ``D < 0`` to the Molloy-Reed criterion
 ``mu_2 - 2 mu_1 > 0`` for the projected total-degree law.
+
+Each verdict is a property of :class:`MomentSet` (``determinant``,
+``giant_weak``, ``giant_in_out``, ``giant_undirected_projection``);
+:func:`criteria_report` checks edge balance and evaluates them all.
 """
 
 from __future__ import annotations
@@ -43,33 +47,6 @@ class ConnectivityReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def criticality_determinant(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> float:
-    """The determinant D; D < 0 signals a giant weak component."""
-    require_edge_balanced(d, balance_tol)
-    return d.moments().determinant
-
-
-def has_giant_weak(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> bool:
-    """True when a giant weak component exists (see :attr:`MomentSet.giant_weak`)."""
-    require_edge_balanced(d, balance_tol)
-    return d.moments().giant_weak
-
-
-def has_giant_in_out(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> bool:
-    """True when giant in- and out-components exist (``mu_11 > mu``)."""
-    require_edge_balanced(d, balance_tol)
-    return d.moments().giant_in_out
-
-
-def has_giant_undirected_projection(
-    d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL
-) -> bool:
-    """Molloy-Reed test on the total-degree law, written in (n, k) moments:
-    ``2 mu_11 + mu_02 + mu_20 - 4 mu > 0``."""
-    require_edge_balanced(d, balance_tol)
-    return d.moments().giant_undirected_projection
 
 
 def _mean_size(m: MomentSet) -> float | None:

@@ -6,10 +6,10 @@ vertex.  This module holds the sparse table type, its partial moments
 
     mu_ij = sum_{n,k} n^i k^j u(n, k),
 
-the edge-balance check ``mu_10 == mu_01`` (every edge has one head and one
-tail, so a consistent law must give both means the same value), and the
-undirected projection ``d(l) = sum_{n+k=l} u(n, k)``.  The laws seen by
-following a uniformly random edge are weighted in ``gfsolver._terms``.
+and the edge-balance check ``mu_10 == mu_01`` (every edge has one head and
+one tail, so a consistent law must give both means the same value).  The
+laws seen by following a uniformly random edge are weighted in
+``gfsolver._terms``.
 """
 
 from __future__ import annotations
@@ -238,7 +238,9 @@ def _columns(rows, width: int) -> tuple:
 
 def _run_sums(keys, probs: np.ndarray) -> list:
     """Key-sorted ``keys`` and ``probs`` with each run of equal keys summed:
-    the run's key columns, then the ``fsum`` of its probabilities."""
+    the run's key columns, then the ``fsum`` of its probabilities.  Serves
+    :func:`weakgiant.evolution.marginal_degree_dist`, which sums a degree
+    state over its capacities."""
     starts = np.flatnonzero(_new_keys(keys))
     sums = probs[starts].tolist()
     # fsum of one value is that value; only runs of two or more need the sum.
@@ -249,13 +251,10 @@ def _run_sums(keys, probs: np.ndarray) -> list:
 
 
 class UnivariateDegreeDist(_Table):
-    """Sparse law of a single nonnegative integer degree."""
+    """Sparse law of a single nonnegative integer degree, as built by
+    :func:`weakgiant.mcgraph.size_histogram`."""
 
     _kind, _noun = "d", "degree"
-
-    @classmethod
-    def from_entries(cls, pairs: Iterable[tuple[int, float]], *, tol: float = NORM_TOL) -> "UnivariateDegreeDist":
-        return cls._validated(*_columns(pairs, 2), tol=tol)
 
 
 class _PairTable(_Table):
@@ -302,22 +301,9 @@ class BivariateDegreeDist(_PairTable):
         never mutated)."""
         return self._moment_set
 
-    def mean_degree(self) -> float:
-        """The common edge density mu; meaningful once edge balance holds."""
-        return self.moments().mu
-
     def is_edge_balanced(self, tol: float = BALANCE_TOL) -> bool:
         m = self.moments()
         return abs(m.mu10 - m.mu01) <= _checked_tol(tol) * max(1.0, m.mu10, m.mu01)
-
-    def undirected_projection(self) -> UnivariateDegreeDist:
-        """Law of the total degree l = n + k, ignoring edge directions."""
-        n, k, probs = self.support
-        if int(n.max(initial=0)) + int(k.max(initial=0)) > _INT64_MAX:
-            n = n.astype(object)  # int64 would wrap; validation names the degree
-        degrees = n + k
-        order = np.argsort(degrees, kind="stable")
-        return UnivariateDegreeDist._validated(*_run_sums((degrees[order],), probs[order]))
 
 
 def truncated_double_poisson(lam: float, cutoff: int = 30) -> BivariateDegreeDist:

@@ -147,12 +147,6 @@ def _at_time(P: BoundDist, t: float) -> tuple[float, float, float]:
     return m, min(m / nu.nu10, 1.0), min(m / nu.nu01, 1.0)
 
 
-def conversions(P: BoundDist, t: float) -> tuple[float, float]:
-    """Filled fractions ``(c_n, c_k)`` of in- and out-spots at time t."""
-    _mu, c_n, c_k = _at_time(P, t)
-    return c_n, c_k
-
-
 def conversion_sup(P: BoundDist) -> tuple[float, float]:
     """Supremum of (c_n, c_k) as t -> infinity.
 

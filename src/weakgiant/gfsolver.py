@@ -386,7 +386,7 @@ def weak_size_distribution(
         raise ValidationError(f"order {order} must be >= 1")
     require_edge_balanced(d, balance_tol)
     u, u_in, u_out = _terms(d)
-    mu = d.mean_degree()
+    mu = d.moments().mu
     # Terms of U, U_in and U_out.
     series = [u] + [(w / mu, a, b) for w, a, b in (u_in, u_out)]
     _ps, ns, ks = u

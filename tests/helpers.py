@@ -123,6 +123,16 @@ def brute_moment(entries: dict, i: int, j: int) -> float:
     return total
 
 
+def total_degree_law(d: BivariateDegreeDist) -> dict:
+    """Oracle: the law of the total degree ``l = n + k``, ignoring edge
+    directions; each probability is the ``fsum`` of its terms (Python ints
+    do not wrap)."""
+    terms: dict = {}
+    for n, k, p in d.records():
+        terms.setdefault(n + k, []).append(p)
+    return {l: math.fsum(ps) for l, ps in sorted(terms.items())}
+
+
 def rk4_mu(nu10, nu01, t_max: float, steps: int) -> np.ndarray:
     """RK4 integration of mu' = (nu01 - mu)(nu10 - mu), mu(0) = 0.
 
@@ -242,7 +252,7 @@ def picard_fixed_point(d: BivariateDegreeDist, *, tol: float = 1e-12, max_iter: 
     covers the rounding noise in q once steps are near 1e-14.
     """
     _u, u_in, u_out = _terms(d)
-    mu = d.mean_degree()
+    mu = d.moments().mu
 
     def total(term, x, y):
         w, a, b = term

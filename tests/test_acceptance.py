@@ -53,9 +53,10 @@ def test_criterion_1_fork_exactness():
     start = time.perf_counter()
     fork = BivariateDegreeDist.from_entries([(1, 0, 2 / 3), (0, 2, 1 / 3)])
 
-    D = criteria.criticality_determinant(fork)
+    report = criteria.criteria_report(fork)
+    D = report.determinant_D
     d_ok = abs(D - 4 / 9) <= 1e-9
-    giant_ok = criteria.has_giant_weak(fork) is False
+    giant_ok = report.giant_weak is False
     mean = criteria.mean_weak_component_size(fork)
     mean_ok = abs(mean - 3.0) <= 1e-9
     w = gfsolver.weak_size_distribution(fork, 5)
@@ -83,7 +84,7 @@ def test_criterion_2_directed_er_threshold():
     start = time.perf_counter()
 
     def D_of(lam: float) -> float:
-        return criteria.criticality_determinant(truncated_double_poisson(lam))
+        return truncated_double_poisson(lam).moments().determinant
 
     lo, hi = 0.4, 0.6
     assert D_of(lo) > 0.0 > D_of(hi)

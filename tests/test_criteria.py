@@ -1,63 +1,86 @@
+import math
+
 import pytest
 from hypothesis import given
 
-from helpers import balanced_dists, truncated_double_poisson
+from helpers import balanced_dists, run_cli, total_degree_law, truncated_double_poisson
 from weakgiant import (
     BivariateDegreeDist,
     EdgeImbalance,
     Supercritical,
     criteria_report,
-    criticality_determinant,
-    has_giant_in_out,
-    has_giant_undirected_projection,
-    has_giant_weak,
+    giant_weak_fraction,
+    interior_fixed_point,
     largest_weak_fraction,
     mean_weak_component_size,
     replica_rng,
     sample_configuration,
     weak_component_sizes,
+    weak_size_distribution,
 )
 
 
 def test_determinant_fork(fork_dist):
-    assert criticality_determinant(fork_dist) == pytest.approx(4 / 9, abs=1e-15)
+    assert fork_dist.moments().determinant == pytest.approx(4 / 9, abs=1e-15)
 
 
 def test_determinant_atom22(atom22):
     # (2-4)^2 - (4-2)(4-2) = 0, exactly
-    assert criticality_determinant(atom22) == 0.0
+    assert atom22.moments().determinant == 0.0
 
 
 def test_determinant_double_poisson():
     lam = 0.25
     d = truncated_double_poisson(lam)
-    assert criticality_determinant(d) == pytest.approx(lam * lam * (1 - 2 * lam), abs=1e-12)
+    assert d.moments().determinant == pytest.approx(lam * lam * (1 - 2 * lam), abs=1e-12)
 
 
-def test_determinant_requires_balance():
-    sources = BivariateDegreeDist.from_entries([(1, 0, 1.0)])
-    with pytest.raises(EdgeImbalance):
-        criticality_determinant(sources)
+SOURCES = "1 0 1.0\n"  # mean in-degree 1, mean out-degree 0
+
+IMBALANCE_CASES = {
+    "criteria_report": criteria_report,
+    "mean_weak_component_size": mean_weak_component_size,
+    "interior_fixed_point": interior_fixed_point,
+    "giant_weak_fraction": giant_weak_fraction,
+    "weak_size_distribution": lambda d: weak_size_distribution(d, 5),
+    "cli analyze": ["analyze"],
+    "cli gf": ["gf"],
+    "cli simulate config": ["simulate", "--mode", "config", "--vertices", "100"],
+}
+
+
+@pytest.mark.parametrize("case", IMBALANCE_CASES.values(), ids=IMBALANCE_CASES)
+def test_edge_imbalance_is_refused(case, tmp_path):
+    if callable(case):
+        with pytest.raises(EdgeImbalance):
+            case(BivariateDegreeDist.from_text(SOURCES))
+        return
+    path = tmp_path / "d.txt"
+    path.write_text(SOURCES)
+    code, out, err = run_cli([case[0], str(path), *case[1:]])
+    assert (code, out) == (3, "")
+    assert err.startswith("weakgiant: invalid input: mean in-degree 1.0 != mean out-degree 0.0")
+    assert len(err.splitlines()) == 1
 
 
 def test_has_giant_weak(fork_dist, atom22, atom11):
-    assert not has_giant_weak(fork_dist)
+    assert not fork_dist.moments().giant_weak
     # D = 0 boundary, but mu11 - mu = 2 > 0 forces the giant component
-    assert has_giant_weak(atom22)
+    assert atom22.moments().giant_weak
     # D = 0 and mu11 - mu = 0: union of cycles, no giant by the criterion
-    assert not has_giant_weak(atom11)
+    assert not atom11.moments().giant_weak
 
 
 def test_has_giant_in_out(fork_dist, atom22, atom11):
-    assert has_giant_in_out(atom22)
-    assert not has_giant_in_out(fork_dist)
-    assert not has_giant_in_out(atom11)
+    assert atom22.moments().giant_in_out
+    assert not fork_dist.moments().giant_in_out
+    assert not atom11.moments().giant_in_out
 
 
 def test_has_giant_undirected_projection(fork_dist, atom22, origin_atom):
-    assert not has_giant_undirected_projection(fork_dist)
-    assert has_giant_undirected_projection(atom22)
-    assert not has_giant_undirected_projection(origin_atom)
+    assert not fork_dist.moments().giant_undirected_projection
+    assert atom22.moments().giant_undirected_projection
+    assert not origin_atom.moments().giant_undirected_projection
 
 
 def test_mean_weak_size_fork(fork_dist):
@@ -129,22 +152,22 @@ def test_paper_A_is_exact_negation(d):
 
 @given(balanced_dists())
 def test_in_out_implies_weak(d):
-    if has_giant_in_out(d):
-        assert has_giant_weak(d)
+    if d.moments().giant_in_out:
+        assert d.moments().giant_weak
 
 
 @given(balanced_dists())
 def test_molloy_reed_agreement(d):
     # both sides evaluate the same dyadic rational, so the booleans must
     # agree exactly, not just within tolerance
-    proj = d.undirected_projection()
-    direct = has_giant_undirected_projection(d)
-    assert direct == (proj.moment(2) - 2 * proj.moment(1) > 0.0)
+    law = total_degree_law(d)
+    mu1, mu2 = (math.fsum(l**i * p for l, p in law.items()) for i in (1, 2))
+    assert d.moments().giant_undirected_projection == (mu2 - 2 * mu1 > 0.0)
 
 
 @given(balanced_dists())
 def test_mean_is_at_least_one_when_defined(d):
-    D = criticality_determinant(d)
+    D = d.moments().determinant
     if D > 0:
         assert mean_weak_component_size(d) >= 1.0 - 1e-12
 
@@ -155,12 +178,12 @@ def test_mean_is_at_least_one_when_defined(d):
 def test_sign_of_D_predicts_simulation():
     n = 10**5
     sub = truncated_double_poisson(0.25)
-    assert criticality_determinant(sub) > 0.05 * sub.mean_degree() ** 2
+    assert sub.moments().determinant > 0.05 * sub.moments().mu ** 2
     g = sample_configuration(sub, n, replica_rng(901, 0))
     assert largest_weak_fraction(g) < 0.02
 
     sup = truncated_double_poisson(0.75)
-    assert criticality_determinant(sup) < -0.05 * sup.mean_degree() ** 2
+    assert sup.moments().determinant < -0.05 * sup.moments().mu ** 2
     g = sample_configuration(sup, n, replica_rng(901, 1))
     assert largest_weak_fraction(g) > 0.05
 

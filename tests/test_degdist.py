@@ -152,29 +152,6 @@ def test_balanced_strategies_are_exactly_balanced(d):
     assert d.moment(1, 0) == d.moment(0, 1)
 
 
-# --- undirected projection -------------------------------------------------
-
-
-def test_projection_examples(fork_dist, origin_atom):
-    assert fork_dist.undirected_projection().entries == {1: 2 / 3, 2: 1 / 3}
-    assert origin_atom.undirected_projection().entries == {0: 1.0}
-    atom = BivariateDegreeDist.from_entries([(2, 3, 1.0)])
-    assert atom.undirected_projection().entries == {5: 1.0}
-
-
-@given(bivariate_dists())
-def test_projection_preserves_mass_exactly(d):
-    proj = d.undirected_projection()
-    # dyadic inputs: the grouped sums are exact, not merely close
-    assert math.fsum(proj.entries.values()) == math.fsum(d.entries.values())
-
-
-@given(bivariate_dists())
-def test_projection_first_moment_linearity(d):
-    proj = d.undirected_projection()
-    assert proj.moment(1) == pytest.approx(d.moment(1, 0) + d.moment(0, 1), abs=1e-12)
-
-
 # --- support and moments shared with bound tables --------------------------
 
 
@@ -228,7 +205,6 @@ BUILT_TABLES = {
     "from_text": lambda: BivariateDegreeDist.from_text("1 0 0.5\n0 1 0.5\n"),
     "bivariate from_entries": lambda: BivariateDegreeDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)]),
     "bound from_entries": lambda: BoundDist.from_entries([(2, 1, 0.5), (0, 3, 0.5)]),
-    "univariate from_entries": lambda: UnivariateDegreeDist.from_entries([(2, 0.25), (1, 0.75)]),
     "degree_state_at": lambda: evolution.degree_state_at(ASYMMETRIC, 0.3),
     "degree_state_at_conversion": lambda: evolution.degree_state_at_conversion(CAP70, 0.015),
     "marginal_degree_dist": lambda: evolution.marginal_degree_dist(
@@ -236,7 +212,6 @@ BUILT_TABLES = {
     ),
     "asymptotic_dist symmetric": lambda: evolution.asymptotic_dist(CAP70),
     "asymptotic_dist asymmetric": lambda: evolution.asymptotic_dist(ASYMMETRIC),
-    "undirected_projection": lambda: truncated_double_poisson(0.6).undirected_projection(),
     "size_histogram": lambda: mcgraph.size_histogram([3, 1, 1, 2]),
 }
 
@@ -249,22 +224,15 @@ def test_every_built_table_is_read_only(build):
         support[-1][0] = 0.5
 
 
-def test_projection_names_a_degree_beyond_int64():
-    # n + k in int64 would wrap to a negative degree
-    d = BivariateDegreeDist.from_entries([(2**62, 2**62, 0.5), (3, 4, 0.5)])
-    with pytest.raises(ValidationError, match=f"degree {2**63} is above {2**63 - 1}$"):
-        d.undirected_projection()
-
-
 def test_mean_degree(fork_dist):
-    assert fork_dist.mean_degree() == pytest.approx(2 / 3, abs=1e-15)
+    assert fork_dist.moments().mu == pytest.approx(2 / 3, abs=1e-15)
 
 
 # --- univariate ------------------------------------------------------------
 
 
 def test_univariate_moments():
-    d = UnivariateDegreeDist.from_entries([(1, 0.5), (3, 0.5)])
+    d = UnivariateDegreeDist._validated([1, 3], [0.5, 0.5])
     assert d.moment(0) == 1.0
     assert d.moment(1) == 2.0
     assert d.moment(2) == 5.0
@@ -272,7 +240,7 @@ def test_univariate_moments():
 
 def test_univariate_rejects_negative_degree():
     with pytest.raises(NegativeIndex):
-        UnivariateDegreeDist.from_entries([(-2, 1.0)])
+        UnivariateDegreeDist._validated([-2], [1.0])
 
 
 # --- text round-trips ------------------------------------------------------
@@ -415,7 +383,7 @@ def test_bound_table_validation_matches_reference(case):
 def test_univariate_table_validation_matches_reference(case):
     rows, tol = case
     _assert_same_table(
-        lambda: UnivariateDegreeDist.from_entries(rows, tol=tol),
+        lambda: UnivariateDegreeDist._validated([l for l, _p in rows], [p for _l, p in rows], tol=tol),
         lambda: reference_univariate_table(rows, tol),
         False,
     )

@@ -23,8 +23,6 @@ from weakgiant import (
     asymptotic_dist,
     barycentric_grid,
     conversion_sup,
-    conversions,
-    criticality_determinant,
     critical_conversion,
     degree_state_at,
     degree_state_at_conversion,
@@ -32,9 +30,11 @@ from weakgiant import (
     mu_moments_at,
     mu_of_t,
     nu_moments,
+    require_edge_balanced,
     time_of_conversion,
     transition_class,
 )
+from weakgiant.evolution import _at_time
 
 asym_pair = BoundDist.from_entries([(2, 1, 1.0)])  # nu10=2, nu01=1
 dimers = BoundDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
@@ -147,18 +147,18 @@ def test_symmetric_branch_is_continuous():
 
 
 def test_conversions_at_zero(three_class_bounds):
-    assert conversions(three_class_bounds, 0.0) == (0.0, 0.0)
+    assert _at_time(three_class_bounds, 0.0)[1:] == (0.0, 0.0)
 
 
 def test_conversions_asymmetric():
-    c_n, c_k = conversions(asym_pair, math.log(2))
+    c_n, c_k = _at_time(asym_pair, math.log(2))[1:]
     assert c_n == pytest.approx(1 / 3, abs=1e-14)
     assert c_k == pytest.approx(2 / 3, abs=1e-14)
 
 
 def test_conversions_symmetric_are_equal(p22_bounds):
     for t in (0.3, 1.0, 2.5):
-        c_n, c_k = conversions(p22_bounds, t)
+        c_n, c_k = _at_time(p22_bounds, t)[1:]
         assert c_n == c_k
 
 
@@ -208,7 +208,7 @@ def test_state_carries_its_instant(three_class_bounds):
     P = three_class_bounds
     state = degree_state_at(P, 0.1)
     assert (state.t, state.mu) == (0.1, mu_of_t(P, 0.1))
-    assert (state.c_n, state.c_k) == conversions(P, 0.1)
+    assert (state.c_n, state.c_k) == _at_time(P, 0.1)[1:]
     state = degree_state_at_conversion(P, 0.2)
     assert state.t == time_of_conversion(P, 0.2)
     assert (state.mu, state.c_n) == (0.2 * nu_moments(P).nu10, 0.2)
@@ -304,7 +304,8 @@ def test_determinant_vanishes_at_critical_conversion(three_class_bounds):
 
     def D(c):
         marg = marginal_degree_dist(degree_state_at_conversion(three_class_bounds, c))
-        return criticality_determinant(marg, balance_tol=1e-8)
+        require_edge_balanced(marg, 1e-8)
+        return marg.moments().determinant
 
     lo, hi = 1e-6, 0.5
     assert D(lo) > 0 > D(hi)
@@ -356,14 +357,14 @@ def test_conversion_time_round_trip(P, numer):
     sup_cn, _ = conversion_sup(P)
     c_n = (numer / 2**20) * sup_cn * 0.999  # stay clear of the supremum
     t = time_of_conversion(P, c_n)
-    back, _ = conversions(P, t)
+    back, _ = _at_time(P, t)[1:]
     assert back == pytest.approx(c_n, abs=1e-10)
 
 
 @given(bound_dists())
 def test_conversions_nondecreasing_in_time(P):
     ts = [0.0, 0.1, 0.5, 1.0, 3.0, 10.0]
-    values = [conversions(P, t) for t in ts]
+    values = [_at_time(P, t)[1:] for t in ts]
     for (a_n, a_k), (b_n, b_k) in zip(values, values[1:]):
         assert b_n >= a_n - 1e-15 and b_k >= a_k - 1e-15
 

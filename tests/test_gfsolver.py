@@ -22,9 +22,7 @@ from weakgiant import (
     BoundDist,
     NoConvergence,
     ValidationError,
-    criticality_determinant,
     giant_weak_fraction,
-    has_giant_weak,
     interior_fixed_point,
     largest_weak_fraction,
     mean_weak_component_size,
@@ -161,8 +159,8 @@ def test_atom22_marginal_matches_closed_form(c):
 
 @given(balanced_dists())
 def test_newton_matches_picard(d):
-    mu = d.mean_degree()
-    if abs(criticality_determinant(d)) <= 0.05 * mu * mu:
+    m = d.moments()
+    if abs(m.determinant) <= 0.05 * m.mu * m.mu:
         return  # near-critical band excluded, where Picard takes ~1/|D| steps
     picard_tol = 1e-12
     sol = interior_fixed_point(d)
@@ -210,12 +208,11 @@ def test_order_must_be_positive(fork_dist):
     )
 )
 def test_fraction_sign_agrees_with_criterion(d):
-    mu = d.mean_degree()
-    D = criticality_determinant(d)
-    if abs(D) <= 0.05 * mu * mu:
+    m = d.moments()
+    if abs(m.determinant) <= 0.05 * m.mu * m.mu:
         return  # near-critical band excluded, slow and noisy
     frac = giant_weak_fraction(d)
-    if has_giant_weak(d):
+    if m.giant_weak:
         assert frac > 0.0
     else:
         assert frac == 0.0
@@ -223,8 +220,8 @@ def test_fraction_sign_agrees_with_criterion(d):
 
 @given(balanced_dists())
 def test_size_coefficients_are_a_subprobability(d):
-    mu = d.mean_degree()
-    if abs(criticality_determinant(d)) <= 0.05 * mu * mu:
+    m = d.moments()
+    if abs(m.determinant) <= 0.05 * m.mu * m.mu:
         return
     w = weak_size_distribution(d, 20)
     assert all(c >= 0.0 for c in w)

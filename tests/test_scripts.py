@@ -1,6 +1,7 @@
 """Smoke runs of the study scripts in ``scripts/``, each in a subprocess with
-tiny arguments."""
+tiny arguments, and a run of the README's library quickstart."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 import weakgiant
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 SRC = Path(weakgiant.__file__).resolve().parent.parent
 
 
@@ -74,6 +76,22 @@ def test_script_missing_bounds_exits_2(script, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("weakgiant: i/o error: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_readme_quickstart_states_its_values():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    # run the block statement by statement, keeping each expression's value
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    giant, mean, sizes, c_star, t_crit, instant, _marginal = values
+    assert (giant, mean, sizes, c_star) == (False, 3.0, [0, 0, 1, 0, 0], (1 / 3, 1 / 3))
+    assert t_crit == pytest.approx(0.25, abs=1e-15)
+    assert instant == (1 / 6, 0.5, 0.25)
 
 
 def _run(script, args):

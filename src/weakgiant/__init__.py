@@ -34,7 +34,6 @@ from .errors import (
     NotNormalized,
     ParseError,
     Supercritical,
-    Unrealizable,
     ValidationError,
     WeakGiantError,
 )

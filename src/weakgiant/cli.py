@@ -220,7 +220,7 @@ def _cmd_simulate(args) -> str:
             rows.extend(f"{t:.17g}\t{(e + 1) / args.vertices:.17g}" for e, t in enumerate(result.times.tolist()))
             Path(args.dump_trajectory).write_text("\n".join(rows) + "\n")
     sizes = mcgraph.weak_component_sizes(graph)
-    hist = mcgraph.size_histogram(sizes, vertex_weighted=True)
+    hist = mcgraph.size_histogram(sizes)
     if args.dump_graph:
         _dump_graph(graph, args.dump_graph)
     return _json17(

@@ -60,16 +60,14 @@ def _mean_size(m: MomentSet) -> float | None:
     return 1.0 + mu * mu * (m.mu02 + m.mu20 - 2.0 * m.mu11) / D
 
 
-def mean_weak_component_size(
-    d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL
-) -> float:
+def mean_weak_component_size(d: BivariateDegreeDist) -> float:
     """Expected weak-component size of a uniformly random vertex,
 
         W'(1) = 1 + mu^2 (mu_02 + mu_20 - 2 mu_11) / D,
 
     finite only while D > 0.  A law with no edges has mean exactly 1.
     """
-    require_edge_balanced(d, balance_tol)
+    require_edge_balanced(d)
     m = d.moments()
     mean = _mean_size(m)
     if mean is None:

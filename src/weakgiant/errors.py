@@ -79,6 +79,3 @@ class ConversionOutOfRange(WeakGiantError):
 class Exhausted(WeakGiantError):
     """A simulation ran out of admissible events before its stop condition."""
 
-
-class Unrealizable(WeakGiantError):
-    """A sampled structure cannot be realized; indicates an internal bug."""

@@ -41,6 +41,8 @@ ASYMPTOTIC_BAND = 1e-12
 #: Relative threshold below which nu_10 and nu_01 are treated as equal and
 #: the symmetric closed form of mu(t) is used.
 SYMMETRIC_SWITCH = 1e-12
+#: Largest capacity m for which every comb(m, j) converts to a float.
+_FLOAT_COMB_MAX_M = 1029
 
 
 @dataclass(frozen=True)
@@ -159,19 +161,34 @@ def conversion_sup(P: BoundDist) -> tuple[float, float]:
     return nu.nu01 / nu.nu10, 1.0
 
 
-def _binom_pmf(m: int, j: int, c: float) -> float:
-    return math.comb(m, j) * c**j * (1.0 - c) ** (m - j)
+def _binom_pmfs(m: int, c: float) -> np.ndarray:
+    """Binomial(m, c) pmf at j = 0..m.
+
+    Up to ``_FLOAT_COMB_MAX_M`` each term is ``comb(m, j) c^j (1 - c)^(m - j)``.
+    Beyond it comb(m, j) can exceed the float range, so the terms are running
+    products of the ratios pmf(j + 1) / pmf(j) outward from the mode, each at
+    most 1, divided by their correctly rounded sum: O(m) ulps relative.
+    """
+    if m <= _FLOAT_COMB_MAX_M:
+        return np.array([math.comb(m, j) * c**j * (1.0 - c) ** (m - j) for j in range(m + 1)])
+    pmf = np.zeros(m + 1)
+    if c == 0.0 or c == 1.0:
+        pmf[round(c * m)] = 1.0
+        return pmf
+    j = np.arange(m, dtype=float)
+    ratio = (m - j) / (j + 1.0) * (c / (1.0 - c))
+    mode = min(int((m + 1) * c), m)
+    pmf[mode] = 1.0
+    pmf[mode + 1 :] = np.cumprod(ratio[mode:])
+    pmf[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return pmf / math.fsum(pmf.tolist())
 
 
 def _state_support(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ...]:
     """The :class:`FullDegreeState` support at conversions ``(c_n, c_k)``,
     sorted by ``(n, k, n_max, k_max)``.  Per class, the entries are the
     outer product ``(p * pn) x pk`` of binomial pmfs."""
-
-    @functools.cache
-    def pmf(m: int, c: float) -> np.ndarray:
-        return np.array([_binom_pmf(m, j, c) for j in range(m + 1)])
-
+    pmf = functools.cache(_binom_pmfs)
     columns = []
     for nm, km, p in P.records():
         q = np.multiply.outer(p * pmf(nm, c_n), pmf(km, c_k))
@@ -274,14 +291,8 @@ def critical_conversion(P: BoundDist) -> tuple[float, float] | None:
     the reachable supremum; see :func:`transition_class`.
     """
     nu = nu_moments(P)
-    radicand = (nu.nu02 - nu.nu01) * (nu.nu20 - nu.nu10)
-    if radicand < 0.0:
-        # Impossible for integer-valued capacities in exact arithmetic;
-        # tiny negatives are roundoff.
-        if radicand < -1e-12 * max(1.0, nu.nu02 * nu.nu20):
-            return None
-        radicand = 0.0
-    den = nu.nu11 + math.sqrt(radicand)
+    # Each n^2 P rounds to >= n P and fsum rounds correctly: nu_20 >= nu_10, nu_02 >= nu_01.
+    den = nu.nu11 + math.sqrt((nu.nu02 - nu.nu01) * (nu.nu20 - nu.nu10))
     if den <= 0.0:
         return None
     return nu.nu01 / den, nu.nu10 / den

@@ -354,15 +354,10 @@ def interior_fixed_point(
     )
 
 
-def giant_weak_fraction(
-    d: BivariateDegreeDist,
-    *,
-    tol: float = FP_TOL,
-    max_iter: int = MAX_ITER,
-    balance_tol: float = BALANCE_TOL,
-) -> float:
-    """Fraction of vertices in the giant weak component (0 if subcritical)."""
-    return interior_fixed_point(d, tol=tol, max_iter=max_iter, balance_tol=balance_tol).giant_fraction
+def giant_weak_fraction(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> float:
+    """Fraction of vertices in the giant weak component (0 if subcritical),
+    at the default tolerance and budget of :func:`interior_fixed_point`."""
+    return interior_fixed_point(d, balance_tol=balance_tol).giant_fraction
 
 
 def weak_size_distribution(

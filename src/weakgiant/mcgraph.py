@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degdist import BivariateDegreeDist, UnivariateDegreeDist, _checked_count
-from .errors import Exhausted, Unrealizable, ValidationError
+from .errors import Exhausted, ValidationError
 from .evolution import BoundDist
 
 
@@ -141,14 +141,13 @@ def largest_weak_fraction(g: DirectedMultigraph) -> float:
     return float(sizes.max()) / g.vertex_count
 
 
-def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
-    """Component-size law from a multiset of sizes.
+def size_histogram(sizes) -> UnivariateDegreeDist:
+    """Vertex-weighted component-size law from a multiset of sizes.
 
-    Vertex-weighted, bin s carries ``s * count(s) / sum(sizes)``: the
-    probability that a random vertex lies in a size-s component.  Otherwise
-    bins are component-weighted, ``count(s) / len(sizes)``.  ``sizes`` is a
-    sequence or an integer array; each probability is an exact integer
-    ratio, correctly rounded.
+    Bin s carries ``s * count(s) / sum(sizes)``: the probability that a
+    random vertex lies in a size-s component.  ``sizes`` is a sequence or an
+    integer array; each probability is an exact integer ratio, correctly
+    rounded.
     """
     sizes = np.asarray(sizes)
     if sizes.dtype.kind == "f":
@@ -161,9 +160,7 @@ def size_histogram(sizes, vertex_weighted: bool = True) -> UnivariateDegreeDist:
     values, counts = np.unique(sizes, return_counts=True)
     if values[0] < 1:
         raise ValidationError(f"component size {values[0]} is below 1")
-    weights = counts.tolist()
-    if vertex_weighted:
-        weights = [s * c for s, c in zip(values.tolist(), weights)]
+    weights = [s * c for s, c in zip(values.tolist(), counts.tolist())]
     total = sum(weights)
     return UnivariateDegreeDist._validated(values, [w / total for w in weights])
 
@@ -287,8 +284,6 @@ def sample_configuration(
         in_stubs = rng.permutation(in_stubs)[: out_stubs.size]
     elif out_stubs.size > in_stubs.size:
         out_stubs = rng.permutation(out_stubs)[: in_stubs.size]
-    if in_stubs.size != out_stubs.size:
-        raise Unrealizable("stub repair failed to balance sides")
 
     src = rng.permutation(out_stubs)
     edges = np.column_stack([src, in_stubs])

@@ -307,6 +307,14 @@ def test_gf_non_convergence_exits_4(tmp_path):
     assert "residual" in err
 
 
+def test_gf_stalled_iteration_exits_4(tmp_path):
+    # a bound below the roundoff floor: Newton stops moving first
+    table = write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
+    code, out, err = run_cli(["gf", table, "--order", "5", "--fp-tol", "1e-30"])
+    assert (code, out) == (4, "")
+    assert "stopped moving" in err
+
+
 def huge_degree_table(K):
     return f"0 0 0.4\n1 0 0.25\n0 1 0.25\n{K} {K} 0.1\n"
 
@@ -456,6 +464,26 @@ def test_nan_tolerance_exits_3(tmp_path, command, mode):
     assert code == 3
     assert out == ""
     assert "tolerance nan" in err and "mean" not in err
+
+
+LOPSIDED = "100000 0 0.5\n0 100000 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "table, mode",
+    [
+        ("1030 1030 1\n", ["--at-conversion", "0.001"]),
+        ("1030 1030 1\n", ["--at-time", "1e-6"]),
+        (LOPSIDED, ["--at-conversion", "0.5"]),
+        (LOPSIDED, ["--at-time", "0.001"]),
+    ],
+    ids=["1030-conversion", "1030-time", "lopsided-conversion", "lopsided-time"],
+)
+def test_evolve_capacities_beyond_float_binomials(tmp_path, table, mode):
+    # comb(m, j) leaves the float range from m = 1030
+    code, out, err = run_cli(["evolve", write(tmp_path, "p.txt", table), *mode])
+    assert (code, err) == (0, "")
+    validate_schema("evolve", json.loads(out))
 
 
 def test_evolve_rejects_edgeless_bounds(tmp_path):
@@ -668,6 +696,17 @@ def test_simulate_rejects_stop_flags_in_config_mode(tmp_path):
     assert "kmc" in err
 
 
+def test_simulate_rejects_trajectory_dump_in_config_mode(tmp_path):
+    dist = write(tmp_path, "d.txt", FORK)
+    code, out, err = run_cli(
+        ["simulate", dist, "--mode", "config", "--vertices", "100",
+         "--dump-trajectory", str(tmp_path / "traj.tsv")]
+    )
+    assert (code, out) == (3, "")
+    assert "kmc" in err
+    assert not (tmp_path / "traj.tsv").exists()
+
+
 def test_simulate_kmc_rejects_nan_t_end(tmp_path):
     bounds = write(tmp_path, "p.txt", ATOM22)
     code, out, err = run_cli(
@@ -749,6 +788,11 @@ def test_barycentric_malformed_atom_exit_2():
         ["barycentric", "--atoms", "1;0", "0,1", "3,0", "--resolution", "4"]
     )
     assert code == 2
+    code, _, err = run_cli(
+        ["barycentric", "--atoms", "1,x", "2,2", "1,0", "--resolution", "3"]
+    )
+    assert code == 2
+    assert "must hold two integers" in err
 
 
 # --- parser behavior ----------------------------------------------------------------

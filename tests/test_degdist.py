@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,12 @@ def test_from_entries_accepts_fork(fork_dist):
 
 def test_from_entries_accepts_origin_atom(origin_atom):
     assert origin_atom.entries == {(0, 0): 1.0}
+
+
+def test_from_entries_accepts_fraction_probabilities(fork_dist):
+    d = BivariateDegreeDist.from_entries([(1, 0, Fraction(2, 3)), (0, 2, Fraction(1, 3))])
+    assert d.entries == fork_dist.entries
+    assert d.support[2].dtype == np.float64
 
 
 def test_from_entries_rejects_unnormalized():

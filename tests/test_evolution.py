@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -34,7 +35,7 @@ from weakgiant import (
     time_of_conversion,
     transition_class,
 )
-from weakgiant.evolution import _at_time
+from weakgiant.evolution import _FLOAT_COMB_MAX_M, _at_time
 
 asym_pair = BoundDist.from_entries([(2, 1, 1.0)])  # nu10=2, nu01=1
 dimers = BoundDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
@@ -298,6 +299,32 @@ def test_critical_conversion_none_for_dimers():
     assert critical_conversion(dimers) is None
 
 
+@st.composite
+def huge_capacity_bounds(draw):
+    """One to four classes with capacities up to 2^40, some from 2^31.5 up,
+    where ``_Table.moment`` sums Python ints, and weights that round."""
+    capacity = st.one_of(st.integers(0, 8), st.integers(0, 2**40), st.integers(3037000500, 2**40))
+    keys = draw(
+        st.lists(st.tuples(capacity, capacity), min_size=1, max_size=4, unique=True).filter(
+            lambda ks: any(nm > 0 for nm, _ in ks) and any(km > 0 for _, km in ks)
+        )
+    )
+    weights = draw(st.lists(st.integers(1, 2**10), min_size=len(keys), max_size=len(keys)))
+    probs = [w / sum(weights) for w in weights]
+    probs[-1] = 1.0 - math.fsum(probs[:-1])
+    return BoundDist.from_entries([(nm, km, p) for (nm, km), p in zip(keys, probs)], tol=1e-12)
+
+
+@given(huge_capacity_bounds())
+@example(BoundDist.from_entries([(2**40, 3037000500, 0.3), (3, 0, 0.7)]))
+def test_capacity_second_moments_never_fall_below_first(P):
+    # so the radicand of critical_conversion is never negative
+    nu = nu_moments(P)
+    assert nu.nu20 >= nu.nu10 and nu.nu02 >= nu.nu01
+    crit = critical_conversion(P)
+    assert crit is None or all(0.0 < c < math.inf for c in crit)
+
+
 def test_determinant_vanishes_at_critical_conversion(three_class_bounds):
     # bisect the sign change of D along the conversion path
     c_star, _ = critical_conversion(three_class_bounds)
@@ -525,3 +552,40 @@ def test_state_and_marginal_match_cell_reference(P, u):
 def test_state_at_time_matches_cell_reference(three_class_bounds):
     state = degree_state_at(three_class_bounds, 0.1)
     assert state.entries == reference_state_entries(three_class_bounds, state.c_n, state.c_k)
+
+
+@functools.cache
+def _exact_half_pmf(m: int) -> np.ndarray:
+    """``float(Fraction(comb(m, j), 2**m))`` for j = 0..m; int / int rounds
+    correctly too."""
+    pmf, comb, den = [], 1, 1 << m
+    for j in range(m + 1):
+        pmf.append(comb / den)
+        comb = comb * (m - j) // (j + 1)
+    return np.array(pmf)
+
+
+def test_float_comb_bound_is_the_last_capacity_whose_binomials_convert():
+    float(math.comb(_FLOAT_COMB_MAX_M, _FLOAT_COMB_MAX_M // 2))
+    with pytest.raises(OverflowError):
+        float(math.comb(_FLOAT_COMB_MAX_M + 1, (_FLOAT_COMB_MAX_M + 1) // 2))
+
+
+@pytest.mark.parametrize(
+    "rows", [[(1030, 1030, 1.0)], [(100000, 0, 0.5), (0, 100000, 0.5)]], ids=["1030", "lopsided"]
+)
+def test_state_beyond_float_binomials_matches_exact(rows):
+    P = BoundDist.from_entries(rows)
+    state = degree_state_at_conversion(P, 0.5)
+    assert (state.c_n, state.c_k) == (0.5, 0.5)
+    n, k, n_max, k_max, probs = state.support
+    for nm, km, p in P.records():
+        cls = (n_max == nm) & (k_max == km)
+        got = np.zeros((nm + 1, km + 1))
+        got[n[cls], k[cls]] = probs[cls]
+        want = p * np.multiply.outer(_exact_half_pmf(nm), _exact_half_pmf(km))
+        big = want > 1e-300
+        assert np.all(np.abs(got[big] - want[big]) <= 1e-10 * want[big])
+    for c_n, cell in ((0.0, lambda nm, km: (0, 0)), (1.0, lambda nm, km: (nm, km))):
+        want = {(*cell(nm, km), nm, km): p for nm, km, p in P.records()}
+        assert degree_state_at_conversion(P, c_n).entries == want

@@ -97,6 +97,15 @@ def test_parameters_degenerate():
         flory_parameters(FloryMixture(0.6, 0.0, 0.4, 3))  # no B-groups
 
 
+@pytest.mark.parametrize(
+    "mix, missing",
+    [(FloryMixture(0.0, 1.0, 0.0, 3), "A-groups"), (FloryMixture(0.6, 0.0, 0.4, 3), "B-groups")],
+)
+def test_gel_conversion_degenerate(mix, missing):
+    with pytest.raises(DegenerateMixture, match=f"no {missing}"):
+        gel_conversion(mix)
+
+
 def test_gel_conversion_stoichiometric(flory_063):
     assert gel_conversion(flory_063) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 

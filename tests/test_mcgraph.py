@@ -226,21 +226,24 @@ def test_single_vertex_fraction():
     assert largest_weak_fraction(g) == 1.0
 
 
+def test_largest_fraction_rejects_empty_graph():
+    with pytest.raises(ValidationError, match="no vertices"):
+        largest_weak_fraction(DirectedMultigraph(0, np.empty((0, 2), dtype=np.int64)))
+
+
 def test_size_histogram_vertex_weighted():
     assert size_histogram([3, 3]).entries == {3: 1.0}
     assert size_histogram([1, 3]).entries == {1: 0.25, 3: 0.75}
-    assert size_histogram([1, 3], vertex_weighted=False).entries == {1: 0.5, 3: 0.5}
 
 
 def test_size_histogram_same_for_list_and_array(atom22):
     sizes = weak_component_sizes(sample_configuration(atom22, 3000, replica_rng(11, 3)))
-    for weighted in (True, False):
-        from_array = size_histogram(sizes, vertex_weighted=weighted).entries
-        from_list = size_histogram(sizes.tolist(), vertex_weighted=weighted).entries
-        assert list(from_array.items()) == list(from_list.items())
+    from_array = size_histogram(sizes).entries
+    from_list = size_histogram(sizes.tolist()).entries
+    assert list(from_array.items()) == list(from_list.items())
     total = int(sizes.sum())
     exact = {s: s * c / total for s, c in Counter(sizes.tolist()).items()}
-    assert size_histogram(sizes).entries == exact
+    assert from_array == exact
 
 
 def test_size_histogram_rejects_empty():
@@ -248,12 +251,10 @@ def test_size_histogram_rejects_empty():
         size_histogram([])
 
 
-@pytest.mark.parametrize(
-    "sizes, weighted, size", [([0], True, 0), ([0, 3], False, 0), ([-1, 2], True, -1)]
-)
-def test_size_histogram_rejects_sizes_below_1(sizes, weighted, size):
+@pytest.mark.parametrize("sizes, size", [([0], 0), ([0, 3], 0), ([-1, 2], -1)])
+def test_size_histogram_rejects_sizes_below_1(sizes, size):
     with pytest.raises(ValidationError, match=f"component size {size} is below 1"):
-        size_histogram(sizes, vertex_weighted=weighted)
+        size_histogram(sizes)
 
 
 @pytest.mark.parametrize("sizes, value", [([2.5, 1], "2.5"), ([1, 3, math.nan], "nan"), ([math.inf], "inf")])

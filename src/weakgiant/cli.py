@@ -196,7 +196,7 @@ def _cmd_simulate(args) -> str:
     if args.mode == "config":
         if args.t_end is not None or args.target_conversion is not None:
             raise ValidationError("stop flags apply to kmc mode only")
-        if args.dump_trajectory:
+        if args.dump_trajectory is not None:
             raise ValidationError("trajectory dump applies to kmc mode only")
         d = BivariateDegreeDist.from_text(text, tol=args.tol)
         require_edge_balanced(d, args.tol)
@@ -214,14 +214,14 @@ def _cmd_simulate(args) -> str:
         )
         graph = result.graph
         t_final = result.state.t
-        if args.dump_trajectory:
+        if args.dump_trajectory is not None:
             rows = ["# t mu_hat"]
             # mu_hat after event e is (e + 1) / N
             rows.extend(f"{t:.17g}\t{(e + 1) / args.vertices:.17g}" for e, t in enumerate(result.times.tolist()))
             Path(args.dump_trajectory).write_text("\n".join(rows) + "\n")
     sizes = mcgraph.weak_component_sizes(graph)
     hist = mcgraph.size_histogram(sizes)
-    if args.dump_graph:
+    if args.dump_graph is not None:
         _dump_graph(graph, args.dump_graph)
     return _json17(
         {
@@ -318,13 +318,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text = args.func(args)
+        _write_output(args.func(args), args.out)
     except (WeakGiantError, OSError) as exc:
         code = failure_code(exc)
         if code is None:
             raise
         return code
-    _write_output(text, args.out)
     return 0
 
 

@@ -91,17 +91,14 @@ def weak_component_sizes(g: DirectedMultigraph) -> np.ndarray:
     pointer jumping over all vertices at the end points every vertex at its
     component's least vertex.
 
-    A round that hooks more than half of the vertices runs full passes
-    ``parent[parent]`` instead, until nothing changes; they reach the same
-    roots.  Jumping the hooked roots costs about six array passes over them
-    per step against two over all vertices for a full pass, and the steps
-    follow the depth of the chains the round built.  With N = 1e5 (numpy
-    2.4, min of 15 calls), full passes won from a hooked share of about 0.3
-    on an ascending path that spans that share (long chains), but only from
-    about 0.75 on uniform random edges (short chains).  Both kinds of round
-    compact their survivors by an index from ``np.flatnonzero``: gathering
-    with it is several times faster than boolean-mask indexing with a
-    random mask (0.16 against 1.03 ms on 90k entries).
+    Each round compacts its survivors by an index from ``np.flatnonzero``,
+    several times faster than a random boolean mask (0.16 against 1.03 ms
+    on 90k entries).  The known slow input is a chain labelled in
+    ascending order, such as the path 0-1-2-...: round 1 hooks it into one
+    chain of depth N - 1, and jumping its N - 1 hooked roots takes 14 /
+    300-390 ms at N = 1e5 / 1e6, against 5 / 90-120 ms under random labels
+    (numpy 2.4, 2 vCPU, min of 25 / 5 calls).  Neither sampler here builds
+    such chains.
     """
     edges = _checked_edges(g)
     n_vertices = g.vertex_count
@@ -115,15 +112,12 @@ def weak_component_sizes(g: DirectedMultigraph) -> np.ndarray:
         hooked = np.zeros(n_vertices, dtype=bool)
         hooked[hi] = True
         moving = np.flatnonzero(hooked)
-        if 2 * moving.size > n_vertices:
-            parent = _pointer_jumped(parent)
-        else:
-            while moving.size:
-                up = parent[moving]
-                jumped = parent[up]
-                still = np.flatnonzero(jumped != up)
-                moving = moving[still]
-                parent[moving] = jumped[still]
+        while moving.size:
+            up = parent[moving]
+            jumped = parent[up]
+            still = np.flatnonzero(jumped != up)
+            moving = moving[still]
+            parent[moving] = jumped[still]
         u, v = parent[lo], parent[hi]
         keep = np.flatnonzero(u != v)
         u, v = u[keep], v[keep]
@@ -172,8 +166,13 @@ def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarr
     order is equally likely; so the slots repeated by their multinomial
     counts and shuffled have the law of the i.i.d. draws.
     """
-    slots = np.repeat(np.arange(probs.size, dtype=np.int64), rng.multinomial(n, probs))
-    if probs.size > 1:
+    return _shuffled_slots(rng.multinomial(n, probs), rng)
+
+
+def _shuffled_slots(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Slot s repeated ``counts[s]`` times, in uniformly random order."""
+    slots = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    if counts.size > 1:
         rng.shuffle(slots)
     return slots
 
@@ -208,10 +207,10 @@ def _can_shrink(delta: int, dvals: np.ndarray, present: np.ndarray) -> bool:
     return bool((present[:-1] & gaps).any())
 
 
-def _balance_by_redraw(idx: np.ndarray, diff: np.ndarray, probs: np.ndarray, rng) -> None:
+def _balance_by_redraw(idx, counts, diff, probs, rng) -> None:
     """Redraw support slots ``idx`` of uniformly random vertices from
     ``probs`` in place, keeping a redraw only when it shrinks the imbalance
-    ``|sum(diff[idx])|``.
+    ``|sum(diff[idx])|``; ``counts`` are the slot counts of ``idx``.
 
     Stops at zero, when no redraw can shrink the imbalance, or after
     ``_REDRAW_CANDIDATES_PER_VERTEX`` candidates per vertex.
@@ -224,7 +223,7 @@ def _balance_by_redraw(idx: np.ndarray, diff: np.ndarray, probs: np.ndarray, rng
     """
     n_vertices = idx.size
     dvals, dclass = np.unique(diff, return_inverse=True)
-    class_count = np.bincount(dclass[idx], minlength=dvals.size).tolist()
+    class_count = np.bincount(dclass, weights=counts, minlength=dvals.size).astype(np.int64).tolist()
     delta = int(np.dot(class_count, dvals))
     diff_of = diff.tolist()
     class_of = dclass.tolist()
@@ -274,8 +273,9 @@ def sample_configuration(
     rng = _as_rng(seed)
     n_of, k_of, probs = d.support
     probs = probs / probs.sum()
-    idx = _draw_slots(probs, n_vertices, rng)
-    _balance_by_redraw(idx, n_of - k_of, probs, rng)
+    counts = rng.multinomial(n_vertices, probs)
+    idx = _shuffled_slots(counts, rng)
+    _balance_by_redraw(idx, counts, n_of - k_of, probs, rng)
 
     vertex_ids = np.arange(n_vertices, dtype=np.int64)
     in_stubs = np.repeat(vertex_ids, n_of[idx])

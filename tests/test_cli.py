@@ -98,6 +98,14 @@ def test_analyze_writes_output_file(tmp_path):
     assert json.loads(out_path.read_text())["giant_weak"] is False
 
 
+def test_analyze_output_to_missing_directory_is_io_error(tmp_path):
+    out_path = tmp_path / "no" / "such" / "report.json"
+    code, out, err = run_cli(["analyze", write(tmp_path, "d.txt", FORK), "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("weakgiant: i/o error: ") and err.count("\n") == 1
+    assert not out_path.parent.exists()
+
+
 def test_runs_are_byte_identical(tmp_path):
     args = ["analyze", write(tmp_path, "d.txt", FORK)]
     _, first, _ = run_cli(args)
@@ -705,6 +713,26 @@ def test_simulate_rejects_trajectory_dump_in_config_mode(tmp_path):
     assert (code, out) == (3, "")
     assert "kmc" in err
     assert not (tmp_path / "traj.tsv").exists()
+
+
+def test_simulate_rejects_empty_trajectory_path_in_config_mode(tmp_path):
+    dist = write(tmp_path, "d.txt", FORK)
+    code, out, err = run_cli(
+        ["simulate", dist, "--mode", "config", "--vertices", "100", "--dump-trajectory="]
+    )
+    assert (code, out) == (3, "")
+    assert "kmc" in err
+
+
+@pytest.mark.parametrize("flag", ["--dump-trajectory=", "--dump-graph="])
+def test_simulate_kmc_empty_dump_path_is_io_error(tmp_path, flag):
+    # an empty path names no file: writing to it fails, it is not ignored
+    bounds = write(tmp_path, "p.txt", ATOM22)
+    code, out, err = run_cli(
+        ["simulate", bounds, "--mode", "kmc", "--vertices", "100", "--target-conversion", "0.3", flag]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("weakgiant: i/o error: ")
 
 
 def test_simulate_kmc_rejects_nan_t_end(tmp_path):

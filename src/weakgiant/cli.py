@@ -93,13 +93,28 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+def _write_output(text: str, out: str | None, dumps=()) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None
+    or "-", and each (path, text) pair of ``dumps`` to its file.
+
+    Files come first, the result file before the dumps, and stdout last.
+    When a file cannot be written, the files written before it are removed,
+    so a failed request leaves no output behind.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    to_stdout = out is None or out == "-"
+    written = []
+    try:
+        for path, body in dumps if to_stdout else [(out, text), *dumps]:
+            Path(path).write_text(body)
+            written.append(path)
+    except OSError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+    if to_stdout:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
 def _parse_atom(text: str) -> tuple[int, int]:
@@ -185,13 +200,15 @@ def _cmd_flory(args) -> str:
     )
 
 
-def _dump_graph(graph: mcgraph.DirectedMultigraph, path: str) -> None:
+def _graph_text(graph: mcgraph.DirectedMultigraph) -> str:
     lines = [str(graph.vertex_count)]
     lines.extend(f"{src} {dst}" for src, dst in graph.edges.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> tuple[str, list]:
+    """The result text and the (path, text) dumps, which :func:`main`
+    writes once the whole request has succeeded."""
     text = _read_text(args.input)
     if args.mode == "config":
         if args.t_end is not None or args.target_conversion is not None:
@@ -212,17 +229,18 @@ def _cmd_simulate(args) -> str:
             c_n_target=args.target_conversion,
             record_trajectory=args.dump_trajectory is not None,
         )
-        graph = result.graph
-        t_final = result.state.t
-        if args.dump_trajectory is not None:
-            rows = ["# t mu_hat"]
-            # mu_hat after event e is (e + 1) / N
-            rows.extend(f"{t:.17g}\t{(e + 1) / args.vertices:.17g}" for e, t in enumerate(result.times.tolist()))
-            Path(args.dump_trajectory).write_text("\n".join(rows) + "\n")
+        graph, times, t_final = result.graph, result.times, result.state.t
+        del result  # the capacities are not needed for labelling
     sizes = mcgraph.weak_component_sizes(graph)
     hist = mcgraph.size_histogram(sizes)
+    dumps = []
     if args.dump_graph is not None:
-        _dump_graph(graph, args.dump_graph)
+        dumps.append((args.dump_graph, _graph_text(graph)))
+    if args.dump_trajectory is not None:
+        rows = ["# t mu_hat"]
+        # mu_hat after event e is (e + 1) / N
+        rows.extend(f"{t:.17g}\t{(e + 1) / args.vertices:.17g}" for e, t in enumerate(times.tolist()))
+        dumps.append((args.dump_trajectory, "\n".join(rows) + "\n"))
     return _json17(
         {
             "mode": args.mode,
@@ -234,7 +252,7 @@ def _cmd_simulate(args) -> str:
             "largest_weak_fraction": float(sizes.max()) / graph.vertex_count,
             "size_histogram": _rows(hist),
         }
-    )
+    ), dumps
 
 
 def _cmd_barycentric(args) -> str:
@@ -318,7 +336,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _write_output(args.func(args), args.out)
+        output = args.func(args)
+        text, dumps = output if isinstance(output, tuple) else (output, ())
+        _write_output(text, args.out, dumps)
     except (WeakGiantError, OSError) as exc:
         code = failure_code(exc)
         if code is None:

@@ -8,6 +8,7 @@ index) through ``SeedSequence`` spawn keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,100 +314,183 @@ class KmcResult:
     state: KmcState
 
 
-#: Events per block of the kinetic sampler.  Bounds the block's temporaries;
-#: the law of the run does not depend on it.
-_KMC_BLOCK = 8192
+#: Proposals per chunk of the clock.  Bounds the clock's temporaries; the
+#: law of the run does not depend on it.
+_CLOCK_CHUNK = 8192
+#: Standard deviations of slack in the prefix of a ``t_end`` run.
+_PREFIX_SIGMAS = 6
 
 
-def _swap_remove(live: np.ndarray, size: int, positions: np.ndarray) -> int:
-    """Remove the entries at the distinct ``positions`` from the unordered
-    live prefix ``live[:size]`` and return the new size.
+class _SpotOrder:
+    """One side's vacant spots in uniformly random order, drawn as far as
+    ``prefix``.
 
-    Each removed slot below the new size takes one kept entry from the
-    tail ``live[new size:size]``, so the work is O(len(positions)).
+    ``prefix`` holds the vertex of each spot drawn, in draw order; at event
+    e the spots from position e on are the vacant ones.  ``rest`` holds the
+    spots not yet drawn, in no order; it is built on first use.
     """
-    end = size - positions.size
-    in_tail = positions >= end
-    gone = np.zeros(positions.size, dtype=bool)
-    gone[positions[in_tail] - end] = True
-    live[positions[~in_tail]] = live[end:size][~gone]
+
+    def __init__(self, caps: np.ndarray, size: int, rng: np.random.Generator):
+        ids = np.arange(caps.size, dtype=np.int32 if caps.size < 2**31 else np.int64)
+        spots = np.repeat(ids, caps)
+        del ids  # freed before the draw's temporaries are allocated
+        self.caps = caps
+        self.prefix = spots[rng.choice(spots.size, size, replace=False)]
+        self.rest = None
+
+    def _rest(self) -> np.ndarray:
+        if self.rest is None:
+            drawn = np.bincount(self.prefix, minlength=self.caps.size)
+            self.rest = np.repeat(np.arange(self.caps.size, dtype=self.prefix.dtype), self.caps - drawn)
+        return self.rest
+
+    def redraw(self, p: int, u: int) -> None:
+        """Swap the spot at position p with the one at position u >= p of
+        ``prefix`` followed by ``rest``."""
+        prefix = self.prefix
+        if u < prefix.size:
+            prefix[p], prefix[u] = prefix[u], prefix[p]
+        else:
+            rest = self._rest()
+            prefix[p], rest[u - prefix.size] = rest[u - prefix.size], prefix[p]
+
+    def extend(self, size: int, rng: np.random.Generator) -> None:
+        """Draw ``prefix`` on to ``size`` spots, in uniformly random order
+        from ``rest``."""
+        rest = self._rest()
+        pick = rng.choice(rest.size, size - self.prefix.size, replace=False)
+        self.prefix = np.concatenate([self.prefix, rest[pick]])
+        self.rest = np.delete(rest, pick)
+
+
+def _first_same(src: np.ndarray, dst: np.ndarray, start: int, end: int) -> int:
+    """Least position p in [start, end) with ``src[p] == dst[p]``, or end.
+
+    Windows grow fourfold, so the scan costs O(p - start) and a few calls.
+    """
+    width = 256
+    while start < end:
+        stop = min(start + width, end)
+        hit = np.flatnonzero(src[start:stop] == dst[start:stop])
+        if hit.size:
+            return start + int(hit[0])
+        start, width = stop, 4 * width
     return end
 
 
-def _grow(n_max, k_max, edges, times, rng, target_events, t_end) -> tuple[int, float, int]:
-    """Event loop of :func:`kmc_simulate` on vertices with in-capacities
-    ``n_max`` and out-capacities ``k_max``: write each event's (source,
-    target) into ``edges`` and its time into ``times``, unless ``times`` is
-    None.
+def _prefix_end(events, t, t_end, v_in, v_out, n_vertices, last) -> int:
+    """Spots per side to draw, from ``events`` events at time ``t``, for a
+    run that ends at ``last`` events or at ``t_end``.
 
-    Returns the number of events, the final time and the number of
-    restarts; raises :class:`Exhausted` if ``target_events`` cannot be
-    reached.  The spot arrays live only here, so they are freed before the
-    caller builds its outputs.
+    For ``t_end`` the count is the mean number of events by ``t_end`` under
+    the proposal clock de/dt = (v_in - e)(v_out - e)/N, which counts the
+    run's own spots and bounds its event rate, plus ``_PREFIX_SIGMAS``
+    standard deviations of a Poisson count.  With x the vacant spots of the
+    smaller side and g the gap to the other, dx/dt = -x (x + g)/N, so
+    x(t) = g x0 e^(-g s) / (g - x0 expm1(-g s)) with s = (t_end - t)/N, and
+    x(t) = x0 / (1 + x0 s) at g = 0.
+    """
+    if t_end is None:
+        return last
+    small, big = sorted((v_in - events, v_out - events))
+    if not small:
+        return events
+    gap = big - small
+    s = (t_end - t) / n_vertices
+    if gap:
+        left = gap * small * math.exp(-gap * s) / (gap - small * math.expm1(-gap * s))
+    else:
+        left = small / (1 + small * s)
+    mean = small - left
+    return min(last, events + math.ceil(mean + _PREFIX_SIGMAS * math.sqrt(mean)) + 1)
+
+
+def _clock(rng, t, first, count, v_in, v_out, n_vertices, t_end, times):
+    """Times of the proposals ``first`` .. ``first + count - 1`` after time
+    ``t``; the proposal at e events waits an exponential time at rate
+    (v_in - e)(v_out - e)/N.
+
+    Writes the times into ``times`` unless it is None.  Returns the last
+    time and None, or, at the first proposal later than ``t_end``, ``t_end``
+    and that proposal's position.
+    """
+    end = first + count
+    for start in range(first, end, _CLOCK_CHUNK):
+        stop = min(start + _CLOCK_CHUNK, end)
+        step = np.arange(start, stop)
+        clock = rng.standard_exponential(stop - start) / ((v_in - step) * (v_out - step) / n_vertices)
+        clock[0] += t
+        np.cumsum(clock, out=clock)
+        if t_end is not None and clock[-1] > t_end:
+            stop = start + int(np.searchsorted(clock, t_end, side="right"))
+            if times is not None:
+                times[start:stop] = clock[: stop - start]
+            return t_end, stop
+        if times is not None:
+            times[start:stop] = clock
+        t = float(clock[-1])
+    return t, None
+
+
+def _grow(n_max, k_max, rng, target_events, t_end, record):
+    """Event loop of :func:`kmc_simulate` on vertices with in-capacities
+    ``n_max`` and out-capacities ``k_max``.
+
+    Returns the sources and the targets of the events, their times (None
+    unless ``record``), the final time and the number of restarts; raises
+    :class:`Exhausted` if ``target_events`` cannot be reached.
     """
     n_vertices = n_max.size
-    ids = np.arange(n_vertices, dtype=np.int64)
-    # the vacant spots are out_live[:v_out] and in_live[:v_in], in no order
-    out_live = np.repeat(ids, k_max)
-    in_live = np.repeat(ids, n_max)
-    v_out, v_in = out_live.size, in_live.size
+    v_out, v_in = int(k_max.sum()), int(n_max.sum())
+    last = min(v_out, v_in) if target_events is None else min(v_out, v_in, target_events)
+    size = _prefix_end(0, 0.0, t_end, v_in, v_out, n_vertices, last)
+    out, into = _SpotOrder(k_max, size, rng), _SpotOrder(n_max, size, rng)
+    times = np.empty(last) if record else None
 
     t = 0.0
     events = 0
     restarts = 0
-    while target_events is None or events < target_events:
-        span = min(_KMC_BLOCK, v_in, v_out)
-        if target_events is not None:
-            span = min(span, target_events - events)
-        if not span:
-            break  # one side has no vacant spot left
-        i = rng.choice(v_out, span, replace=False)
-        j = rng.choice(v_in, span, replace=False)
-        src, dst = out_live[i], in_live[j]
-        same = np.flatnonzero(src == dst)
-        rejected = same.size > 0
-        taken = int(same[0]) if rejected else span
-
+    while True:
+        src, dst = out.prefix, into.prefix
+        p = _first_same(src, dst, events, src.size)
+        rejected = p < src.size
+        stuck = False
+        if rejected:
+            # no admissible pair is left iff every vacant spot sits on the
+            # rejected pair's vertex; the capacities rule that out in O(1)
+            x = src[p]
+            stuck = (
+                v_out - p <= k_max[x]
+                and v_in - p <= n_max[x]
+                and v_out - p == k_max[x] - np.count_nonzero(src[:p] == x)
+                and v_in - p == n_max[x] - np.count_nonzero(dst[:p] == x)
+            )
         # every proposal, the rejected one too, waits at the rate of all
-        # spot pairs left
-        step = np.arange(taken + rejected)
-        rate = (v_in - step) * (v_out - step) / n_vertices
-        dt = rng.standard_exponential(step.size) / rate
-        dt[0] += t
-        clock = np.cumsum(dt)
-
-        v_out = _swap_remove(out_live, v_out, i[:taken])
-        v_in = _swap_remove(in_live, v_in, j[:taken])
-        # no admissible pair is left iff every vacant spot sits on the
-        # rejected pair's vertex; then the run ends at its last event
-        stuck = rejected and (
-            (out_live[:v_out] == src[taken]).all() and (in_live[:v_in] == src[taken]).all()
-        )
-        if stuck:
-            clock = clock[:taken]
-
-        kept = taken
-        cut = t_end is not None and clock.size > 0 and clock[-1] > t_end
-        if cut:
-            kept = int(np.searchsorted(clock, t_end, side="right"))
-        end = events + kept
-        edges[events:end, 0] = src[:kept]
-        edges[events:end, 1] = dst[:kept]
-        if times is not None:
-            times[events:end] = clock[:kept]
-        events = end
-        if cut:
-            return events, t_end, restarts
-        if clock.size:
-            t = float(clock[-1])
-        if stuck:
+        # spot pairs left; a dead end ends the run at its last event
+        t, cut = _clock(rng, t, events, p - events + (rejected and not stuck),
+                        v_in, v_out, n_vertices, t_end, times)
+        if cut is not None:
+            events = cut
             break
-        restarts += rejected
+        events = p
+        if stuck or p == last:
+            break
+        if rejected:
+            u_out, u_in = rng.integers(p, (v_out, v_in)).tolist()
+            out.redraw(p, u_out)
+            into.redraw(p, u_in)
+            restarts += 1
+        else:
+            size = _prefix_end(events, t, t_end, v_in, v_out, n_vertices, last)
+            out.extend(size, rng)
+            into.extend(size, rng)
     if target_events is not None and events < target_events:
         raise Exhausted(
             f"no admissible pair after {events} events; target was {target_events}"
         )
-    return events, t, restarts
+    if times is not None and events < last:
+        times = times[:events].copy()
+    return out.prefix[:events], into.prefix[:events], times, t, restarts
 
 
 def kmc_simulate(
@@ -434,15 +518,30 @@ def kmc_simulate(
     spots.  A same-vertex proposal is rejected, and its wait still counts;
     ``state.restarts`` counts these.  The geometric sum of the waits up to
     an accepted proposal is exponential at the admissible rate, so pairs and
-    times have the law above.  Proposals come in blocks of at most
-    ``_KMC_BLOCK``: a block draws distinct vacant spots per side in uniformly
-    random order and pairs them position by position, so given the pairs
-    before it each pair is uniform over the remaining spots.  The block
-    accepts pairs up to its first same-vertex pair and the next block draws
-    afresh.  At a rejection the run checks for a dead end: no admissible
-    pair is left when every vacant spot sits on the rejected pair's vertex,
-    and then the run ends at its last event, even below ``t_end``.  A
-    ``t_end`` stop cuts the block at the first event later than ``t_end``.
+    times have the law above.
+
+    Each side draws the order of its vacant spots once per run, as a
+    uniformly random ordered prefix of distinct spots, and proposal e pairs
+    the two sides' spots at position e.  The prefix holds ``c_n_target``'s
+    event count, or every spot the smaller side has; a ``t_end`` run sizes it
+    from the mean event count by ``t_end`` under its own proposal clock,
+    plus slack, and extends it with a uniformly random ordered draw from
+    the spots not yet drawn should it fall short.  The pairs are scanned in
+    bulk for the first same-vertex pair, at position p.  Its rejection
+    repairs the order in place: each side swaps its spot at p with the one
+    at a uniform position u in [p, v), v its spot count, where positions
+    past the prefix index the spots not yet drawn.  Given the history, the
+    spots from p on are in uniformly random order, so the swap makes the
+    new spot at p uniform over the vacant spots; when it differs from the
+    old one, the old one takes its place, a uniform position after p, so
+    the spots after p stay exchangeable.  Every proposal is thus again a
+    uniform pair of vacant spots given the pairs before it.  At a rejection
+    the run checks for a dead end: no admissible pair is left when every
+    vacant spot sits on the rejected pair's vertex, and then the run ends at
+    its last event, even below ``t_end``.  The vertex's capacities rule a
+    dead end out in O(1) at almost every rejection.  A ``t_end`` stop ends
+    the run before the first proposal later than ``t_end``.  The work is
+    O(v) per run, plus O(1) per rejection besides the scan.
     """
     if _checked_count(n_vertices, "vertex count") < 2:
         raise ValidationError(f"need at least 2 vertices, got {n_vertices}")
@@ -456,20 +555,15 @@ def kmc_simulate(
     rng = _as_rng(seed)
     n_max, k_max = _sample_keys(P, n_vertices, rng)
 
-    total_in = int(n_max.sum())
     target_events = None
     if c_n_target is not None:
-        target_events = int(round(c_n_target * total_in))
-    capacity = min(total_in, int(k_max.sum())) if target_events is None else target_events
-    edges = np.empty((max(capacity, 0), 2), dtype=np.int64)
-    times = np.empty(max(capacity, 0), dtype=float) if record_trajectory else None
-    events, t, restarts = _grow(n_max, k_max, edges, times, rng, target_events, t_end)
-
-    if events < capacity:  # a c_n_target run fills its buffers exactly
-        edges = edges[:events].copy()
-        if times is not None:
-            times = times[:events].copy()
+        target_events = int(round(c_n_target * int(n_max.sum())))
+    src, dst, times, t, restarts = _grow(n_max, k_max, rng, target_events, t_end, record_trajectory)
+    edges = np.empty((src.size, 2), dtype=np.int64)
+    edges[:, 0] = src
+    edges[:, 1] = dst
+    del src, dst
     graph = DirectedMultigraph(n_vertices, edges)
     traj_t = times if times is not None else np.empty(0)
-    state = KmcState(n_max=n_max, k_max=k_max, t=t, events=events, restarts=restarts)
+    state = KmcState(n_max=n_max, k_max=k_max, t=t, events=edges.shape[0], restarts=restarts)
     return KmcResult(graph=graph, times=traj_t, state=state)

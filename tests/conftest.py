@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from weakgiant import BivariateDegreeDist, BoundDist, FloryMixture
 
+pytest_plugins = ["pytester"]
+
 settings.register_profile(
     "weakgiant",
     deadline=None,

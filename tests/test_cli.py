@@ -735,6 +735,23 @@ def test_simulate_kmc_empty_dump_path_is_io_error(tmp_path, flag):
     assert err.startswith("weakgiant: i/o error: ")
 
 
+@pytest.mark.parametrize("bad", ["out", "dump"])
+def test_simulate_failed_write_leaves_no_files(tmp_path, bad):
+    # a request that exits non-zero leaves neither its result nor its dumps
+    paths = {name: tmp_path / name for name in ("out.json", "g.txt", "traj.tsv")}
+    missing = tmp_path / "no" / "such" / "file"
+    argv = ["simulate", write(tmp_path, "p.txt", ATOM22), "--mode", "kmc", "--vertices", "100",
+            "--target-conversion", "0.3",
+            "--out", str(missing if bad == "out" else paths["out.json"]),
+            "--dump-graph", str(paths["g.txt"]),
+            "--dump-trajectory", str(missing if bad == "dump" else paths["traj.tsv"])]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("weakgiant: i/o error: ")
+    assert not any(path.exists() for path in paths.values())
+    assert not missing.parent.exists()
+
+
 def test_simulate_kmc_rejects_nan_t_end(tmp_path):
     bounds = write(tmp_path, "p.txt", ATOM22)
     code, out, err = run_cli(

@@ -518,6 +518,34 @@ def test_kmc_t_end_mode(p22_bounds):
     assert abs(predicted - observed) <= 4 * math.sqrt(predicted / 10000)
 
 
+@pytest.mark.parametrize("v_in, v_out", [(50_000, 50_000), (80_000, 50_000), (50_000, 80_000)])
+def test_kmc_prefix_mean_solves_the_proposal_clock(v_in, v_out):
+    # the closed-form mean event count by t_end against Euler steps of
+    # de/dt = (v_in - e)(v_out - e)/N; slack is 6 sqrt(mean) + 1 on top
+    n, t_end, steps = 20_000, 0.05, 200_000
+    e = 0.0
+    for _ in range(steps):
+        e += (v_in - e) * (v_out - e) / n * (t_end / steps)
+    last = min(v_in, v_out)
+    size = mcgraph._prefix_end(0, 0.0, t_end, v_in, v_out, n, last)
+    assert size - 1 - 6 * math.sqrt(e) == pytest.approx(e, rel=1e-3)
+    assert mcgraph._prefix_end(0, 0.0, math.inf, v_in, v_out, n, last) == last
+
+
+def test_kmc_t_end_prefix_is_rarely_extended(three_class_bounds, monkeypatch):
+    # a t_end run draws its spot order once, a few standard deviations past
+    # its own event count
+    sizes, extended = [], []
+    prefix_end, extend = mcgraph._prefix_end, mcgraph._SpotOrder.extend
+    monkeypatch.setattr(mcgraph, "_prefix_end", lambda *a: sizes.append(prefix_end(*a)) or sizes[-1])
+    monkeypatch.setattr(mcgraph._SpotOrder, "extend", lambda *a: extended.append(1) or extend(*a))
+    for seed, t_end in enumerate([0.04, 0.06, 0.08] * 3):
+        res = kmc_simulate(three_class_bounds, 20_000, replica_rng(14, 20 + seed), t_end=t_end)
+        slack = sizes[-1] - res.state.events
+        assert 0 < slack <= 10 * math.sqrt(res.state.events)
+    assert not extended
+
+
 def test_kmc_skips_times_when_not_recording(p22_bounds):
     # capacity of a t_end run: min(total in-spots, total out-spots) = 2 N
     n = 100_000
@@ -605,24 +633,12 @@ def test_kmc_counts_restarts(p22_bounds):
     assert sum(kmc_simulate(p22_bounds, 3, rng).state.restarts for _ in range(20)) > 0
 
 
-@given(st.data())
-def test_swap_remove_leaves_the_other_entries(data):
-    values = data.draw(st.lists(st.integers(0, 1000), max_size=40))
-    size = data.draw(st.integers(0, len(values)))
-    positions = data.draw(st.lists(st.integers(0, max(size - 1, 0)), unique=True, max_size=size))
-    live = np.array(values, dtype=np.int64)
-    end = mcgraph._swap_remove(live, size, np.array(positions, dtype=np.int64))
-    assert end == size - len(positions)
-    kept = Counter(values[:size]) - Counter(values[p] for p in positions)
-    assert Counter(live[:end].tolist()) == kept
-    assert live[size:].tolist() == values[size:]
-
-
 # --- kinetic sampler against the per-event oracle ----------------------------
 
 TINY_BOUNDS = {
     "mixed": BoundDist.from_entries([(2, 1, 0.5), (1, 2, 0.5)]),
     "atom22": BoundDist.from_entries([(2, 2, 1.0)]),
+    "three": BoundDist.from_entries([(3, 1, 0.3), (1, 3, 0.3), (2, 2, 0.4)]),
 }
 # (bounds, vertices, t_end): same-vertex pairs are frequent, and t_end = 3
 # cuts about 70% of the (2, 2)-atom runs on four vertices.  With t_end = 50
@@ -638,38 +654,71 @@ TINY_CASES = [
     ("mixed", 3, 50.0),
     ("atom22", 3, 50.0),
 ]
+# (bounds, vertices, c_n_target): runs restart one to two times each, and
+# about 5% of the three-class runs raise Exhausted, which counts as one
+# outcome.  Seed and level were fixed before the first run.
+TARGET_CASES = [
+    ("atom22", 4, 0.75),
+    ("atom22", 5, 0.6),
+    ("atom22", 6, 0.5),
+    ("mixed", 4, 0.5),
+    ("three", 4, 0.6),
+]
 TINY_RUNS = 3000
 TINY_SEED = 20261018
+TARGET_SEED = 20261019
 TINY_ALPHA = 1e-4
+# block2 draws every run's spot order two spots at a time, so that prefix
+# extensions, repairs at rejections and the t_end cut meet in the same runs
+BLOCKS = pytest.mark.parametrize("block", [None, 2], ids=["real_block", "block2"])
 
 
-def _tiny_sample(sampler, case, replica):
-    """Final edge multisets (counted) and final times of TINY_RUNS runs."""
-    bounds, n, t_end = TINY_CASES[case]
-    rng = replica_rng(TINY_SEED, 3 * case + replica)
+def _tiny_sample(sampler, bounds, n, stop, rng):
+    """Final edge multisets (counted) and final times of TINY_RUNS runs; a
+    run that raises Exhausted counts as one outcome, at time infinity."""
     edges, times = Counter(), []
     for _ in range(TINY_RUNS):
-        res = sampler(TINY_BOUNDS[bounds], n, rng, t_end=t_end)
+        try:
+            res = sampler(TINY_BOUNDS[bounds], n, rng, **stop)
+        except Exhausted:
+            edges["exhausted"] += 1
+            times.append(math.inf)
+            continue
         edges[tuple(sorted(map(tuple, res.graph.edges.tolist())))] += 1
         times.append(res.state.t)
     return edges, np.array(times)
 
 
 @functools.cache
-def _tiny_oracle(case):
-    return _tiny_sample(sequential_kmc, case, 0)
+def _tiny_oracle(bounds, n, stop_name, stop, seed, replica):
+    return _tiny_sample(sequential_kmc, bounds, n, {stop_name: stop}, replica_rng(seed, replica))
 
 
-@pytest.mark.parametrize("block", [None, 2], ids=["real_block", "block2"])
-@pytest.mark.parametrize("case", range(len(TINY_CASES)), ids=lambda c: "-".join(map(str, TINY_CASES[c])))
-def test_kmc_law_matches_sequential_oracle(case, block, monkeypatch):
-    # block 2 puts block ends, rejections and the t_end cut side by side
+def _check_law(monkeypatch, block, bounds, n, stop_name, stop, seed, replica):
     if block is not None:
-        monkeypatch.setattr(mcgraph, "_KMC_BLOCK", block)
-    oracle_edges, oracle_t = _tiny_oracle(case)
-    edges, t = _tiny_sample(kmc_simulate, case, 1 if block is None else 2)
+        prefix_end = mcgraph._prefix_end
+        monkeypatch.setattr(
+            mcgraph, "_prefix_end", lambda events, *args: min(events + block, prefix_end(events, *args))
+        )
+    oracle_edges, oracle_t = _tiny_oracle(bounds, n, stop_name, stop, seed, replica)
+    rng = replica_rng(seed, replica + (1 if block is None else 2))
+    edges, t = _tiny_sample(kmc_simulate, bounds, n, {stop_name: stop}, rng)
     assert chi2_two_sample(oracle_edges, edges) > TINY_ALPHA
     assert ks_two_sample(oracle_t, t) < ks_critical(TINY_ALPHA, TINY_RUNS, TINY_RUNS)
+
+
+@BLOCKS
+@pytest.mark.parametrize("case", range(len(TINY_CASES)), ids=lambda c: "-".join(map(str, TINY_CASES[c])))
+def test_kmc_law_matches_sequential_oracle(case, block, monkeypatch):
+    bounds, n, t_end = TINY_CASES[case]
+    _check_law(monkeypatch, block, bounds, n, "t_end", t_end, TINY_SEED, 3 * case)
+
+
+@BLOCKS
+@pytest.mark.parametrize("case", range(len(TARGET_CASES)), ids=lambda c: "-".join(map(str, TARGET_CASES[c])))
+def test_kmc_target_law_matches_sequential_oracle(case, block, monkeypatch):
+    bounds, n, c_n = TARGET_CASES[case]
+    _check_law(monkeypatch, block, bounds, n, "c_n_target", c_n, TARGET_SEED, 3 * case)
 
 
 def test_replica_streams_are_independent():

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -93,24 +94,31 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _write_output(text: str, out: str | None, dumps=()) -> None:
+def _write_output(text: str, out: str | None, dumps) -> None:
     """Write ``text`` to the file ``out``, or to stdout when ``out`` is None
     or "-", and each (path, text) pair of ``dumps`` to its file.
 
-    Files come first, the result file before the dumps, and stdout last.
-    When a file cannot be written, the files written before it are removed,
-    so a failed request leaves no output behind.
+    Every file is opened, without truncating it, before any is written, so
+    a target that cannot be opened fails the request before a file changes.
+    Files are written next, the result file before the dumps, and stdout
+    last.  A failed request removes the files it created and no other.
     """
     if not text.endswith("\n"):
         text += "\n"
     to_stdout = out is None or out == "-"
-    written = []
+    files = dumps if to_stdout else [(out, text), *dumps]
+    created = []
     try:
-        for path, body in dumps if to_stdout else [(out, text), *dumps]:
+        for path, _ in files:
+            existed = os.path.lexists(path)
+            with open(path, "a"):
+                pass
+            if not existed:
+                created.append(path)
+        for path, body in files:
             Path(path).write_text(body)
-            written.append(path)
     except OSError:
-        for path in written:
+        for path in created:
             Path(path).unlink(missing_ok=True)
         raise
     if to_stdout:
@@ -127,13 +135,17 @@ def _parse_atom(text: str) -> tuple[int, int]:
         raise ParseError(f"atom {text!r} must hold two integers") from None
 
 
-def _cmd_analyze(args) -> str:
+# Each command returns its result text and the (path, text) dump files that
+# main writes with it once the whole request has succeeded.
+
+
+def _cmd_analyze(args) -> tuple[str, list]:
     d = BivariateDegreeDist.from_text(_read_text(args.dist), tol=args.tol)
     report = criteria.criteria_report(d, balance_tol=args.tol)
-    return _json17(report.to_json_dict())
+    return _json17(report.to_json_dict()), []
 
 
-def _cmd_gf(args) -> str:
+def _cmd_gf(args) -> tuple[str, list]:
     d = BivariateDegreeDist.from_text(_read_text(args.dist), tol=args.tol)
     sol = gfsolver.interior_fixed_point(
         d, tol=args.fp_tol, max_iter=args.max_iter, balance_tol=args.tol
@@ -146,10 +158,10 @@ def _cmd_gf(args) -> str:
             "giant_fraction": sol.giant_fraction,
             "size_distribution": sizes,
         }
-    )
+    ), []
 
 
-def _cmd_evolve(args) -> str:
+def _cmd_evolve(args) -> tuple[str, list]:
     P = BoundDist.from_text(_read_text(args.bounds), tol=args.tol)
     if args.critical:
         tc = evolution.transition_class(P)
@@ -160,7 +172,7 @@ def _cmd_evolve(args) -> str:
                 "c_k_crit": tc.c_k_crit,
                 "t_crit": tc.t_crit,
             }
-        )
+        ), []
     if args.at_time is not None:
         state = evolution.degree_state_at(P, args.at_time)
     else:
@@ -178,10 +190,10 @@ def _cmd_evolve(args) -> str:
             "marginal": _rows(marginal),
             "report": report.to_json_dict(),
         }
-    )
+    ), []
 
 
-def _cmd_flory(args) -> str:
+def _cmd_flory(args) -> tuple[str, list]:
     mix = flory.FloryMixture(args.f1, args.f2, args.f3, args.n)
     params = flory.flory_parameters(mix)
     c_crit = flory.gel_conversion(mix)
@@ -197,7 +209,7 @@ def _cmd_flory(args) -> str:
             "p_B_crit": p_b,
             "gelled": gelled,
         }
-    )
+    ), []
 
 
 def _graph_text(graph: mcgraph.DirectedMultigraph) -> str:
@@ -207,8 +219,6 @@ def _graph_text(graph: mcgraph.DirectedMultigraph) -> str:
 
 
 def _cmd_simulate(args) -> tuple[str, list]:
-    """The result text and the (path, text) dumps, which :func:`main`
-    writes once the whole request has succeeded."""
     text = _read_text(args.input)
     if args.mode == "config":
         if args.t_end is not None or args.target_conversion is not None:
@@ -255,7 +265,7 @@ def _cmd_simulate(args) -> tuple[str, list]:
     ), dumps
 
 
-def _cmd_barycentric(args) -> str:
+def _cmd_barycentric(args) -> tuple[str, list]:
     atoms = [_parse_atom(a) for a in args.atoms]
     points = evolution.barycentric_grid(atoms, args.resolution)
     lines = ["# f1 f2 f3 class c_n_crit t_crit"]
@@ -266,7 +276,7 @@ def _cmd_barycentric(args) -> str:
         lines.append(
             f"{pt.f1:.17g}\t{pt.f2:.17g}\t{pt.f3:.17g}\t{tc.kind}\t{c}\t{t}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines), []
 
 
 @functools.cache
@@ -336,8 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        output = args.func(args)
-        text, dumps = output if isinstance(output, tuple) else (output, ())
+        text, dumps = args.func(args)
         _write_output(text, args.out, dumps)
     except (WeakGiantError, OSError) as exc:
         code = failure_code(exc)

@@ -388,7 +388,9 @@ def _prefix_end(events, t, t_end, v_in, v_out, n_vertices, last) -> int:
     standard deviations of a Poisson count.  With x the vacant spots of the
     smaller side and g the gap to the other, dx/dt = -x (x + g)/N, so
     x(t) = g x0 e^(-g s) / (g - x0 expm1(-g s)) with s = (t_end - t)/N, and
-    x(t) = x0 / (1 + x0 s) at g = 0.
+    x(t) = x0 / (1 + x0 s) at g = 0.  A prefix of ``last`` spots would
+    shuffle and gather the spots the run never reaches: on the gate-6 table
+    it takes 1.2-2.2x as long and 1.3-1.5x the memory.
     """
     if t_end is None:
         return last

@@ -752,6 +752,25 @@ def test_simulate_failed_write_leaves_no_files(tmp_path, bad):
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("bad", ["out", "dump"])
+def test_simulate_failed_write_keeps_existing_files(tmp_path, bad):
+    # a failed request removes only the files it created: the result and
+    # dump files that were there before keep their contents
+    paths = {name: tmp_path / name for name in ("out.json", "g.txt", "traj.tsv")}
+    for path in paths.values():
+        path.write_text("before\n")
+    missing = tmp_path / "no" / "such" / "file"
+    argv = ["simulate", write(tmp_path, "p.txt", ATOM22), "--mode", "kmc", "--vertices", "100",
+            "--target-conversion", "0.3",
+            "--out", str(missing if bad == "out" else paths["out.json"]),
+            "--dump-graph", str(paths["g.txt"]),
+            "--dump-trajectory", str(missing if bad == "dump" else paths["traj.tsv"])]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("weakgiant: i/o error: ")
+    assert [path.read_text() for path in paths.values()] == ["before\n"] * 3
+
+
 def test_simulate_kmc_rejects_nan_t_end(tmp_path):
     bounds = write(tmp_path, "p.txt", ATOM22)
     code, out, err = run_cli(

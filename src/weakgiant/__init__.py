@@ -40,7 +40,7 @@ from .errors import (
 from .evolution import (
     BarycentricPoint,
     BoundDist,
-    FullDegreeState,
+    DegreeState,
     NuMoments,
     TransitionClass,
     asymptotic_dist,

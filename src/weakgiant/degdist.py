@@ -239,10 +239,10 @@ def _columns(rows, width: int) -> tuple:
 def _run_sums(keys, probs: np.ndarray) -> list:
     """Key-sorted ``keys`` and ``probs`` with each run of equal keys summed:
     the run's key columns, then the ``fsum`` of its probabilities.  Serves
-    :func:`weakgiant.evolution.marginal_degree_dist`, which sums a degree
-    state over its capacities."""
+    the growth process's degree law (:mod:`weakgiant.evolution`), which sums
+    the cells of its capacity classes."""
     starts = np.flatnonzero(_new_keys(keys))
-    sums = probs[starts].tolist()
+    sums = probs[starts]
     # fsum of one value is that value; only runs of two or more need the sum.
     ends = np.append(starts[1:], len(probs))
     for i in np.flatnonzero(ends - starts > 1).tolist():

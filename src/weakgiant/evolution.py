@@ -87,10 +87,9 @@ class BoundDist(_PairTable):
 
 
 @dataclass(frozen=True, eq=False)
-class FullDegreeState(_Table):
-    """Joint law of ``(n, k, n_max, k_max)`` at one instant of the process,
-    a table keyed ``(n, k, n_max, k_max)``, with the time, edge density and
-    conversions of that instant."""
+class DegreeState(_Table):
+    """Degree law at one instant of the process, a table keyed ``(n, k)``,
+    with the time, edge density and conversions of that instant."""
 
     t: float
     mu: float
@@ -184,28 +183,26 @@ def _binom_pmfs(m: int, c: float) -> np.ndarray:
     return pmf / math.fsum(pmf.tolist())
 
 
-def _state_support(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ...]:
-    """The :class:`FullDegreeState` support at conversions ``(c_n, c_k)``,
-    sorted by ``(n, k, n_max, k_max)``.  Per class, the entries are the
-    outer product ``(p * pn) x pk`` of binomial pmfs."""
+def _degree_support(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, ...]:
+    """Support of the degree law at conversions ``(c_n, c_k)``: per capacity
+    class the outer product ``(p * pn) x pk`` of binomial pmfs, summed over
+    the classes."""
     pmf = functools.cache(_binom_pmfs)
     columns = []
     for nm, km, p in P.records():
         q = np.multiply.outer(p * pmf(nm, c_n), pmf(km, c_k))
         n, k = np.nonzero(q > 0.0)
-        columns.append((n, k, np.full(len(n), nm), np.full(len(n), km), q[n, k]))
-    n, k, *rest = (np.concatenate(c) for c in zip(*columns))
-    # classes come in key order and lexsort is stable, so sorting by (n, k)
-    # sorts by the whole key
+        columns.append((n, k, q[n, k]))
+    n, k, probs = (np.concatenate(c) for c in zip(*columns))
     order = np.lexsort((k, n))
-    return tuple(a[order] for a in (n, k, *rest))
+    return BivariateDegreeDist._validated(*_run_sums((n[order], k[order]), probs[order])).support
 
 
-def degree_state_at(P: BoundDist, t: float) -> FullDegreeState:
-    """Joint (n, k, n_max, k_max) law at time t: per capacity class, spots
-    fill independently, Binomial(n_max, c_n) x Binomial(k_max, c_k)."""
+def degree_state_at(P: BoundDist, t: float) -> DegreeState:
+    """Degree law u(n, k) at time t: per capacity class, spots fill
+    independently, Binomial(n_max, c_n) x Binomial(k_max, c_k)."""
     mu, c_n, c_k = _at_time(P, t)
-    return FullDegreeState(_state_support(P, c_n, c_k), t, mu, c_n, c_k)
+    return DegreeState(_degree_support(P, c_n, c_k), t, mu, c_n, c_k)
 
 
 def _not_nan(c_n: float) -> float:
@@ -237,17 +234,16 @@ def _at_conversion(P: BoundDist, c_n: float) -> tuple[float, float, float]:
     return c_n * nu.nu10, c_n, min(c_n * nu.nu10 / nu.nu01, 1.0)
 
 
-def degree_state_at_conversion(P: BoundDist, c_n: float) -> FullDegreeState:
+def degree_state_at_conversion(P: BoundDist, c_n: float) -> DegreeState:
     """Same state indexed by in-conversion; ``t`` is inf at the supremum."""
     mu, c_n, c_k = _at_conversion(P, c_n)
     t = time_of_conversion(P, c_n) if c_n < conversion_sup(P)[0] else math.inf
-    return FullDegreeState(_state_support(P, c_n, c_k), t, mu, c_n, c_k)
+    return DegreeState(_degree_support(P, c_n, c_k), t, mu, c_n, c_k)
 
 
-def marginal_degree_dist(state: FullDegreeState) -> BivariateDegreeDist:
-    """Degree law u(n, k) obtained by summing the state over capacities."""
-    n, k, _nm, _km, probs = state.support
-    return BivariateDegreeDist._validated(*_run_sums((n, k), probs))
+def marginal_degree_dist(state: DegreeState) -> BivariateDegreeDist:
+    """The state's degree law u(n, k) as a degree table."""
+    return BivariateDegreeDist(state.support)
 
 
 def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
@@ -262,9 +258,7 @@ def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
         return BivariateDegreeDist._validated(*P.support)
     # The exact supremum pair: clamping through _at_conversion would
     # recompute c_k as a product that can miss 1.0.
-    sup_cn, sup_ck = conversion_sup(P)
-    support = _state_support(P, sup_cn, sup_ck)
-    return marginal_degree_dist(FullDegreeState(support, math.inf, min(nu.nu01, nu.nu10), sup_cn, sup_ck))
+    return BivariateDegreeDist(_degree_support(P, *conversion_sup(P)))
 
 
 def mu_moments_at(P: BoundDist, c_n: float) -> tuple[float, float, float]:

@@ -281,12 +281,10 @@ def sample_configuration(
     vertex_ids = np.arange(n_vertices, dtype=np.int64)
     in_stubs = np.repeat(vertex_ids, n_of[idx])
     out_stubs = np.repeat(vertex_ids, k_of[idx])
-    if in_stubs.size > out_stubs.size:
-        in_stubs = rng.permutation(in_stubs)[: out_stubs.size]
-    elif out_stubs.size > in_stubs.size:
-        out_stubs = rng.permutation(out_stubs)[: in_stubs.size]
-
-    src = rng.permutation(out_stubs)
+    src = rng.permutation(out_stubs)[: in_stubs.size]
+    surplus = in_stubs.size - src.size
+    if surplus:
+        in_stubs = np.delete(in_stubs, rng.choice(in_stubs.size, surplus, replace=False))
     edges = np.column_stack([src, in_stubs])
     return DirectedMultigraph(n_vertices, edges)
 

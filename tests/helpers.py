@@ -374,15 +374,17 @@ def sequential_kmc(
     edges = np.empty((max(capacity, 0), 2), dtype=np.int64)
     times = np.empty(max(capacity, 0), dtype=float)
 
-    # Batched uniforms; refilled on demand.  One stream keeps runs
-    # reproducible for a given seed regardless of stop condition.
-    buf = rng.random(65536)
+    # Batched uniforms; refilled on demand, each batch twice the last up to
+    # 65,536, so a short run draws few.  Chunked draws return the same
+    # doubles in the same order, and nothing else draws from rng after this
+    # point, so the batch sizes do not change a run.
+    buf = rng.random(64)
     pos = 0
 
     def next_u() -> float:
         nonlocal buf, pos
         if pos == buf.size:
-            buf = rng.random(65536)
+            buf = rng.random(min(2 * buf.size, 65536))
             pos = 0
         u = buf[pos]
         pos += 1

@@ -222,7 +222,7 @@ def test_no_request_builds_entries(tmp_path, monkeypatch):
         raise AssertionError(f"{type(self).__name__}.entries read")
 
     for cls in (weakgiant.UnivariateDegreeDist, BivariateDegreeDist, evolution.BoundDist,
-                evolution.FullDegreeState):
+                evolution.DegreeState):
         monkeypatch.setattr(cls, "entries", property(unread))
     for table, argv, digest in PINNED_STDOUT:
         if table is not None:

@@ -176,9 +176,10 @@ def test_conversion_sup_examples(three_class_bounds, p22_bounds):
 
 def test_state_at_time_zero_is_origin_atom(three_class_bounds):
     state = degree_state_at(three_class_bounds, 0.0)
-    assert set(state.entries) == {(0, 0, nm, km) for nm, km in three_class_bounds.entries}
-    marg = marginal_degree_dist(state)
-    assert marg.entries == {(0, 0): 1.0}
+    want = reference_marginal(reference_state_entries(three_class_bounds, 0.0, 0.0))
+    assert want.entries == {(0, 0): 1.0}
+    assert state.entries == want.entries
+    assert marginal_degree_dist(state).entries == want.entries
 
 
 def test_state_half_converted_unit_atom():
@@ -190,11 +191,14 @@ def test_state_half_converted_unit_atom():
 
 
 def test_state_probability_is_conserved(three_class_bounds):
+    capacities = [(nm, km) for nm, km, _p in three_class_bounds.records()]
     for t in (0.01, 0.1, 1.0, 10.0):
         state = degree_state_at(three_class_bounds, t)
         assert math.fsum(state.entries.values()) == pytest.approx(1.0, abs=1e-9)
-        for (n, k, nm, km), p in state.entries.items():
-            assert 0 <= n <= nm and 0 <= k <= km and p > 0
+        for (n, k), p in state.entries.items():
+            assert any(0 <= n <= nm and 0 <= k <= km for nm, km in capacities) and p > 0
+        want = reference_marginal(reference_state_entries(three_class_bounds, state.c_n, state.c_k))
+        assert state.entries == want.entries
 
 
 def test_marginal_is_edge_balanced(three_class_bounds):
@@ -540,18 +544,19 @@ def test_state_and_marginal_match_cell_reference(P, u):
     sup_cn, _ = conversion_sup(P)
     for c_n in (0.0, 1e-9, u * sup_cn, sup_cn):
         state = degree_state_at_conversion(P, c_n)
-        entries = reference_state_entries(P, state.c_n, state.c_k)
-        assert list(state.entries.items()) == sorted(entries.items())
-        assert all(len(column) == len(entries) for column in state.support)
+        want = reference_marginal(reference_state_entries(P, state.c_n, state.c_k))
+        assert list(state.entries.items()) == list(want.entries.items())
+        assert len(state.support) == 3
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(state.support, want.support))
         marginal = marginal_degree_dist(state)
-        want = reference_marginal(entries)
         assert list(marginal.entries.items()) == list(want.entries.items())
         assert all(g.tobytes() == w.tobytes() for g, w in zip(marginal.support, want.support))
 
 
 def test_state_at_time_matches_cell_reference(three_class_bounds):
     state = degree_state_at(three_class_bounds, 0.1)
-    assert state.entries == reference_state_entries(three_class_bounds, state.c_n, state.c_k)
+    want = reference_marginal(reference_state_entries(three_class_bounds, state.c_n, state.c_k))
+    assert state.entries == want.entries
 
 
 @functools.cache
@@ -578,14 +583,22 @@ def test_state_beyond_float_binomials_matches_exact(rows):
     P = BoundDist.from_entries(rows)
     state = degree_state_at_conversion(P, 0.5)
     assert (state.c_n, state.c_k) == (0.5, 0.5)
-    n, k, n_max, k_max, probs = state.support
-    for nm, km, p in P.records():
-        cls = (n_max == nm) & (k_max == km)
+    n, k, probs = marginal_degree_dist(state).support
+    classes = P.records()
+    for nm, km, p in classes:
+        inside = (n <= nm) & (k <= km)
         got = np.zeros((nm + 1, km + 1))
-        got[n[cls], k[cls]] = probs[cls]
+        got[n[inside], k[inside]] = probs[inside]
         want = p * np.multiply.outer(_exact_half_pmf(nm), _exact_half_pmf(km))
-        big = want > 1e-300
+        # only the cells that no other class reaches hold this class alone
+        i, j = np.indices(want.shape)
+        alone = np.ones(want.shape, dtype=bool)
+        for other_nm, other_km, _p in classes:
+            if (other_nm, other_km) != (nm, km):
+                alone &= (i > other_nm) | (j > other_km)
+        big = alone & (want > 1e-300)
+        assert big.any()
         assert np.all(np.abs(got[big] - want[big]) <= 1e-10 * want[big])
     for c_n, cell in ((0.0, lambda nm, km: (0, 0)), (1.0, lambda nm, km: (nm, km))):
-        want = {(*cell(nm, km), nm, km): p for nm, km, p in P.records()}
-        assert degree_state_at_conversion(P, c_n).entries == want
+        want = reference_marginal({(*cell(nm, km), nm, km): p for nm, km, p in classes})
+        assert degree_state_at_conversion(P, c_n).entries == want.entries

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -370,6 +371,29 @@ def test_config_stops_when_no_redraw_shrinks_imbalance():
     for rep in range(5):
         g = sample_configuration(gaps0, 200, replica_rng(13, 11 + rep))
         assert _stubs_short_of_support(g, gaps0) <= 2
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (1, 2)], ids=["in surplus", "out surplus"])
+def test_config_surplus_deletion_and_matching_are_uniform(pair):
+    # one support pair, so no redraw shrinks the imbalance: of the six stubs
+    # of the surplus side a uniform three are kept and matched uniformly to
+    # the other side's three, 20 x 6 equally likely outcomes
+    n = 3
+    surplus = [v for v in range(n) for _ in range(max(pair))]
+    law = Counter()
+    for kept in itertools.combinations(range(2 * n), n):
+        for order in itertools.permutations(range(n)):
+            ends = [(surplus[kept[i]], order[i]) for i in range(n)]
+            law[tuple(sorted(e if pair[0] < pair[1] else e[::-1] for e in ends))] += 1 / 120
+    d = BivariateDegreeDist.from_entries([(*pair, 1.0)])
+    runs = 3000
+    seen = Counter(
+        tuple(sorted(map(tuple, sample_configuration(d, n, replica_rng(27, rep)).edges.tolist())))
+        for rep in range(runs)
+    )
+    assert set(seen) <= set(law)
+    for graph, p in law.items():
+        assert abs(seen[graph] / runs - p) <= 5 * math.sqrt(p * (1 - p) / runs), graph
 
 
 def test_config_redraw_budget_bounds_rare_shrinking_moves():

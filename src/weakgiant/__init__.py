@@ -43,7 +43,6 @@ from .evolution import (
     DegreeState,
     NuMoments,
     TransitionClass,
-    asymptotic_dist,
     barycentric_grid,
     conversion_sup,
     critical_conversion,

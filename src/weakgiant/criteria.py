@@ -50,11 +50,12 @@ class ConnectivityReport:
 
 
 def _mean_size(m: MomentSet) -> float | None:
-    """``W'(1)``, or None where it diverges (D <= 0 with edges present)."""
+    """``W'(1)``, or None where it diverges (D <= 0 with edges present, D
+    read within its rounding bound)."""
     mu = m.mu
     if mu == 0.0:
         return 1.0
-    D = m.determinant
+    D = m.resolved_determinant
     if D <= 0.0:
         return None
     return 1.0 + mu * mu * (m.mu02 + m.mu20 - 2.0 * m.mu11) / D
@@ -71,7 +72,7 @@ def mean_weak_component_size(d: BivariateDegreeDist) -> float:
     m = d.moments()
     mean = _mean_size(m)
     if mean is None:
-        raise Supercritical(f"mean weak-component size diverges (D = {m.determinant!r} <= 0)")
+        raise Supercritical(f"mean weak-component size diverges (D = {m.determinant!r} <= 0 within rounding)")
     return mean
 
 

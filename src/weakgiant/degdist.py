@@ -36,6 +36,8 @@ from .errors import (
 NORM_TOL = 1e-9
 #: Default tolerance on |mu_10 - mu_01| relative to max(mu_10, mu_01, 1).
 BALANCE_TOL = 1e-9
+#: Machine epsilon of float64.
+_EPS = float(np.finfo(float).eps)
 #: Largest key component a table holds (its keys are int64 arrays).
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -65,6 +67,17 @@ class MomentSet:
         return (mu - self.mu11) ** 2 - (self.mu20 - mu) * (self.mu02 - mu)
 
     @property
+    def resolved_determinant(self) -> float:
+        """``determinant``, or 0 where it lies within its rounding bound
+        ``16 eps ((mu + mu_11)^2 + (mu_20 + mu)(mu_02 + mu))``.  Such a D
+        carries no sign: on the law (1, 1) a, (2, 0) b, (0, 2) b, with
+        a + 2b = 1, D is exactly 0 and its float reads either sign."""
+        mu = self.mu
+        D = self.determinant
+        bound = 16.0 * _EPS * ((mu + self.mu11) ** 2 + (self.mu20 + mu) * (self.mu02 + mu))
+        return 0.0 if abs(D) <= bound else D
+
+    @property
     def giant_in_out(self) -> bool:
         """Giant in- and out-components exist (``mu_11 > mu``)."""
         return self.mu11 - self.mu > 0.0
@@ -73,8 +86,9 @@ class MomentSet:
     def giant_weak(self) -> bool:
         """A giant weak component exists: D < 0, or D = 0 reached from the
         in/out-giant side (``mu_11 > mu``), which keeps boundary laws such as
-        the pure (2, 2) atom classified as supercritical."""
-        return self.determinant < 0.0 or self.giant_in_out
+        the pure (2, 2) atom classified as supercritical.  D is read within
+        its rounding bound (``resolved_determinant``)."""
+        return self.resolved_determinant < 0.0 or self.giant_in_out
 
     @property
     def giant_undirected_projection(self) -> bool:

@@ -117,8 +117,24 @@ def nu_moments(P: BoundDist) -> NuMoments:
     return P._nu
 
 
-def _is_symmetric(nu: NuMoments) -> bool:
-    return abs(nu.nu01 - nu.nu10) <= SYMMETRIC_SWITCH * max(nu.nu01, nu.nu10)
+def _is_symmetric(a: float, b: float) -> bool:
+    return abs(a - b) <= SYMMETRIC_SWITCH * max(a, b)
+
+
+def _fill(a: float, b: float, t: float) -> float:
+    """Solution m(t) of m' = (a - m)(b - m) with m(0) = 0, for a, b >= 0 and
+    finite t >= 0; increasing, with supremum min(a, b)."""
+    if _is_symmetric(a, b):
+        v = 0.5 * (a + b)
+        # where v^2 t overflows, m lies within an ulp of v
+        return v * v * t / (1.0 + v * t) if v * v * t < math.inf else v
+    x = (b - a) * t
+    # Overflow-free rational forms of  a b (e^x - 1) / (b e^x - a).
+    if x >= 0.0:
+        em = math.expm1(-x)  # in (-1, 0]
+        return a * b * (-em) / ((b - a) - a * em)
+    em = math.expm1(x)  # in (-1, 0)
+    return a * b * em / ((b - a) + b * em)
 
 
 def mu_of_t(P: BoundDist, t: float) -> float:
@@ -128,17 +144,7 @@ def mu_of_t(P: BoundDist, t: float) -> float:
     if not math.isfinite(t):
         raise ValidationError(f"t = {t!r} must be finite")
     nu = nu_moments(P)
-    if _is_symmetric(nu):
-        v = 0.5 * (nu.nu01 + nu.nu10)
-        return v * v * t / (1.0 + v * t)
-    a, b = nu.nu01, nu.nu10
-    x = (b - a) * t
-    # Overflow-free rational forms of  a b (e^x - 1) / (b e^x - a).
-    if x >= 0.0:
-        em = math.expm1(-x)  # in (-1, 0]
-        return a * b * (-em) / ((b - a) - a * em)
-    em = math.expm1(x)  # in (-1, 0)
-    return a * b * em / ((b - a) + b * em)
+    return _fill(nu.nu01, nu.nu10, t)
 
 
 def _at_time(P: BoundDist, t: float) -> tuple[float, float, float]:
@@ -246,21 +252,6 @@ def marginal_degree_dist(state: DegreeState) -> BivariateDegreeDist:
     return BivariateDegreeDist(state.support)
 
 
-def asymptotic_dist(P: BoundDist) -> BivariateDegreeDist:
-    """Degree law in the t -> infinity limit.
-
-    With symmetric capacity means every spot fills: the bound table itself,
-    reread as a degree table.  Otherwise the scarcer side saturates and the
-    other side stays binomial at the capacity ratio.
-    """
-    nu = nu_moments(P)
-    if _is_symmetric(nu):
-        return BivariateDegreeDist._validated(*P.support)
-    # The exact supremum pair: clamping through _at_conversion would
-    # recompute c_k as a product that can miss 1.0.
-    return BivariateDegreeDist(_degree_support(P, *conversion_sup(P)))
-
-
 def mu_moments_at(P: BoundDist, c_n: float) -> tuple[float, float, float]:
     """Closed-form (mu_20, mu_02, mu_11) of the degree law at conversion c_n:
 
@@ -296,7 +287,7 @@ def time_of_conversion(P: BoundDist, c_n: float) -> float:
     """Time at which the in-conversion reaches ``c_n`` (must be < sup)."""
     sup_cn = check_reachable(P, c_n)
     nu = nu_moments(P)
-    if _is_symmetric(nu):
+    if _is_symmetric(nu.nu01, nu.nu10):
         v = 0.5 * (nu.nu01 + nu.nu10)
         return c_n / (v * (1.0 - c_n))
     a, b = nu.nu01, nu.nu10  # mu(t) -> min(a, b)

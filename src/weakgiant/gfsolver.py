@@ -44,7 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, _checked_count, _new_keys, require_edge_balanced
+from .degdist import (
+    _EPS, BALANCE_TOL, BivariateDegreeDist, MomentSet, _checked_count, _new_keys, require_edge_balanced
+)
 from .errors import NoConvergence, ValidationError
 
 #: Default fixed-point tolerance (on the error bound) and iteration budget.
@@ -53,7 +55,6 @@ MAX_ITER = 10**6
 #: Relative rounding bound of one term-table sum: a few ulps per term
 #: (log1p, the exponent sum, expm1, the weight) and the ~20 + log2(length)
 #: levels of numpy's pairwise summation, with room to spare.
-_EPS = float(np.finfo(float).eps)
 _ROUNDOFF = 64 * _EPS
 #: Stand-in for log 0: finite, so 0 * log 0 == 0, and exp of any positive
 #: multiple is 0; any int64 multiple of it, and the sum of two, stays finite.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .degdist import BivariateDegreeDist, UnivariateDegreeDist, _checked_count
 from .errors import Exhausted, ValidationError
-from .evolution import BoundDist
+from .evolution import BoundDist, _fill
 
 
 def replica_rng(master_seed: int, replica: int = 0) -> np.random.Generator:
@@ -160,27 +160,24 @@ def size_histogram(sizes) -> UnivariateDegreeDist:
     return UnivariateDegreeDist._validated(values, [w / total for w in weights])
 
 
-def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws of a slot 0..K-1 with probabilities ``probs``.
+def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n i.i.d. draws of a slot 0..K-1 with probabilities ``probs``, and
+    their counts per slot.
 
     The counts of the n draws are multinomial, and given the counts every
     order is equally likely; so the slots repeated by their multinomial
     counts and shuffled have the law of the i.i.d. draws.
     """
-    return _shuffled_slots(rng.multinomial(n, probs), rng)
-
-
-def _shuffled_slots(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Slot s repeated ``counts[s]`` times, in uniformly random order."""
+    counts = rng.multinomial(n, probs)
     slots = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     if counts.size > 1:
         rng.shuffle(slots)
-    return slots
+    return slots, counts
 
 
 def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
     first, second, probs = P.support
-    idx = _draw_slots(probs / probs.sum(), n, rng)
+    idx = _draw_slots(probs / probs.sum(), n, rng)[0]
     return first[idx], second[idx]
 
 
@@ -232,7 +229,7 @@ def _balance_by_redraw(idx, counts, diff, probs, rng) -> None:
     tried = 0
     while delta and tried < budget and _can_shrink(delta, dvals, np.array(class_count) > 0):
         vertices = rng.integers(0, n_vertices, size=_REDRAW_BATCH)
-        slots = _draw_slots(probs, _REDRAW_BATCH, rng).tolist()
+        slots = _draw_slots(probs, _REDRAW_BATCH, rng)[0].tolist()
         tried += _REDRAW_BATCH
         redrawn = {}
         for v, old, new in zip(vertices.tolist(), idx[vertices].tolist(), slots):
@@ -274,8 +271,7 @@ def sample_configuration(
     rng = _as_rng(seed)
     n_of, k_of, probs = d.support
     probs = probs / probs.sum()
-    counts = rng.multinomial(n_vertices, probs)
-    idx = _shuffled_slots(counts, rng)
+    idx, counts = _draw_slots(probs, n_vertices, rng)
     _balance_by_redraw(idx, counts, n_of - k_of, probs, rng)
 
     vertex_ids = np.arange(n_vertices, dtype=np.int64)
@@ -383,25 +379,15 @@ def _prefix_end(events, t, t_end, v_in, v_out, n_vertices, last) -> int:
     For ``t_end`` the count is the mean number of events by ``t_end`` under
     the proposal clock de/dt = (v_in - e)(v_out - e)/N, which counts the
     run's own spots and bounds its event rate, plus ``_PREFIX_SIGMAS``
-    standard deviations of a Poisson count.  With x the vacant spots of the
-    smaller side and g the gap to the other, dx/dt = -x (x + g)/N, so
-    x(t) = g x0 e^(-g s) / (g - x0 expm1(-g s)) with s = (t_end - t)/N, and
-    x(t) = x0 / (1 + x0 s) at g = 0.  A prefix of ``last`` spots would
-    shuffle and gather the spots the run never reaches: on the gate-6 table
-    it takes 1.2-2.2x as long and 1.3-1.5x the memory.
+    standard deviations of a Poisson count.  In units of N that clock is
+    the growth law's mu' = (a - mu)(b - mu), with a and b the vacant spots
+    per vertex.  A prefix of ``last`` spots would shuffle and gather the
+    spots the run never reaches: on the gate-6 table it takes 1.2-2.2x as
+    long and 1.3-1.5x the memory.
     """
-    if t_end is None:
+    if t_end is None or t_end == math.inf:
         return last
-    small, big = sorted((v_in - events, v_out - events))
-    if not small:
-        return events
-    gap = big - small
-    s = (t_end - t) / n_vertices
-    if gap:
-        left = gap * small * math.exp(-gap * s) / (gap - small * math.expm1(-gap * s))
-    else:
-        left = small / (1 + small * s)
-    mean = small - left
+    mean = n_vertices * _fill((v_out - events) / n_vertices, (v_in - events) / n_vertices, t_end - t)
     return min(last, events + math.ceil(mean + _PREFIX_SIGMAS * math.sqrt(mean)) + 1)
 
 

@@ -36,6 +36,7 @@ from weakgiant import (  # truncated_double_poisson is re-exported for the tests
 from weakgiant.degdist import _checked_tol
 from weakgiant.gfsolver import _terms
 from weakgiant.mcgraph import (
+    _PREFIX_SIGMAS,
     _REDRAW_BATCH,
     _REDRAW_CANDIDATES_PER_VERTEX,
     DirectedMultigraph,
@@ -249,7 +250,9 @@ def picard_fixed_point(d: BivariateDegreeDist, *, tol: float = 1e-12, max_iter: 
     does not mean a small error when the contraction rate q is near 1, so
     the iteration stops once the error estimate ``2 step q / (1 - q)`` is
     ``<= tol``; q is the ratio of the last two steps, and the factor 2
-    covers the rounding noise in q once steps are near 1e-14.
+    covers the rounding noise in q once steps are near 1e-14.  The step
+    itself must be ``<= tol`` too: in the first steps q can still grow
+    fivefold, and the estimate then falls short of the error.
     """
     _u, u_in, u_out = _terms(d)
     mu = d.moments().mu
@@ -265,7 +268,7 @@ def picard_fixed_point(d: BivariateDegreeDist, *, tol: float = 1e-12, max_iter: 
         step = max(abs(new_in - s_in), abs(new_out - s_out))
         s_out, s_in = min(new_out, 1.0), min(new_in, 1.0)
         q = step / previous
-        if step == 0.0 or (0.0 < q < 1.0 and 2.0 * step * q / (1.0 - q) <= tol):
+        if step == 0.0 or (step <= tol and 0.0 < q < 1.0 and 2.0 * step * q / (1.0 - q) <= tol):
             return s_out, s_in
         previous = step
     return None
@@ -308,7 +311,7 @@ def reference_balance_by_redraw(idx: np.ndarray, diff: np.ndarray, probs: np.nda
     tried = 0
     while delta and tried < budget and _can_shrink(delta, dvals, class_count > 0):
         vertices = rng.integers(0, n_vertices, size=_REDRAW_BATCH).tolist()
-        slots = _draw_slots(probs, _REDRAW_BATCH, rng).tolist()
+        slots = _draw_slots(probs, _REDRAW_BATCH, rng)[0].tolist()
         tried += _REDRAW_BATCH
         for v, new in zip(vertices, slots):
             old = int(idx[v])
@@ -439,6 +442,32 @@ def sequential_kmc(
     traj_t = times[:events].copy() if record_trajectory else np.empty(0)
     state = KmcState(n_max=n_max, k_max=k_max, t=t, events=events)
     return KmcResult(graph=graph, times=traj_t, state=state)
+
+
+def reference_prefix_end(events, t, t_end, v_in, v_out, n_vertices, last) -> int:
+    """The spot prefix of a ``t_end`` run solved in vacant-spot counts: the
+    reference for ``mcgraph._prefix_end``, which reads the same proposal
+    clock as the growth law's closed form.
+
+    With x the vacant spots of the smaller side and g the gap to the other,
+    dx/dt = -x (x + g)/N, so x(t) = g x0 e^(-g s) / (g - x0 expm1(-g s))
+    with s = (t_end - t)/N, and x(t) = x0 / (1 + x0 s) at g = 0; the mean
+    event count is x0 - x(t), and the prefix adds ``_PREFIX_SIGMAS``
+    standard deviations of a Poisson count and one spot.
+    """
+    if t_end is None:
+        return last
+    small, big = sorted((v_in - events, v_out - events))
+    if not small:
+        return events
+    gap = big - small
+    s = (t_end - t) / n_vertices
+    if gap:
+        left = gap * small * math.exp(-gap * s) / (gap - small * math.expm1(-gap * s))
+    else:
+        left = small / (1 + small * s)
+    mean = small - left
+    return min(last, events + math.ceil(mean + _PREFIX_SIGMAS * math.sqrt(mean)) + 1)
 
 
 def random_bound_dist(rng: np.random.Generator, n_atoms: int = 3, max_bound: int = 6) -> BoundDist:

@@ -781,6 +781,17 @@ def test_simulate_kmc_rejects_nan_t_end(tmp_path):
     assert "t_end" in err
 
 
+def test_simulate_kmc_t_end_without_out_spots_makes_no_event(tmp_path):
+    # on 10 vertices no (0, 1) class is drawn, so no edge can form
+    bounds = write(tmp_path, "p.txt", "1 0 0.999999999999\n0 1 1e-12\n")
+    code, out, _ = run_cli(["simulate", bounds, "--mode", "kmc", "--vertices", "10", "--t-end", "0.5"])
+    assert code == 0
+    result = json.loads(out)
+    validate_schema("simulate", result)
+    assert result["edges"] == 0 and result["t_final"] == 0
+    assert result["size_histogram"] == [[1, 1]]
+
+
 @pytest.mark.parametrize("dump", [False, True])
 def test_simulate_kmc_records_trajectory_only_for_dump(tmp_path, monkeypatch, dump):
     record = []

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import balanced_dists, run_cli, total_degree_law, truncated_double_poisson
 from weakgiant import (
@@ -33,6 +34,27 @@ def test_determinant_double_poisson():
     lam = 0.25
     d = truncated_double_poisson(lam)
     assert d.moments().determinant == pytest.approx(lam * lam * (1 - 2 * lam), abs=1e-12)
+
+
+@given(st.floats(1e-9, 0.5, exclude_max=True))
+def test_exactly_critical_law_has_no_giant(b):
+    # D = (2b)^2 - (2b)^2 = 0 in exact arithmetic on any float entries, while
+    # its float reads either sign; D within its rounding bound counts as 0
+    d = BivariateDegreeDist.from_entries([(1, 1, 1 - 2 * b), (2, 0, b), (0, 2, b)])
+    report = criteria_report(d)
+    assert report.determinant_D == d.moments().determinant
+    assert not report.giant_weak
+    assert report.mean_weak_size is None and report.giant_weak_fraction is None
+    assert interior_fixed_point(d).giant_fraction == 0.0
+
+
+def test_determinant_just_off_criticality_keeps_its_sign():
+    # |D| = 5e-14 against a rounding bound of 7.6e-15
+    below, above = (truncated_double_poisson(0.5 + s * 1e-13) for s in (-1, 1))
+    assert below.moments().resolved_determinant > 0 and not criteria_report(below).giant_weak
+    assert above.moments().resolved_determinant < 0 and criteria_report(above).giant_weak
+    assert criteria_report(below).mean_weak_size > 1e12
+    assert criteria_report(above).giant_weak_fraction > 0
 
 
 SOURCES = "1 0 1.0\n"  # mean in-degree 1, mean out-degree 0

@@ -217,8 +217,6 @@ BUILT_TABLES = {
     "marginal_degree_dist": lambda: evolution.marginal_degree_dist(
         evolution.degree_state_at_conversion(ASYMMETRIC, 0.2)
     ),
-    "asymptotic_dist symmetric": lambda: evolution.asymptotic_dist(CAP70),
-    "asymptotic_dist asymmetric": lambda: evolution.asymptotic_dist(ASYMMETRIC),
     "size_histogram": lambda: mcgraph.size_histogram([3, 1, 1, 2]),
 }
 

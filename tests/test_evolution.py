@@ -21,7 +21,6 @@ from weakgiant import (
     NegativeTime,
     NoReactivePair,
     ValidationError,
-    asymptotic_dist,
     barycentric_grid,
     conversion_sup,
     critical_conversion,
@@ -85,6 +84,12 @@ def test_mu_asymmetric_closed_form():
 def test_mu_symmetric_closed_form(p22_bounds):
     # nu = 2: mu(1) = nu^2 t/(1 + nu t) = 4/3
     assert mu_of_t(p22_bounds, 1.0) == pytest.approx(4 / 3, abs=1e-14)
+
+
+def test_mu_at_huge_finite_time_is_its_supremum(p22_bounds):
+    # nu^2 t overflows, where the symmetric form would read inf / inf
+    assert mu_of_t(p22_bounds, 1e308) == 2.0
+    assert mu_of_t(asym_pair, 1e308) == min(nu_moments(asym_pair).nu01, nu_moments(asym_pair).nu10)
 
 
 def test_mu_rejects_negative_time(p22_bounds):
@@ -247,34 +252,6 @@ def test_mu_moments_endpoints(p22_bounds, three_class_bounds):
     assert mu_moments_at(p22_bounds, 1.0) == pytest.approx((4.0, 4.0, 4.0), abs=1e-12)
     with pytest.raises(ConversionOutOfRange):
         mu_moments_at(p22_bounds, 1.5)
-
-
-# --- asymptotics ------------------------------------------------------------
-
-
-def test_asymptotic_dist_symmetric_atom(p22_bounds):
-    assert asymptotic_dist(p22_bounds).entries == {(2, 2): 1.0}
-
-
-def test_asymptotic_dist_symmetric_mixture():
-    P = BoundDist.from_entries([(1, 2, 0.5), (3, 2, 0.5)])
-    assert asymptotic_dist(P).entries == {(1, 2): 0.5, (3, 2): 0.5}
-
-
-def test_asymptotic_dist_saturates_scarce_side(three_class_bounds):
-    # out-spots are scarcer: k pins to k_max, n stays binomial at p = 0.96
-    dist = asymptotic_dist(three_class_bounds)
-    k_marginal: dict[int, float] = {}
-    for (n, k), p in dist.entries.items():
-        k_marginal[k] = k_marginal.get(k, 0.0) + p
-    assert k_marginal[10] == pytest.approx(2 / 3, abs=1e-12)
-    assert k_marginal[4] == pytest.approx(1 / 3, abs=1e-12)
-    p = 0.96
-    expected_n20 = sum(
-        w * (nm * p * (1 - p) + (nm * p) ** 2)
-        for nm, w in [(10, 2 / 3), (5, 1 / 3)]
-    )
-    assert dist.moment(2, 0) == pytest.approx(expected_n20, rel=1e-10)
 
 
 # --- critical conversion and time -------------------------------------------

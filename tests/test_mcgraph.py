@@ -18,6 +18,7 @@ from helpers import (
     ks_two_sample,
     realized_degree_law,
     reference_balance_by_redraw,
+    reference_prefix_end,
     sequential_kmc,
     truncated_double_poisson,
     tv_distance,
@@ -293,13 +294,19 @@ def test_draw_slots_matches_choice(table):
     probs = probs / probs.sum()
     case = list(SLOT_TABLES).index(table)
     oracle = _slot_pairs(choice_slots, probs, n, replica_rng(SLOT_SEED, 2 * case))
-    ours = _slot_pairs(mcgraph._draw_slots, probs, n, replica_rng(SLOT_SEED, 2 * case + 1))
+    ours = _slot_pairs(lambda *a: mcgraph._draw_slots(*a)[0], probs, n, replica_rng(SLOT_SEED, 2 * case + 1))
     assert chi2_two_sample(oracle, ours) > SLOT_ALPHA
 
 
 def test_draw_slots_of_one_slot():
-    slots = mcgraph._draw_slots(np.array([1.0]), 5, replica_rng(SLOT_SEED, 9))
+    slots, counts = mcgraph._draw_slots(np.array([1.0]), 5, replica_rng(SLOT_SEED, 9))
     assert slots.tolist() == [0] * 5 and slots.dtype == np.int64
+    assert counts.tolist() == [5]
+
+
+def test_draw_slots_counts_its_slots():
+    slots, counts = mcgraph._draw_slots(np.array([0.5, 0.0, 0.25, 0.25]), 1000, replica_rng(SLOT_SEED, 10))
+    assert np.bincount(slots, minlength=4).tolist() == counts.tolist()
 
 
 # --- configuration model -----------------------------------------------------
@@ -414,10 +421,10 @@ def test_stub_balance_matches_its_per_candidate_loop(d, n, seed):
     n_of, k_of, probs = d.support
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    idx = mcgraph._draw_slots(probs, n, rng)
+    idx, counts = mcgraph._draw_slots(probs, n, rng)
     ref_idx, ref_rng = idx.copy(), np.random.default_rng()
     ref_rng.bit_generator.state = rng.bit_generator.state
-    mcgraph._balance_by_redraw(idx, np.bincount(idx, minlength=probs.size), n_of - k_of, probs, rng)
+    mcgraph._balance_by_redraw(idx, counts, n_of - k_of, probs, rng)
     reference_balance_by_redraw(ref_idx, n_of - k_of, probs, ref_rng)
     assert idx.tolist() == ref_idx.tolist()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -556,6 +563,29 @@ def test_kmc_prefix_mean_solves_the_proposal_clock(v_in, v_out):
     assert mcgraph._prefix_end(0, 0.0, math.inf, v_in, v_out, n, last) == last
 
 
+@given(
+    st.integers(2, 10**7),
+    st.integers(0, 10**8),
+    st.integers(0, 10**8),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e3),
+    st.one_of(st.floats(0.0, 1e300), st.just(math.inf)),
+)
+def test_kmc_prefix_end_matches_its_vacant_spot_form(n, v_in, v_out, f_last, f_events, t, wait):
+    # the growth law's closed form in units of N against the same clock
+    # solved in vacant-spot counts; they round apart by at most one spot,
+    # where the vacant-spot form cancels a tiny mean to 0
+    last = int(f_last * min(v_in, v_out))
+    events = int(f_events * last)
+    args = (events, t, t + wait, v_in, v_out, n, last)
+    ours, ref = mcgraph._prefix_end(*args), reference_prefix_end(*args)
+    if wait == math.inf:
+        assert ours == ref == last
+    assert abs(ours - ref) <= 1
+    assert events <= ours <= last
+
+
 def test_kmc_t_end_prefix_is_rarely_extended(three_class_bounds, monkeypatch):
     # a t_end run draws its spot order once, a few standard deviations past
     # its own event count
@@ -640,6 +670,17 @@ def test_kmc_exhaustion_on_one_vertex():
         else:
             assert full.state.events == 3
     assert set(ends) == {2, 3, "exhausted"}
+
+
+def test_kmc_t_end_run_without_out_spots_is_empty():
+    # on 10 vertices no (0, 1) class is drawn: no out-spot, so no proposal
+    # and no event; the run ends at time 0 as a dead end does
+    in_only = BoundDist.from_entries([(1, 0, 1 - 1e-12), (0, 1, 1e-12)])
+    for sampler in (kmc_simulate, sequential_kmc):
+        res = sampler(in_only, 10, replica_rng(14, 13), t_end=0.5)
+        assert int(res.state.k_max.sum()) == 0
+        assert res.state.events == 0 and res.graph.edges.shape == (0, 2)
+        assert res.state.t == 0.0 and res.state.restarts == 0
 
 
 def test_kmc_target_zero_is_empty_run(p22_bounds):

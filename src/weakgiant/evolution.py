@@ -126,15 +126,18 @@ def _fill(a: float, b: float, t: float) -> float:
     finite t >= 0; increasing, with supremum min(a, b)."""
     if _is_symmetric(a, b):
         v = 0.5 * (a + b)
-        # where v^2 t overflows, m lies within an ulp of v
-        return v * v * t / (1.0 + v * t) if v * v * t < math.inf else v
+        # where 1 + v t rounds to v t, m lies within an ulp of its supremum
+        # v, and v^2 t may overflow: v is returned there
+        return v if 1.0 + v * t == v * t else v * v * t / (1.0 + v * t)
     x = (b - a) * t
-    # Overflow-free rational forms of  a b (e^x - 1) / (b e^x - a).
+    # Overflow-free rational forms of  a b (e^x - 1) / (b e^x - a).  Where
+    # e^-|x| is below rounding they would round a b / max(a, b) an ulp off
+    # the limit min(a, b), which is returned instead.
     if x >= 0.0:
-        em = math.expm1(-x)  # in (-1, 0]
-        return a * b * (-em) / ((b - a) - a * em)
-    em = math.expm1(x)  # in (-1, 0)
-    return a * b * em / ((b - a) + b * em)
+        em = math.expm1(-x)  # in [-1, 0]
+        return a * b * (-em) / ((b - a) - a * em) if em > -1.0 else a
+    em = math.expm1(x)  # in [-1, 0)
+    return a * b * em / ((b - a) + b * em) if em > -1.0 else b
 
 
 def mu_of_t(P: BoundDist, t: float) -> float:
@@ -230,13 +233,14 @@ def _at_conversion(P: BoundDist, c_n: float) -> tuple[float, float, float]:
     """``(mu, c_n, c_k)`` at in-conversion ``c_n``.
 
     ``c_n`` must lie in [0, sup] up to a relative 1e-12 and is clamped to
-    the supremum.
+    the supremum, where the state is :func:`conversion_sup`'s exactly.
     """
     nu = nu_moments(P)
-    sup_cn, _ = conversion_sup(P)
+    sup_cn, sup_ck = conversion_sup(P)
     if not 0.0 <= _not_nan(c_n) <= sup_cn * (1.0 + 1e-12):
         raise ConversionOutOfRange(f"c_n = {c_n!r} outside [0, {sup_cn!r}]")
-    c_n = min(c_n, sup_cn, 1.0)
+    if c_n >= sup_cn:
+        return min(nu.nu01, nu.nu10), sup_cn, sup_ck
     return c_n * nu.nu10, c_n, min(c_n * nu.nu10 / nu.nu01, 1.0)
 
 

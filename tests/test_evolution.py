@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -34,7 +34,7 @@ from weakgiant import (
     time_of_conversion,
     transition_class,
 )
-from weakgiant.evolution import _FLOAT_COMB_MAX_M, _at_time
+from weakgiant.evolution import _FLOAT_COMB_MAX_M, _at_time, _is_symmetric
 
 asym_pair = BoundDist.from_entries([(2, 1, 1.0)])  # nu10=2, nu01=1
 dimers = BoundDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
@@ -234,6 +234,25 @@ def test_state_at_supremum_has_infinite_time(p22_bounds):
     state = degree_state_at_conversion(p22_bounds, 1.0)
     assert state.t == math.inf
     assert marginal_degree_dist(state).entries == {(2, 2): 1.0}
+
+
+@given(bound_dists())
+@example(BoundDist.from_entries([(1, 1, 0.083), (3, 0, 0.173), (3, 2, 0.716), (5, 6, 0.028)]))
+@example(BoundDist.from_entries([(5, 0, 0.1), (5, 4, 0.9)]))
+@example(BoundDist.from_entries([(1, 4, 0.3), (5, 1, 0.7)]))
+@example(BoundDist.from_entries([(1, 1, 0.03), (0, 0, 0.97)]))
+def test_state_at_the_supremum_is_exact(P):
+    # at the conversion supremum, and at a time where mu(t) has saturated,
+    # the state is the supremum itself: recomputing c_k from c_n, or the
+    # closed forms' ab / max(a, b), can land an ulp off, and c_k just
+    # below 1 keeps cells down to 1e-99.  Near-symmetric unequal rates
+    # read mu at their mean, by design.
+    nu = nu_moments(P)
+    assume(nu.nu01 == nu.nu10 or not _is_symmetric(nu.nu01, nu.nu10))
+    sup = conversion_sup(P)
+    for state in (degree_state_at_conversion(P, sup[0]), degree_state_at(P, 1e308)):
+        assert (state.c_n, state.c_k) == sup
+        assert state.mu == min(nu.nu01, nu.nu10)
 
 
 @given(bound_dists(), st.integers(0, 2**20))

@@ -587,17 +587,33 @@ def test_kmc_prefix_end_matches_its_vacant_spot_form(n, v_in, v_out, f_last, f_e
 
 
 def test_kmc_t_end_prefix_is_rarely_extended(three_class_bounds, monkeypatch):
-    # a t_end run draws its spot order once, a few standard deviations past
-    # its own event count
-    sizes, extended = [], []
-    prefix_end, extend = mcgraph._prefix_end, mcgraph._SpotOrder.extend
+    # a t_end run draws each side's spot order once, a few standard
+    # deviations past its own event count
+    sizes, draws = [], []
+    prefix_end, drawn_on = mcgraph._prefix_end, mcgraph._drawn_on
     monkeypatch.setattr(mcgraph, "_prefix_end", lambda *a: sizes.append(prefix_end(*a)) or sizes[-1])
-    monkeypatch.setattr(mcgraph._SpotOrder, "extend", lambda *a: extended.append(1) or extend(*a))
+    monkeypatch.setattr(mcgraph, "_drawn_on", lambda *a: draws.append(a[0].size) or drawn_on(*a))
     for seed, t_end in enumerate([0.04, 0.06, 0.08] * 3):
+        sizes.clear()
+        draws.clear()
         res = kmc_simulate(three_class_bounds, 20_000, replica_rng(14, 20 + seed), t_end=t_end)
-        slack = sizes[-1] - res.state.events
+        assert len(sizes) == 1 and draws == [0, 0]
+        slack = sizes[0] - res.state.events
         assert 0 < slack <= 10 * math.sqrt(res.state.events)
-    assert not extended
+
+
+def test_repair_lists_undrawn_spots_by_vertex():
+    # positions u in [L, v) past a prefix of L spots name the undrawn
+    # spots, so vertex x takes caps[x] - count(x in prefix) of them
+    caps = np.array([3, 0, 3, 1, 2, 1])
+    prefix = np.array([2, 0, 4, 2, 5], dtype=np.int32)
+    landed = Counter()
+    for u in range(prefix.size, int(caps.sum())):
+        repaired = prefix.copy()
+        mcgraph._repair(repaired, caps, 1, u)
+        assert np.array_equal(np.delete(repaired, 1), np.delete(prefix, 1))
+        landed[int(repaired[1])] += 1
+    assert landed == {0: 2, 2: 1, 3: 1, 4: 1}
 
 
 def test_kmc_skips_times_when_not_recording(p22_bounds):

@@ -16,7 +16,6 @@ from .degdist import (
     NORM_TOL,
     BivariateDegreeDist,
     MomentSet,
-    UnivariateDegreeDist,
     require_edge_balanced,
     truncated_double_poisson,
 )

@@ -43,11 +43,6 @@ class _Rows(tuple):
     columns, then the float column, each a list."""
 
 
-def _rows(table) -> _Rows:
-    """The rows of a sparse table, sorted by key."""
-    return _Rows(a.tolist() for a in table.support)
-
-
 def _json17(obj) -> str:
     """JSON text of a CLI payload, with floats to 17 significant digits.
 
@@ -187,7 +182,7 @@ def _cmd_evolve(args) -> tuple[str, list]:
             "mu": state.mu,
             "c_n": state.c_n,
             "c_k": state.c_k,
-            "marginal": _rows(marginal),
+            "marginal": _Rows(a.tolist() for a in marginal.support),
             "report": report.to_json_dict(),
         }
     ), []
@@ -260,7 +255,7 @@ def _cmd_simulate(args) -> tuple[str, list]:
             "t_final": t_final,
             "mu_hat": graph.edges.shape[0] / graph.vertex_count,
             "largest_weak_fraction": float(sizes.max()) / graph.vertex_count,
-            "size_histogram": _rows(hist),
+            "size_histogram": _Rows((list(hist), list(hist.values()))),
         }
     ), dumps
 

@@ -149,31 +149,26 @@ def _index_columns(columns, noun: str) -> list[np.ndarray]:
     else:
         if min(_first(a < 0) for a in arrays) == len(arrays[0]):
             return arrays
-    one = len(columns) == 1
     for key in zip(*columns):
         key = tuple(map(operator.index, key))
-        shown = key[0] if one else key
         if min(key) < 0:
-            raise NegativeIndex(f"{noun} {shown} " + ("is negative" if one else "has a negative component"))
+            raise NegativeIndex(f"{noun} {key} has a negative component")
         if max(key) > _INT64_MAX:
-            raise ValidationError(f"{noun} {shown} " + ("is" if one else "has a component") + f" above {_INT64_MAX}")
+            raise ValidationError(f"{noun} {key} has a component above {_INT64_MAX}")
     raise AssertionError("no bad key in columns that failed to convert")
-
-
-def _key(arrays, i: int):
-    """Key ``i`` as the library prints it: an int, or a tuple of ints."""
-    key = tuple(int(a[i]) for a in arrays)
-    return key if len(key) > 1 else key[0]
 
 
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """Sparse law kept as ``support``: read-only arrays of the key
-    components and the probabilities, one slot per entry, sorted by key.
-    Stored probabilities are strictly positive (zero entries are dropped).
+    """Sparse law keyed by pairs of nonnegative integers: the base of degree
+    tables, of growth states and of :class:`weakgiant.evolution.BoundDist`.
 
-    Construction makes the ``support`` arrays read-only.  A subclass names
-    its law and its keys in messages with ``_kind`` and ``_noun``.
+    The law is kept as ``support``: read-only arrays of the first and second
+    key components and the probabilities, one slot per entry, sorted by key.
+    Stored probabilities are strictly positive (zero entries are dropped).
+    Construct through ``from_text`` or ``from_entries``, which validate the
+    entries and sort them in one pass.  A subclass names its law and its
+    keys in messages with ``_kind`` and ``_noun``.
     """
 
     support: tuple[np.ndarray, ...]
@@ -186,16 +181,28 @@ class _Table:
             a.flags.writeable = False
 
     @classmethod
-    def _validated(cls, *columns, tol: float = NORM_TOL):
-        """A table of the key ``columns`` and a last column of probabilities.
+    def from_text(cls, text: str, *, tol: float = NORM_TOL):
+        return cls._validated(*tableio.parse_records(text), tol=tol)
+
+    @classmethod
+    def from_entries(cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL):
+        columns = tuple(zip(*triples, strict=True)) or ((), (), ())
+        return cls._validated(*columns, tol=tol)
+
+    def to_text(self) -> str:
+        return tableio.format_records(self.records())
+
+    @classmethod
+    def _validated(cls, first, second, probs, *, tol: float = NORM_TOL):
+        """A table of the key columns ``first`` and ``second`` and the
+        probabilities ``probs``.
 
         Checks every key first (see :func:`_index_columns`), then the
         tolerance, then the entries in input order: the first one that is
         NaN, negative, or (zeros are dropped) a repeat of an earlier stored
         key raises.  Stores the entries sorted by key.
         """
-        *columns, probs = columns
-        keys = _index_columns(columns, cls._noun)
+        keys = _index_columns((first, second), cls._noun)
         _checked_tol(tol)
         values = np.array(probs)
         if values.dtype.kind not in "biuf":
@@ -211,7 +218,7 @@ class _Table:
         nan, negative = _first(np.isnan(values)), _first(values < 0.0)
         bad = min(nan, negative, duplicate)
         if bad < len(values):
-            key = _key(keys, bad)
+            key = tuple(int(k[bad]) for k in keys)
             # a float, as text reads it, not a numpy scalar
             prob = probs[bad].item() if isinstance(probs, np.ndarray) else probs[bad]
             if bad == nan:
@@ -226,28 +233,23 @@ class _Table:
 
     @cached_property
     def entries(self) -> dict:
-        """Key (an int, or a tuple of ints) -> probability, sorted by key;
-        built on first read (no request reads it)."""
-        *keys, probs = (a.tolist() for a in self.support)
-        return dict(zip(zip(*keys) if len(keys) > 1 else keys[0], probs))
+        """Key pair -> probability, sorted by key; built on first read (no
+        request reads it)."""
+        first, second, probs = (a.tolist() for a in self.support)
+        return dict(zip(zip(first, second), probs))
 
     def records(self) -> list[tuple]:
-        """Entries as ``(*key, prob)`` tuples sorted by key."""
+        """Entries as ``(a, b, prob)`` tuples sorted by key."""
         return list(zip(*(a.tolist() for a in self.support)))
 
-    def moment(self, *exponents: int) -> float:
-        """Partial moment ``sum a^i b^j ... P(a, b, ...)``, one exponent per
-        key component (``0**0 == 1``).  Each term rounds once and ``fsum``
-        rounds correctly, so no term order moves a bit."""
-        *keys, probs = self.support
-        if math.prod(int(a.max(initial=0)) ** e for a, e in zip(keys, exponents, strict=True)) >= 2**63:
-            keys = [a.astype(object) for a in keys]  # int64 would wrap
-        return math.fsum((math.prod(a**e for a, e in zip(keys, exponents)) * probs).tolist())
-
-
-def _columns(rows, width: int) -> tuple:
-    """Rows of ``width`` values as ``width`` columns."""
-    return tuple(zip(*rows, strict=True)) or ((),) * width
+    def moment(self, i: int, j: int) -> float:
+        """Partial moment ``sum a^i b^j P(a, b)`` (``0**0 == 1``).  Each term
+        rounds once and ``fsum`` rounds correctly, so no term order moves a
+        bit."""
+        a, b, probs = self.support
+        if int(a.max(initial=0)) ** i * int(b.max(initial=0)) ** j >= 2**63:
+            a, b = a.astype(object), b.astype(object)  # int64 would wrap
+        return math.fsum((a**i * b**j * probs).tolist())
 
 
 def _run_sums(keys, probs: np.ndarray) -> list:
@@ -264,40 +266,12 @@ def _run_sums(keys, probs: np.ndarray) -> list:
     return [k[starts] for k in keys] + [sums]
 
 
-class UnivariateDegreeDist(_Table):
-    """Sparse law of a single nonnegative integer degree, as built by
-    :func:`weakgiant.mcgraph.size_histogram`."""
-
-    _kind, _noun = "d", "degree"
-
-
-class _PairTable(_Table):
-    """Sparse law keyed by pairs of nonnegative integers: the base of degree
-    tables and of :class:`weakgiant.evolution.BoundDist`.
-
-    Construct through ``from_text`` or ``from_entries``, which validate the
-    entries and sort them into ``support`` (first and second key
-    components, probabilities) in one pass.
-    """
-
-    @classmethod
-    def from_text(cls, text: str, *, tol: float = NORM_TOL):
-        return cls._validated(*tableio.parse_records(text), tol=tol)
-
-    @classmethod
-    def from_entries(cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL):
-        return cls._validated(*_columns(triples, 3), tol=tol)
-
-    def to_text(self) -> str:
-        return tableio.format_records(self.records())
-
-
-class BivariateDegreeDist(_PairTable):
+class BivariateDegreeDist(_Table):
     """Sparse joint law of (in-degree n, out-degree k)."""
 
     _kind, _noun = "u", "degree pair"
     # This class's own attribute, so that it can be wrapped on this class alone.
-    from_entries = vars(_PairTable)["from_entries"]
+    from_entries = vars(_Table)["from_entries"]
 
     @cached_property
     def _moment_set(self) -> MomentSet:

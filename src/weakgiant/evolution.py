@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .degdist import NORM_TOL, BivariateDegreeDist, _checked_count, _index_columns, _PairTable, _run_sums, _Table
+from .degdist import NORM_TOL, BivariateDegreeDist, _checked_count, _index_columns, _run_sums, _Table
 from .errors import (
     ConversionOutOfRange,
     NegativeTime,
@@ -56,7 +56,7 @@ class NuMoments:
     nu11: float
 
 
-class BoundDist(_PairTable):
+class BoundDist(_Table):
     """Distribution of per-vertex capacities ``(n_max, k_max)``.
 
     Valid tables carry at least one class with in-capacity and one with
@@ -87,9 +87,13 @@ class BoundDist(_PairTable):
 
 
 @dataclass(frozen=True, eq=False)
-class DegreeState(_Table):
-    """Degree law at one instant of the process, a table keyed ``(n, k)``,
-    with the time, edge density and conversions of that instant."""
+class DegreeState(BivariateDegreeDist):
+    """Degree law u(n, k) at one instant of the process, with the time, edge
+    density and conversions of that instant.
+
+    Only :func:`degree_state_at` and :func:`degree_state_at_conversion` make
+    states: the ``from_*`` constructors it inherits know no instant.
+    """
 
     t: float
     mu: float
@@ -127,8 +131,9 @@ def _fill(a: float, b: float, t: float) -> float:
     if _is_symmetric(a, b):
         v = 0.5 * (a + b)
         # where 1 + v t rounds to v t, m lies within an ulp of its supremum
-        # v, and v^2 t may overflow: v is returned there
-        return v if 1.0 + v * t == v * t else v * v * t / (1.0 + v * t)
+        # v, and v^2 t may overflow: v is returned there.  Unequal rates
+        # keep m at most min(a, b), which the mean v exceeds.
+        return min(v if 1.0 + v * t == v * t else v * v * t / (1.0 + v * t), a, b)
     x = (b - a) * t
     # Overflow-free rational forms of  a b (e^x - 1) / (b e^x - a).  Where
     # e^-|x| is below rounding they would round a b / max(a, b) an ulp off
@@ -252,8 +257,8 @@ def degree_state_at_conversion(P: BoundDist, c_n: float) -> DegreeState:
 
 
 def marginal_degree_dist(state: DegreeState) -> BivariateDegreeDist:
-    """The state's degree law u(n, k) as a degree table."""
-    return BivariateDegreeDist(state.support)
+    """The state's degree law u(n, k): the state itself, a degree table."""
+    return state
 
 
 def mu_moments_at(P: BoundDist, c_n: float) -> tuple[float, float, float]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import BivariateDegreeDist, UnivariateDegreeDist, _checked_count
+from .degdist import BivariateDegreeDist, _checked_count
 from .errors import Exhausted, ValidationError
 from .evolution import BoundDist, _fill
 
@@ -136,13 +136,14 @@ def largest_weak_fraction(g: DirectedMultigraph) -> float:
     return float(sizes.max()) / g.vertex_count
 
 
-def size_histogram(sizes) -> UnivariateDegreeDist:
-    """Vertex-weighted component-size law from a multiset of sizes.
+def size_histogram(sizes) -> dict[int, float]:
+    """Vertex-weighted component-size law from a multiset of sizes, as a
+    dict from size to probability, sorted by size.
 
     Bin s carries ``s * count(s) / sum(sizes)``: the probability that a
-    random vertex lies in a size-s component.  ``sizes`` is a sequence or an
-    integer array; each probability is an exact integer ratio, correctly
-    rounded.
+    random vertex lies in a size-s component; each is an exact integer
+    ratio, correctly rounded.  ``sizes`` is a nonempty sequence or array of
+    integers, or of floats with integral values, each at least 1.
     """
     sizes = np.asarray(sizes)
     if sizes.dtype.kind == "f":
@@ -155,9 +156,9 @@ def size_histogram(sizes) -> UnivariateDegreeDist:
     values, counts = np.unique(sizes, return_counts=True)
     if values[0] < 1:
         raise ValidationError(f"component size {values[0]} is below 1")
-    weights = [s * c for s, c in zip(values.tolist(), counts.tolist())]
-    total = sum(weights)
-    return UnivariateDegreeDist._validated(values, [w / total for w in weights])
+    weights = {s: s * c for s, c in zip(values.tolist(), counts.tolist())}
+    total = sum(weights.values())
+    return {s: w / total for s, w in weights.items()}
 
 
 def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

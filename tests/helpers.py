@@ -575,18 +575,6 @@ def reference_pair_table(triples, kind: str, noun: str, tol: float) -> dict:
     return table
 
 
-def reference_univariate_table(pairs, tol: float) -> dict:
-    checked = []
-    for l, prob in pairs:
-        l = operator.index(l)
-        if l < 0:
-            raise NegativeIndex(f"degree {l} is negative")
-        if l >= 2**63:
-            raise ValidationError(f"degree {l} is above {2**63 - 1}")
-        checked.append((l, prob))
-    return _reference_validated_table(checked, "d", tol)
-
-
 def _reference_binom_pmf(m: int, j: int, c: float) -> float:
     return math.comb(m, j) * c**j * (1.0 - c) ** (m - j)
 

@@ -65,7 +65,7 @@ def test_criterion_1_fork_exactness():
     graph = mcgraph.sample_configuration(fork, 300_000, SEED)
     sizes = mcgraph.weak_component_sizes(graph)
     hist = mcgraph.size_histogram(sizes.tolist())
-    mass3 = hist.entries.get(3, 0.0)
+    mass3 = hist.get(3, 0.0)
     mc_ok = mass3 >= 0.999
 
     elapsed = time.perf_counter() - start
@@ -277,7 +277,7 @@ def test_criterion_7_size_law_vs_mc():
     res = mcgraph.kmc_simulate(p22, 100_000, SEED, c_n_target=0.2, record_trajectory=False)
     sizes = mcgraph.weak_component_sizes(res.graph)
     hist = mcgraph.size_histogram(sizes.tolist())
-    tv = tv_size_law(w, hist.entries, 30)
+    tv = tv_size_law(w, hist, 30)
 
     elapsed = time.perf_counter() - start
     ok = tv <= 0.02 and elapsed < budget

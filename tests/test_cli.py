@@ -221,8 +221,7 @@ def test_no_request_builds_entries(tmp_path, monkeypatch):
     def unread(self):
         raise AssertionError(f"{type(self).__name__}.entries read")
 
-    for cls in (weakgiant.UnivariateDegreeDist, BivariateDegreeDist, evolution.BoundDist,
-                evolution.DegreeState):
+    for cls in (BivariateDegreeDist, evolution.BoundDist, evolution.DegreeState):
         monkeypatch.setattr(cls, "entries", property(unread))
     for table, argv, digest in PINNED_STDOUT:
         if table is not None:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -15,6 +15,7 @@ from helpers import (
     rk4_mu,
 )
 from weakgiant import (
+    BivariateDegreeDist,
     BoundDist,
     ConversionOutOfRange,
     NegativeIndex,
@@ -34,7 +35,7 @@ from weakgiant import (
     time_of_conversion,
     transition_class,
 )
-from weakgiant.evolution import _FLOAT_COMB_MAX_M, _at_time, _is_symmetric
+from weakgiant.evolution import _FLOAT_COMB_MAX_M, _at_time
 
 asym_pair = BoundDist.from_entries([(2, 1, 1.0)])  # nu10=2, nu01=1
 dimers = BoundDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
@@ -230,6 +231,12 @@ def test_state_at_conversion_rejects_unreachable(three_class_bounds):
         degree_state_at_conversion(three_class_bounds, 0.97)
 
 
+def test_state_is_its_own_degree_table(three_class_bounds):
+    for state in (degree_state_at(three_class_bounds, 0.4), degree_state_at_conversion(three_class_bounds, 0.3)):
+        assert isinstance(state, BivariateDegreeDist)
+        assert marginal_degree_dist(state) is state
+
+
 def test_state_at_supremum_has_infinite_time(p22_bounds):
     state = degree_state_at_conversion(p22_bounds, 1.0)
     assert state.t == math.inf
@@ -241,14 +248,13 @@ def test_state_at_supremum_has_infinite_time(p22_bounds):
 @example(BoundDist.from_entries([(5, 0, 0.1), (5, 4, 0.9)]))
 @example(BoundDist.from_entries([(1, 4, 0.3), (5, 1, 0.7)]))
 @example(BoundDist.from_entries([(1, 1, 0.03), (0, 0, 0.97)]))
+@example(BoundDist.from_entries([(3, 3, 0.5), (2, 2, 0.4999999999999), (2, 3, 1e-13)]))
 def test_state_at_the_supremum_is_exact(P):
     # at the conversion supremum, and at a time where mu(t) has saturated,
-    # the state is the supremum itself: recomputing c_k from c_n, or the
-    # closed forms' ab / max(a, b), can land an ulp off, and c_k just
-    # below 1 keeps cells down to 1e-99.  Near-symmetric unequal rates
-    # read mu at their mean, by design.
+    # the state is the supremum itself: recomputing c_k from c_n, the
+    # closed forms' ab / max(a, b), or the mean of near-symmetric unequal
+    # rates can land off it, and c_k just below 1 keeps cells down to 1e-99
     nu = nu_moments(P)
-    assume(nu.nu01 == nu.nu10 or not _is_symmetric(nu.nu01, nu.nu10))
     sup = conversion_sup(P)
     for state in (degree_state_at_conversion(P, sup[0]), degree_state_at(P, 1e308)):
         assert (state.c_n, state.c_k) == sup

@@ -41,7 +41,7 @@ def main() -> None:
             break
         state = evolution.degree_state_at_conversion(P, c)
         marginal = evolution.marginal_degree_dist(state)
-        report = criteria.criteria_report(marginal, balance_tol=1e-9)
+        report = criteria.criteria_report(marginal)
         frac_theory = report.giant_weak_fraction or 0.0
         mean_theory = "" if report.mean_weak_size is None else f"{report.mean_weak_size:.6g}"
 

@@ -12,11 +12,9 @@ from .criteria import (
     mean_weak_component_size,
 )
 from .degdist import (
-    BALANCE_TOL,
     NORM_TOL,
     BivariateDegreeDist,
     MomentSet,
-    require_edge_balanced,
     truncated_double_poisson,
 )
 from .errors import (

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import criteria, evolution, flory, gfsolver, mcgraph
-from .degdist import BivariateDegreeDist, require_edge_balanced
+from .degdist import BivariateDegreeDist
 from .errors import (
     ConversionOutOfRange,
     Exhausted,
@@ -136,16 +136,14 @@ def _parse_atom(text: str) -> tuple[int, int]:
 
 def _cmd_analyze(args) -> tuple[str, list]:
     d = BivariateDegreeDist.from_text(_read_text(args.dist), tol=args.tol)
-    report = criteria.criteria_report(d, balance_tol=args.tol)
+    report = criteria.criteria_report(d)
     return _json17(report.to_json_dict()), []
 
 
 def _cmd_gf(args) -> tuple[str, list]:
     d = BivariateDegreeDist.from_text(_read_text(args.dist), tol=args.tol)
-    sol = gfsolver.interior_fixed_point(
-        d, tol=args.fp_tol, max_iter=args.max_iter, balance_tol=args.tol
-    )
-    sizes = gfsolver.weak_size_distribution(d, args.order, balance_tol=args.tol)
+    sol = gfsolver.interior_fixed_point(d, tol=args.fp_tol, max_iter=args.max_iter)
+    sizes = gfsolver.weak_size_distribution(d, args.order)
     return _json17(
         {
             "s_in": sol.s_in,
@@ -175,7 +173,7 @@ def _cmd_evolve(args) -> tuple[str, list]:
         evolution.check_reachable(P, args.at_conversion)
         state = evolution.degree_state_at_conversion(P, args.at_conversion)
     marginal = evolution.marginal_degree_dist(state)
-    report = criteria.criteria_report(marginal, balance_tol=max(args.tol, 1e-9))
+    report = criteria.criteria_report(marginal)
     return _json17(
         {
             "t": state.t,
@@ -221,7 +219,6 @@ def _cmd_simulate(args) -> tuple[str, list]:
         if args.dump_trajectory is not None:
             raise ValidationError("trajectory dump applies to kmc mode only")
         d = BivariateDegreeDist.from_text(text, tol=args.tol)
-        require_edge_balanced(d, args.tol)
         graph = mcgraph.sample_configuration(d, args.vertices, args.seed)
         t_final = None
     else:

@@ -1,8 +1,8 @@
 """Moment criteria for giant components of directed random graphs.
 
-For an edge-balanced law ``u(n, k)`` with common mean ``mu`` the existence
-of a giant *weak* component is read off a single determinant of partial
-moments,
+For a law ``u(n, k)`` with common mean ``mu`` (every degree table is edge
+balanced when it is read) the existence of a giant *weak* component is read
+off a single determinant of partial moments,
 
     D = (mu - mu_11)^2 - (mu_20 - mu)(mu_02 - mu),
 
@@ -20,7 +20,7 @@ directions reduces ``D < 0`` to the Molloy-Reed criterion
 
 Each verdict is a property of :class:`MomentSet` (``determinant``,
 ``giant_weak``, ``giant_in_out``, ``giant_undirected_projection``);
-:func:`criteria_report` checks edge balance and evaluates them all.
+:func:`criteria_report` evaluates them all.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import gfsolver
-from .degdist import BALANCE_TOL, BivariateDegreeDist, MomentSet, require_edge_balanced
+from .degdist import BivariateDegreeDist, MomentSet
 from .errors import Supercritical
 
 
@@ -68,7 +68,6 @@ def mean_weak_component_size(d: BivariateDegreeDist) -> float:
 
     finite only while D > 0.  A law with no edges has mean exactly 1.
     """
-    require_edge_balanced(d)
     m = d.moments()
     mean = _mean_size(m)
     if mean is None:
@@ -76,7 +75,7 @@ def mean_weak_component_size(d: BivariateDegreeDist) -> float:
     return mean
 
 
-def criteria_report(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> ConnectivityReport:
+def criteria_report(d: BivariateDegreeDist) -> ConnectivityReport:
     """Evaluate every criterion once and bundle the results.
 
     ``mean_weak_size`` is null in the supercritical phase;
@@ -84,11 +83,8 @@ def criteria_report(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL)
     be zero) and otherwise comes from the generating-function fixed point.
     Non-convergence of that fixed point propagates.
     """
-    require_edge_balanced(d, balance_tol)
     m = d.moments()
-    fraction = (
-        gfsolver.giant_weak_fraction(d, balance_tol=balance_tol) if m.giant_weak else None
-    )
+    fraction = gfsolver.giant_weak_fraction(d) if m.giant_weak else None
     return ConnectivityReport(
         moments=m,
         determinant_D=m.determinant,

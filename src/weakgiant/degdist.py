@@ -6,10 +6,11 @@ vertex.  This module holds the sparse table type, its partial moments
 
     mu_ij = sum_{n,k} n^i k^j u(n, k),
 
-and the edge-balance check ``mu_10 == mu_01`` (every edge has one head and
-one tail, so a consistent law must give both means the same value).  The
-laws seen by following a uniformly random edge are weighted in
-``gfsolver._terms``.
+and the edge balance ``mu_10 == mu_01`` that every degree table is checked
+for when it is read (every edge has one head and one tail, so a consistent
+law must give both means the same value), within the same tolerance that
+bounds its normalization.  The laws seen by following a uniformly random
+edge are weighted in ``gfsolver._terms``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from .errors import (
     ValidationError,
 )
 
-#: Default tolerance on |sum(prob) - 1| at construction.
+#: Default tolerance on |sum(prob) - 1| at construction, and on
+#: |mu_10 - mu_01| relative to max(mu_10, mu_01, 1) for degree tables.
 NORM_TOL = 1e-9
-#: Default tolerance on |mu_10 - mu_01| relative to max(mu_10, mu_01, 1).
-BALANCE_TOL = 1e-9
 #: Machine epsilon of float64.
 _EPS = float(np.finfo(float).eps)
 #: Largest key component a table holds (its keys are int64 arrays).
@@ -289,9 +289,18 @@ class BivariateDegreeDist(_Table):
         never mutated)."""
         return self._moment_set
 
-    def is_edge_balanced(self, tol: float = BALANCE_TOL) -> bool:
-        m = self.moments()
-        return abs(m.mu10 - m.mu01) <= _checked_tol(tol) * max(1.0, m.mu10, m.mu01)
+    @classmethod
+    def _validated(cls, *columns, tol: float = NORM_TOL) -> "BivariateDegreeDist":
+        """A degree table, which must also be edge balanced: mean in- and
+        out-degree agree within ``tol`` relative to ``max(1, mu_10, mu_01)``."""
+        table = super()._validated(*columns, tol=tol)
+        m = table.moments()
+        if abs(m.mu10 - m.mu01) > tol * max(1.0, m.mu10, m.mu01):
+            raise EdgeImbalance(
+                f"mean in-degree {m.mu10!r} != mean out-degree {m.mu01!r} "
+                f"beyond tolerance {tol:g}"
+            )
+        return table
 
 
 def truncated_double_poisson(lam: float, cutoff: int = 30) -> BivariateDegreeDist:
@@ -303,13 +312,3 @@ def truncated_double_poisson(lam: float, cutoff: int = 30) -> BivariateDegreeDis
     return BivariateDegreeDist.from_entries(
         [(n, k, row[n] * row[k]) for n in range(cutoff + 1) for k in range(cutoff + 1)]
     )
-
-
-def require_edge_balanced(d: BivariateDegreeDist, tol: float = BALANCE_TOL) -> None:
-    """Raise :class:`EdgeImbalance` unless mean in- and out-degree agree."""
-    if not d.is_edge_balanced(tol):
-        m = d.moments()
-        raise EdgeImbalance(
-            f"mean in-degree {m.mu10!r} != mean out-degree {m.mu01!r} "
-            f"beyond tolerance {tol:g}"
-        )

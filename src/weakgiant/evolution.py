@@ -92,13 +92,21 @@ class DegreeState(BivariateDegreeDist):
     density and conversions of that instant.
 
     Only :func:`degree_state_at` and :func:`degree_state_at_conversion` make
-    states: the ``from_*`` constructors it inherits know no instant.
+    states: the ``from_*`` constructors it inherits know no instant, and
+    raise :class:`ValidationError`.
     """
 
     t: float
     mu: float
     c_n: float
     c_k: float
+
+    @classmethod
+    def _validated(cls, *columns, tol: float = NORM_TOL):
+        raise ValidationError(
+            "a degree state knows its instant: make it with degree_state_at "
+            "or degree_state_at_conversion"
+        )
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,10 @@ def _degree_support(P: BoundDist, c_n: float, c_k: float) -> tuple[np.ndarray, .
         columns.append((n, k, q[n, k]))
     n, k, probs = (np.concatenate(c) for c in zip(*columns))
     order = np.lexsort((k, n))
-    return BivariateDegreeDist._validated(*_run_sums((n[order], k[order]), probs[order])).support
+    # Summed per key, the positive cells form a sorted support with unique
+    # keys.  P was validated when read, and the law is edge balanced by
+    # construction: mu_10 = c_n nu_10 = c_k nu_01 = mu_01.
+    return tuple(_run_sums((n[order], k[order]), probs[order]))
 
 
 def degree_state_at(P: BoundDist, t: float) -> DegreeState:

@@ -18,13 +18,14 @@ into a finite component; ``1 - U`` at that point is the giant-component
 vertex fraction.  :func:`interior_fixed_point` reaches it by Newton's method
 from (0, 0), which increases monotonically to the least solution, and
 returns it with an a-posteriori error bound; a law without a giant weak
-component is answered with (1, 1) directly.  There U_in and U_out are each
-normalized by their own mean (mu_10, mu_01; edge balance makes both equal
-to mu within tolerance), so (1, 1) solves the system exactly.
+component is answered with (1, 1) directly.  Both solvers normalize U_in
+and U_out each by its own mean (mu_10, mu_01; every degree table is edge
+balanced when it is read, which makes both equal to mu within its
+tolerance), so (1, 1) solves the system exactly.
 
 Both solvers read one term table per law: the arrays ``(weight, exponent of
-W_out, exponent of W_in)`` of U, mu U_in and mu U_out over the sorted
-support, built once per call.
+W_out, exponent of W_in)`` of U, mu_10 U_in and mu_01 U_out over the
+sorted support, built once per call.
 
 The power series need no iteration: because of the factor z, coefficient m
 of every series depends only on coefficients below m, so one pass computes
@@ -44,9 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degdist import (
-    _EPS, BALANCE_TOL, BivariateDegreeDist, MomentSet, _checked_count, _new_keys, require_edge_balanced
-)
+from .degdist import _EPS, BivariateDegreeDist, MomentSet, _checked_count, _new_keys
 from .errors import NoConvergence, ValidationError
 
 #: Default fixed-point tolerance (on the error bound) and iteration budget.
@@ -80,8 +79,8 @@ class FixedPointSolution:
 
 
 def _terms(d: BivariateDegreeDist):
-    """Terms ``(weight, exponent of W_out, exponent of W_in)`` of U, mu U_in
-    and mu U_out, as arrays over the sorted support."""
+    """Terms ``(weight, exponent of W_out, exponent of W_in)`` of U, mu_10
+    U_in and mu_01 U_out, as arrays over the sorted support."""
     ns, ks, ps = d.support
     has_in, has_out = ns >= 1, ks >= 1
     return (
@@ -211,11 +210,7 @@ def _is_below_fixed_point(values, p_out: float, p_in: float) -> bool:
 
 
 def interior_fixed_point(
-    d: BivariateDegreeDist,
-    *,
-    tol: float = FP_TOL,
-    max_iter: int = MAX_ITER,
-    balance_tol: float = BALANCE_TOL,
+    d: BivariateDegreeDist, *, tol: float = FP_TOL, max_iter: int = MAX_ITER
 ) -> FixedPointSolution:
     """Least solution of ``s_in = U_in(s_out, s_in), s_out = U_out(...)`` in
     [0, 1]^2, with an error bound ``<= tol``.
@@ -264,7 +259,6 @@ def interior_fixed_point(
         raise ValidationError(f"fixed-point tolerance {tol!r} must be positive and finite")
     if _checked_count(max_iter, "fixed-point iteration budget") < 1:
         raise ValidationError(f"fixed-point iteration budget {max_iter!r} must be >= 1")
-    require_edge_balanced(d, balance_tol)
     if not d.moments().giant_weak:
         return FixedPointSolution(
             s_out=1.0, s_in=1.0, iterations=0, residual=0.0, giant_fraction=0.0, error_bound=0.0
@@ -355,15 +349,13 @@ def interior_fixed_point(
     )
 
 
-def giant_weak_fraction(d: BivariateDegreeDist, *, balance_tol: float = BALANCE_TOL) -> float:
+def giant_weak_fraction(d: BivariateDegreeDist) -> float:
     """Fraction of vertices in the giant weak component (0 if subcritical),
     at the default tolerance and budget of :func:`interior_fixed_point`."""
-    return interior_fixed_point(d, balance_tol=balance_tol).giant_fraction
+    return interior_fixed_point(d).giant_fraction
 
 
-def weak_size_distribution(
-    d: BivariateDegreeDist, order: int, *, balance_tol: float = BALANCE_TOL
-) -> list[float]:
+def weak_size_distribution(d: BivariateDegreeDist, order: int) -> list[float]:
     """Probabilities ``w(1), ..., w(order)`` that a random vertex lies in a
     finite weak component of each size.
 
@@ -380,11 +372,11 @@ def weak_size_distribution(
     """
     if _checked_count(order, "order") < 1:
         raise ValidationError(f"order {order} must be >= 1")
-    require_edge_balanced(d, balance_tol)
     u, u_in, u_out = _terms(d)
-    mu = d.moments().mu
-    # Terms of U, U_in and U_out.
-    series = [u] + [(w / mu, a, b) for w, a, b in (u_in, u_out)]
+    m = d.moments()
+    # Terms of U, U_in and U_out, each edge row normalized by its own mean as
+    # in interior_fixed_point, so that the coefficients sum to at most U(1, 1).
+    series = [u, (u_in[0] / m.mu10, *u_in[1:]), (u_out[0] / m.mu01, *u_out[1:])]
     _ps, ns, ks = u
     width, depth = (min(int(x.max()), order - 1) + 1 for x in (ns, ks))
     # box[g * width + a, b]: weight of the term W_out^a W_in^b of series g.
@@ -408,5 +400,5 @@ def weak_size_distribution(
         grouped[:, col] = (box @ pow_in[j]).reshape(len(series), width)
         coeffs[:, col] = grouped[:, col:].reshape(len(series), -1) @ pow_out[: j + 1].ravel()
     w = coeffs[0, ::-1]
-    assert math.fsum(w.tolist()) <= 1.0 + 1e-9
+    assert math.fsum(w.tolist()) <= m.mu00 + 1e-9
     return w.tolist()

@@ -24,6 +24,7 @@ from weakgiant import (  # truncated_double_poisson is re-exported for the tests
     BivariateDegreeDist,
     BoundDist,
     DuplicateKey,
+    EdgeImbalance,
     Exhausted,
     NegativeIndex,
     NegativeProbability,
@@ -563,10 +564,17 @@ def _reference_validated_table(pairs, kind: str, tol: float) -> dict:
 
 
 def reference_pair_table(triples, kind: str, noun: str, tol: float) -> dict:
-    """Entries of a degree (``"u"``, ``"degree pair"``) or bound (``"P"``,
-    ``"bound pair"``) table, validated one entry at a time."""
+    """Entries of a degree (``"u"``, ``"degree pair"``, edge balanced) or
+    bound (``"P"``, ``"bound pair"``) table, validated one entry at a time."""
     checked = [(_reference_index_pair(a, b, noun), prob) for a, b, prob in triples]
     table = _reference_validated_table(checked, kind, tol)
+    if kind == "u":
+        mu10 = math.fsum(n * p for (n, _k), p in table.items())
+        mu01 = math.fsum(k * p for (_n, k), p in table.items())
+        if abs(mu10 - mu01) > tol * max(1.0, mu10, mu01):
+            raise EdgeImbalance(
+                f"mean in-degree {mu10!r} != mean out-degree {mu01!r} beyond tolerance {tol:g}"
+            )
     if kind == "P":
         if not any(nm > 0 for nm, _km in table):
             raise NoReactivePair("no class has in-capacity; no edge can ever form")
@@ -625,8 +633,18 @@ def dyadic_weights(draw, min_entries=1, max_entries=6):
     return [(b - a) / DYADIC_SCALE for a, b in zip(bounds, bounds[1:])]
 
 
+def unchecked_degree_table(triples) -> BivariateDegreeDist:
+    """A degree table of ``(n, k, prob)`` triples with distinct keys and
+    positive probabilities, which need not be normalized or edge balanced:
+    the dataclass constructor on the key-sorted columns, as
+    ``evolution.degree_state_at`` calls it."""
+    n, k, probs = zip(*sorted(triples))
+    return BivariateDegreeDist((np.array(n, np.int64), np.array(k, np.int64), np.array(probs, float)))
+
+
 @st.composite
-def bivariate_dists(draw, max_degree=8, max_entries=6):
+def _drawn_entries(draw, max_degree, max_entries):
+    """``((n, k), prob)`` pairs with distinct keys and dyadic weights."""
     probs = draw(dyadic_weights(max_entries=max_entries))
     keys = draw(
         st.lists(
@@ -636,17 +654,21 @@ def bivariate_dists(draw, max_degree=8, max_entries=6):
             unique=True,
         )
     )
-    return BivariateDegreeDist.from_entries(
-        [(n, k, p) for (n, k), p in zip(keys, probs)]
-    )
+    return list(zip(keys, probs))
+
+
+@st.composite
+def bivariate_dists(draw, max_degree=8, max_entries=6):
+    """Normalized tables, most of them not edge balanced."""
+    entries = draw(_drawn_entries(max_degree, max_entries))
+    return unchecked_degree_table([(n, k, p) for (n, k), p in entries])
 
 
 @st.composite
 def symmetrized_dists(draw, max_degree=6):
     """Transpose-symmetric tables: exactly edge-balanced by construction."""
-    d = draw(bivariate_dists(max_degree=max_degree))
     table = {}
-    for (n, k), p in d.entries.items():
+    for (n, k), p in draw(_drawn_entries(max_degree, 6)):
         table[(n, k)] = table.get((n, k), 0.0) + 0.5 * p
         table[(k, n)] = table.get((k, n), 0.0) + 0.5 * p
     return BivariateDegreeDist.from_entries([(n, k, p) for (n, k), p in sorted(table.items())])

@@ -694,6 +694,41 @@ def test_simulate_config_rejects_unbalanced_law(tmp_path):
     assert "out-degree" in err
 
 
+# Off by 5e-4 in normalization; the degree table also in balance (mean
+# in-degree 0.5005, mean out-degree 0.5).
+LOOSE_BOUNDS = "2 2 0.5005\n1 1 0.5\n"
+LOOSE_DEGREES = "1 0 0.5005\n0 1 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "table, argv",
+    [
+        (LOOSE_BOUNDS, ["evolve", "--at-time", "0.1"]),
+        (LOOSE_BOUNDS, ["evolve", "--at-conversion", "0.2"]),
+        (LOOSE_DEGREES, ["analyze"]),
+        (LOOSE_DEGREES, ["gf", "--order", "5"]),
+        (LOOSE_DEGREES, ["simulate", "--mode", "config", "--vertices", "100"]),
+    ],
+    ids=["evolve-time", "evolve-conversion", "analyze", "gf", "simulate-config"],
+)
+def test_tol_bounds_every_check_of_a_table(tmp_path, table, argv):
+    command, *flags = argv
+    path = write(tmp_path, "t.txt", table)
+    code, out, err = run_cli([command, path, *flags, "--tol", "1e-3"])
+    assert (code, err) == (0, "") and out
+    code, out, err = run_cli([command, path, *flags])
+    assert (code, out) == (3, "")
+    assert "not 1 within 1e-09" in err
+
+
+def test_imbalance_is_reported_before_bad_solver_limits(tmp_path):
+    # the table is checked when it is read, before the solver reads its flags
+    path = write(tmp_path, "d.txt", "2 0 0.5\n0 1 0.5\n")
+    code, out, err = run_cli(["gf", path, "--fp-tol", "nan", "--order", "0"])
+    assert (code, out) == (3, "")
+    assert "out-degree" in err and "fixed-point" not in err
+
+
 def test_simulate_rejects_stop_flags_in_config_mode(tmp_path):
     dist = write(tmp_path, "d.txt", FORK)
     code, _, err = run_cli(

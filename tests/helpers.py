@@ -492,6 +492,29 @@ def random_bound_dist(rng: np.random.Generator, n_atoms: int = 3, max_bound: int
             continue
 
 
+def exact_transition_kind(atoms, weights) -> str:
+    """The transition class of the capacity mixture ``sum_i weights[i] *
+    atoms[i]``, from its capacity moments in exact rationals.
+
+    With M = max(nu_01, nu_10) and Q = (M - nu_11)^2 - (nu_02 - nu_01)(nu_20
+    - nu_10), the critical conversion lies inside the reachable range iff
+    M < nu_11 or Q < 0, and on its supremum iff M >= nu_11 and Q = 0.  A
+    mixture without both capacity species forms no edge: "never".
+    """
+
+    def nu(i: int, j: int) -> Fraction:
+        return sum((Fraction(w) * n**i * k**j for (n, k), w in zip(atoms, weights)), Fraction(0))
+
+    nu10, nu01, nu11 = nu(1, 0), nu(0, 1), nu(1, 1)
+    if nu10 == 0 or nu01 == 0:
+        return "never"
+    m = max(nu01, nu10)
+    q = (m - nu11) ** 2 - (nu(0, 2) - nu01) * (nu(2, 0) - nu10)
+    if m < nu11 or q < 0:
+        return "finite"
+    return "asymptotic" if q == 0 else "never"
+
+
 # ---------------------------------------------------------------------------
 # Scalar references of the array pipeline from table text to degree state:
 # the per-line parser, the per-entry validator and the per-cell state loops

@@ -912,6 +912,30 @@ def test_unknown_subcommand_exits_2():
     assert code == 2
 
 
+FLORY = ["flory", "--f1", "0", "--f2", "0.6", "--f3", "0.4", "--n", "3"]
+BARYCENTRIC = ["barycentric", "--atoms", "2,2", "1,0", "0,1", "--resolution", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "-", "--seed", "1"],
+        ["gf", "-", "--seed", "1"],
+        ["evolve", "-", "--critical", "--seed", "1"],
+        [*FLORY, "--seed", "1"],
+        [*BARYCENTRIC, "--seed", "1"],
+        [*FLORY, "--tol", "1e-3"],
+        [*BARYCENTRIC, "--tol", "1e-3"],
+    ],
+    ids=["analyze-seed", "gf-seed", "evolve-seed", "flory-seed", "barycentric-seed", "flory-tol", "barycentric-tol"],
+)
+def test_flag_a_subcommand_does_not_read_exits_2(argv):
+    # only simulate draws random numbers; flory and barycentric read no table
+    code, out, err = run_cli(argv, stdin_text=FORK)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 def test_evolve_requires_exactly_one_mode(tmp_path):
     bounds = write(tmp_path, "p.txt", ATOM22)
     code, _, _ = run_cli(["evolve", bounds])

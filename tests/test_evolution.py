@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     bound_dists,
     brute_moment,
+    exact_transition_kind,
     random_bound_dist,
     reference_marginal,
     reference_state_entries,
@@ -519,6 +521,22 @@ def test_barycentric_matches_pointwise_classifier():
         else:
             expected = transition_class(BoundDist.from_entries([(n, k, p) for (n, k), p in mix.items()]))
             assert pt.transition.kind == expected.kind
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=3),
+    st.sampled_from([6, 10, 24]),
+)
+@example([(1, 1), (1, 1), (1, 1)], 6)
+@example([(1, 1), (2, 0), (0, 2)], 10)
+def test_barycentric_kinds_match_exact_phase_regions(atoms, resolution):
+    # the paper's phase regions in exact rationals, boundaries included
+    points = iter(barycentric_grid(atoms, resolution))
+    for j1 in range(resolution + 1):
+        for j2 in range(resolution - j1 + 1):
+            weights = [Fraction(j, resolution) for j in (j1, j2, resolution - j1 - j2)]
+            assert next(points).transition.kind == exact_transition_kind(atoms, weights)
+    assert next(points, None) is None
 
 
 def test_barycentric_grid_order_is_row_major():

@@ -305,6 +305,17 @@ def test_draw_slots_of_one_slot():
     assert counts.tolist() == [5]
 
 
+def test_sample_keys_of_one_class_draws_nothing():
+    # kept apart from _draw_slots, which gives the same values and stream at
+    # twice the time; most growth-process runs draw a single class
+    rng = replica_rng(SLOT_SEED, 11)
+    state = rng.bit_generator.state
+    n_max, k_max = mcgraph._sample_keys(BoundDist.from_entries([(3, 5, 1.0)]), 7, rng)
+    assert n_max.dtype == k_max.dtype == np.int64
+    assert (n_max.tolist(), k_max.tolist()) == ([3] * 7, [5] * 7)
+    assert rng.bit_generator.state == state
+
+
 def test_draw_slots_counts_its_slots():
     slots, counts = mcgraph._draw_slots(np.array([0.5, 0.0, 0.25, 0.25]), 1000, replica_rng(SLOT_SEED, 10))
     assert np.bincount(slots, minlength=4).tolist() == counts.tolist()

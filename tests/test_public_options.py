@@ -3,10 +3,13 @@ script or benchmark.  A function in ``weakgiant.__all__`` that no call in
 src/ (outside its own body), scripts/ or perfbench/ makes, and a defaulted
 or keyword-only parameter of a public name that no such call passes, by
 keyword or by position, is code no input reaches: it goes, or it is listed
-below with its reason."""
+below with its reason.  The same holds for the command line: each flag
+of a subcommand is read by the function that runs it, or by ``main``."""
 
+import argparse
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import weakgiant
@@ -98,6 +101,31 @@ def test_every_public_option_has_a_caller():
     unset = _unset_options()
     assert not unset - ALLOWED.keys(), "options no request, script or benchmark sets"
     assert ALLOWED.keys() <= unset, "allowlisted options that a caller now sets"
+
+
+def _args_read(func) -> set:
+    """The names ``func`` reads as ``args.<name>``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+    }
+
+
+def test_every_cli_flag_is_read():
+    from weakgiant import cli
+
+    by_main = _args_read(cli.main)
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = {
+        f"{name} {action.dest}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        and action.dest not in by_main | _args_read(sub.get_default("func"))
+    }
+    assert not unread, "flags a subcommand takes but never reads"
 
 
 def test_every_public_function_has_a_caller():

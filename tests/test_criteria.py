@@ -17,6 +17,7 @@ from weakgiant import (
     replica_rng,
     sample_configuration,
     weak_component_sizes,
+    weak_size_distribution,
 )
 
 
@@ -59,26 +60,30 @@ def test_determinant_just_off_criticality_keeps_its_sign():
 SOURCES = "1 0 1.0\n"  # mean in-degree 1, mean out-degree 0
 IMBALANCE = "mean in-degree 1.0 != mean out-degree 0.0 beyond tolerance 1e-09"
 
-# A degree table is checked for balance when it is made, so no library
-# function meets an unbalanced one: the reader's case stands for them all.
+# A degree table is checked for balance when it is read, so each library
+# entry point is refused there, before it runs, with the text the CLI prints.
 IMBALANCE_CASES = {
-    "from_text": None,
+    "criteria_report": criteria_report,
+    "mean_weak_component_size": mean_weak_component_size,
+    "interior_fixed_point": interior_fixed_point,
+    "giant_weak_fraction": giant_weak_fraction,
+    "weak_size_distribution": lambda d: weak_size_distribution(d, 5),
     "cli analyze": ["analyze"],
     "cli gf": ["gf"],
     "cli simulate config": ["simulate", "--mode", "config", "--vertices", "100"],
 }
 
 
-@pytest.mark.parametrize("argv", IMBALANCE_CASES.values(), ids=IMBALANCE_CASES)
-def test_edge_imbalance_is_refused(argv, tmp_path):
-    if argv is None:
+@pytest.mark.parametrize("case", IMBALANCE_CASES.values(), ids=IMBALANCE_CASES)
+def test_edge_imbalance_is_refused(case, tmp_path):
+    if callable(case):
         with pytest.raises(EdgeImbalance) as info:
-            BivariateDegreeDist.from_text(SOURCES)
+            case(BivariateDegreeDist.from_text(SOURCES))
         assert str(info.value) == IMBALANCE
         return
     path = tmp_path / "d.txt"
     path.write_text(SOURCES)
-    code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+    code, out, err = run_cli([case[0], str(path), *case[1:]])
     assert (code, out, err) == (3, "", f"weakgiant: invalid input: {IMBALANCE}\n")
 
 

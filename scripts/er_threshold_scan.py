@@ -18,7 +18,7 @@ def main() -> None:
                     metavar=("LO", "HI", "COUNT"), help="sweep range (default 0.1 0.9 17)")
     ap.add_argument("--vertices", type=int, default=50_000)
     ap.add_argument("--cutoff", type=int, default=30)
-    ap.add_argument("--seed", type=int, default=12345)
+    ap.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
     args = ap.parse_args()
 
     lo, hi, count = args.lambdas

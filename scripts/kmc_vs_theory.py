@@ -23,7 +23,7 @@ def main() -> None:
     ap.add_argument("--conversions", type=float, nargs=3, default=(0.05, 0.6, 12),
                     metavar=("LO", "HI", "COUNT"))
     ap.add_argument("--vertices", type=int, default=30_000)
-    ap.add_argument("--seed", type=int, default=12345)
+    ap.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
     args = ap.parse_args()
     lo, hi, count = args.conversions
     count = int(count)

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import criteria, evolution, flory, gfsolver, mcgraph
-from .degdist import BivariateDegreeDist
+from .degdist import NORM_TOL, BivariateDegreeDist
 from .errors import (
     ConversionOutOfRange,
     Exhausted,
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     # the subcommands that read a table
     tabled = argparse.ArgumentParser(add_help=False, parents=[common])
-    tabled.add_argument("--tol", type=float, default=1e-9, help="validation tolerance (default 1e-9)")
+    tabled.add_argument("--tol", type=float, default=NORM_TOL, help="validation tolerance (default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="weakgiant",
@@ -293,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[tabled], help="moment criteria for a degree distribution")
     p.add_argument("dist", help="degree distribution file ('n k prob' lines; '-' for stdin)")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(parser=p, func=_cmd_analyze)
 
     p = sub.add_parser("gf", parents=[tabled], help="generating-function fixed point and size law")
     p.add_argument("dist", help="degree distribution file ('-' for stdin)")
     p.add_argument("--order", type=int, default=100, help="series truncation order (default 100)")
     p.add_argument("--fp-tol", type=float, default=gfsolver.FP_TOL, help="scalar fixed-point tolerance only")
     p.add_argument("--max-iter", type=int, default=gfsolver.MAX_ITER, help="scalar fixed-point iteration budget only")
-    p.set_defaults(func=_cmd_gf)
+    p.set_defaults(parser=p, func=_cmd_gf)
 
     p = sub.add_parser("evolve", parents=[tabled], help="closed-form growth-process analysis")
     p.add_argument("bounds", help="bound distribution file ('n_max k_max prob'; '-' for stdin)")
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--critical", action="store_true", help="report the transition class")
     mode.add_argument("--at-time", type=float, default=None, metavar="T")
     mode.add_argument("--at-conversion", type=float, default=None, metavar="C")
-    p.set_defaults(func=_cmd_evolve)
+    p.set_defaults(parser=p, func=_cmd_evolve)
 
     p = sub.add_parser("flory", parents=[common], help="classical gelation parameters")
     p.add_argument("--f1", type=float, required=True, help="fraction of linear A-A units")
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f3", type=float, required=True, help="fraction of n-functional A units")
     p.add_argument("--n", type=int, required=True, help="branch functionality")
     p.add_argument("--pa", type=float, default=None, help="A-group conversion to test for gelation")
-    p.set_defaults(func=_cmd_flory)
+    p.set_defaults(parser=p, func=_cmd_flory)
 
     p = sub.add_parser("simulate", parents=[tabled], help="Monte Carlo sampling")
     p.add_argument("input", help="degree or bound distribution file ('-' for stdin)")
@@ -327,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-conversion", type=float, default=None, help="kmc: stop at this in-conversion")
     p.add_argument("--dump-graph", default=None, metavar="PATH")
     p.add_argument("--dump-trajectory", default=None, metavar="PATH")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(parser=p, func=_cmd_simulate)
 
     p = sub.add_parser("barycentric", parents=[common], help="transition classes over a mixture simplex")
     p.add_argument("--atoms", nargs=3, required=True, metavar="N,K", help="three capacity atoms")
     p.add_argument("--resolution", type=int, required=True, help="lattice spacing denominator (>= 2)")
-    p.set_defaults(func=_cmd_barycentric)
+    p.set_defaults(parser=p, func=_cmd_barycentric)
 
     return parser
 
@@ -340,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # the subcommand's usage line, not the top-level one
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -5,16 +5,18 @@ f1), linear B-B units (f2), and n-functional A-branch units (f3), with
 bonds only between A- and B-groups.  Identifying A-groups with in-spots and
 B-groups with out-spots maps the mixture onto a bound distribution with
 atoms (2, 0), (0, 2), and (n, 0); the gel point of classical theory then
-coincides with the critical conversion of the growth process.
+coincides with the critical conversion of the growth process.  The CLI's
+``flory`` prints a null ``c_n_crit`` exactly when ``evolve --critical`` on
+the mixture's bound table is not ``finite``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .evolution import BoundDist
+from .degdist import _checked_count
+from .evolution import BoundDist, transition_class
 from .errors import DegenerateMixture, ValidationError
 
 #: Tolerance on |f1 + f2 + f3 - 1|.
@@ -37,11 +39,7 @@ class FloryMixture:
         total = math.fsum((self.f1, self.f2, self.f3))
         if abs(total - 1.0) > MIX_TOL:
             raise ValidationError(f"fractions sum to {total!r}, not 1 within {MIX_TOL:g}")
-        try:
-            operator.index(self.n)
-        except TypeError:
-            raise ValidationError(f"branch functionality n = {self.n!r} is not an integer") from None
-        if self.n < 2:
+        if _checked_count(self.n, "branch functionality n =") < 2:
             raise ValidationError(f"branch functionality n = {self.n} must be >= 2")
 
 
@@ -86,20 +84,13 @@ def gel_conversion(mix: FloryMixture) -> float | None:
 
         c = sqrt( f2 / (f1 + (n^2 - n)/2 * f3) ),
 
-    or None when that value is not below the reachable supremum of c_n (the
-    mixture then never gels in finite time)."""
-    den = mix.f1 + 0.5 * (mix.n * mix.n - mix.n) * mix.f3
-    if den == 0.0:
-        raise DegenerateMixture("mixture has no A-groups")
-    if mix.f2 == 0.0:
-        raise DegenerateMixture("mixture has no B-groups")
-    c = math.sqrt(mix.f2 / den)
-    a_groups = 2.0 * mix.f1 + mix.n * mix.f3
-    b_groups = 2.0 * mix.f2
-    sup_cn = 1.0 if b_groups >= a_groups else b_groups / a_groups
-    if c >= sup_cn:
+    or None when the bound process of the mixture, :func:`to_bound_dist`,
+    has no finite-time transition (the mixture then never gels in finite
+    time)."""
+    flory_parameters(mix)  # rejects a mixture without A- or B-groups
+    if transition_class(to_bound_dist(mix)).kind != "finite":
         return None
-    return c
+    return math.sqrt(mix.f2 / (mix.f1 + 0.5 * (mix.n * mix.n - mix.n) * mix.f3))
 
 
 def gel_point_pa(params: FloryParameters) -> tuple[float, float]:
@@ -108,7 +99,7 @@ def gel_point_pa(params: FloryParameters) -> tuple[float, float]:
         p_A = sqrt( alpha_c / (r (alpha_c + rho - alpha_c rho)) ),
         p_B = r p_A.
     """
-    p_a = math.sqrt(params.alpha_c / (params.r * (params.alpha_c + params.rho - params.alpha_c * params.rho)))
+    p_a = math.sqrt(params.alpha_c / alpha_of(1.0, params))
     return p_a, params.r * p_a
 
 

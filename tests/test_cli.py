@@ -559,6 +559,25 @@ def test_flory_bad_fractions_exit_3():
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "mix",
+    [
+        (0.30000000000000293, 0.599999999999996, 0.10000000000000099, 3),  # gel point in the band below 1
+        (0.0, 0.6, 0.4, 3),
+        (0.5, 0.5, 0.0, 2),
+    ],
+    ids=["band", "stoichiometric", "linear"],
+)
+def test_flory_threshold_is_null_exactly_when_process_is_not_finite(tmp_path, mix):
+    f1, f2, f3, n = mix
+    code, out, _ = run_cli(["flory", "--f1", repr(f1), "--f2", repr(f2), "--f3", repr(f3), "--n", str(n)])
+    assert code == 0
+    bounds = write(tmp_path, "p.txt", weakgiant.to_bound_dist(weakgiant.FloryMixture(*mix)).to_text())
+    code, crit, _ = run_cli(["evolve", bounds, "--critical"])
+    assert code == 0
+    assert (json.loads(out)["c_n_crit"] is None) == (json.loads(crit)["class"] != "finite")
+
+
 # --- simulate --------------------------------------------------------------------
 
 
@@ -933,6 +952,7 @@ def test_flag_a_subcommand_does_not_read_exits_2(argv):
     # only simulate draws random numbers; flory and barycentric read no table
     code, out, err = run_cli(argv, stdin_text=FORK)
     assert (code, out) == (2, "")
+    assert err.startswith(f"usage: weakgiant {argv[0]} ")
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import DYADIC_SCALE
@@ -178,6 +178,7 @@ def simplex_mixtures(draw):
 
 
 @given(simplex_mixtures())
+@example(FloryMixture(0.30000000000000293, 0.599999999999996, 0.10000000000000099, 3))  # gel point in the band below 1
 def test_gel_conversion_equals_process_threshold(mix):
     try:
         P = to_bound_dist(mix)

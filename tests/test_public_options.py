@@ -27,7 +27,6 @@ ALLOWED = {
 UNCALLED = {
     "mu_moments_at": "gate 6 reads its closed-form moments",
     "mean_weak_component_size": "the subcritical theory of the transition-point check (ROADMAP item 5)",
-    "to_bound_dist": "the paper's Flory mapping, read by the gel-point gate and planned for ROADMAP item 7",
 }
 
 

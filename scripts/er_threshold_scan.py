@@ -43,7 +43,7 @@ def main() -> None:
 if __name__ == "__main__":
     try:
         main()
-    except WeakGiantError as exc:
+    except (WeakGiantError, OSError) as exc:
         code = cli.failure_code(exc)
         if code is None:
             raise

@@ -1,9 +1,11 @@
 """Monte Carlo oracles: configuration-model sampling and the kinetic growth
 process, plus weak-component extraction.
 
-Both samplers are deterministic given a seed.  Streams come from numpy's
-PCG64 generator; independent replicas derive from (master seed, replica
-index) through ``SeedSequence`` spawn keys.
+The configuration sampler draws N degree pairs i.i.d. from the table,
+conditioned on the least stub imbalance their lattice allows, by rejection
+from Poisson class counts.  Both samplers are deterministic given a seed.
+Streams come from numpy's PCG64 generator; independent replicas derive
+from (master seed, replica index) through ``SeedSequence`` spawn keys.
 """
 
 from __future__ import annotations
@@ -161,6 +163,14 @@ def size_histogram(sizes) -> dict[int, float]:
     return {s: w / total for s, w in weights.items()}
 
 
+def _shuffled_slots(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Slots 0..K-1, each repeated by its count, in uniformly random order."""
+    slots = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    if counts.size > 1:
+        rng.shuffle(slots)
+    return slots
+
+
 def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. draws of a slot 0..K-1 with probabilities ``probs``, and
     their counts per slot.
@@ -170,10 +180,7 @@ def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np
     counts and shuffled have the law of the i.i.d. draws.
     """
     counts = rng.multinomial(n, probs)
-    slots = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    if counts.size > 1:
-        rng.shuffle(slots)
-    return slots, counts
+    return _shuffled_slots(counts, rng), counts
 
 
 def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
@@ -186,107 +193,98 @@ def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
     return first[idx], second[idx]
 
 
-#: Redraw candidates per batch of the stub balance.
-_REDRAW_BATCH = 4096
-#: Redraw candidates per vertex after which the stub balance stops and
-#: deletes what imbalance remains.  Reached only by laws whose every
-#: shrinking redraw has negligible probability; redraws otherwise end far
-#: sooner, after O(sqrt(N)) candidates.
-_REDRAW_CANDIDATES_PER_VERTEX = 8
+#: Proposals after which the stub balance gives up on a degree draw.
+_MAX_PROPOSALS = 10_000
 
 
-def _can_shrink(delta: int, dvals: np.ndarray, present: np.ndarray) -> bool:
-    """Whether redrawing some vertex can shrink the stub imbalance ``|delta|``.
+def _log_mode_ratio(c: int, lam: float) -> float:
+    """log of Poisson(c; lam) over the Poisson pmf at its mode."""
+    mode = math.floor(lam)
+    return (c - mode) * math.log(lam) + math.lgamma(mode + 1) - math.lgamma(c + 1)
 
-    ``dvals`` are the distinct values of n - k over the support, sorted, and
-    ``present`` marks those carried by at least one vertex.  Moving a vertex
-    from d to s shrinks ``|delta|`` iff ``0 < sign(delta) * (d - s) <
-    2 |delta|``, so each present d need only be tried against its neighbour in
-    ``dvals`` on the shrinking side.
+
+def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Class counts of n i.i.d. draws from ``probs``, conditioned on the stub
+    imbalance Delta = sum(counts * diff) being Delta*: the least |Delta|,
+    +g/2 on a tie, with Delta = n * d_0 mod g, d_0 the least value of
+    ``diff`` and g the gcd of the differences of its values.  A single value
+    needs no conditioning: the counts are one multinomial.
+
+    Else this is rejection from the Poissonized draw, whose independent
+    Poisson(n p) counts are multinomial given that they sum to n.  Classes
+    outside the two heaviest groups a > b of equal ``diff`` get their
+    Poisson counts, and the two groups take the count and imbalance left,
+    when those are whole and nonnegative.  The proposal is kept with
+    probability Pois(c_a; n q_a) Pois(c_b; n q_b) over the product of the
+    two Poisson modes, q being group masses; at once when the two groups
+    hold all the mass, as the constraints then fix both counts.  Each
+    group's count is split over its classes by a multinomial.  Any two
+    groups give this law; the rate of keeping, P(sum = n, Delta = Delta*)
+    over the product of the two modes, is highest for the heaviest groups.
     """
-    gaps = np.diff(dvals) < 2 * abs(delta)
-    if delta > 0:
-        return bool((present[1:] & gaps).any())
-    return bool((present[:-1] & gaps).any())
-
-
-def _balance_by_redraw(idx, counts, diff, probs, rng) -> None:
-    """Redraw support slots ``idx`` of uniformly random vertices from
-    ``probs`` in place, keeping a redraw only when it shrinks the imbalance
-    ``|sum(diff[idx])|``; ``counts`` are the slot counts of ``idx``.
-
-    Stops at zero, when no redraw can shrink the imbalance, or after
-    ``_REDRAW_CANDIDATES_PER_VERTEX`` candidates per vertex.
-
-    Candidates come in batches of ``_REDRAW_BATCH``.  Each batch reads the
-    slots of its vertices from ``idx`` in one gather, keeps the redraws it
-    accepts in a dict (a vertex drawn again starts from its kept redraw)
-    and the class counts in a list, and writes ``idx`` back once; per
-    candidate this is plain Python, with no numpy scalar access.
-    """
-    n_vertices = idx.size
-    dvals, dclass = np.unique(diff, return_inverse=True)
-    class_count = np.bincount(dclass, weights=counts, minlength=dvals.size).astype(np.int64).tolist()
-    delta = int(np.dot(class_count, dvals))
-    diff_of = diff.tolist()
-    class_of = dclass.tolist()
-    budget = _REDRAW_CANDIDATES_PER_VERTEX * n_vertices
-    tried = 0
-    while delta and tried < budget and _can_shrink(delta, dvals, np.array(class_count) > 0):
-        vertices = rng.integers(0, n_vertices, size=_REDRAW_BATCH)
-        slots = _draw_slots(probs, _REDRAW_BATCH, rng)[0].tolist()
-        tried += _REDRAW_BATCH
-        redrawn = {}
-        for v, old, new in zip(vertices.tolist(), idx[vertices].tolist(), slots):
-            old = redrawn.get(v, old)
-            after = delta + diff_of[new] - diff_of[old]
-            if abs(after) < abs(delta):
-                redrawn[v] = new
-                class_count[class_of[old]] -= 1
-                class_count[class_of[new]] += 1
-                delta = after
-                if not delta:
-                    break
-        idx[list(redrawn)] = list(redrawn.values())
+    dvals, group = np.unique(diff, return_inverse=True)
+    if dvals.size == 1:
+        return rng.multinomial(n, probs)
+    lattice = int(np.gcd.reduce(dvals[1:] - dvals[0]))
+    residue = n * int(dvals[0]) % lattice
+    target = residue if 2 * residue <= lattice else residue - lattice
+    mass = np.bincount(group, weights=probs)
+    b, a = np.sort(np.argsort(mass, kind="stable")[-2:])
+    d_a, d_b = int(dvals[a]), int(dvals[b])
+    rest = np.flatnonzero((group != a) & (group != b))
+    lam, d_rest = n * probs[rest], diff[rest]
+    for _ in range(_MAX_PROPOSALS):
+        drawn = rng.poisson(lam)
+        left = n - int(drawn.sum())
+        c_a, off = divmod(target - int(drawn @ d_rest) - d_b * left, d_a - d_b)
+        if off or not 0 <= c_a <= left:
+            continue
+        log_weight = _log_mode_ratio(c_a, n * mass[a]) + _log_mode_ratio(left - c_a, n * mass[b])
+        if rest.size and not -rng.standard_exponential() < log_weight:
+            continue
+        counts = np.zeros(probs.size, dtype=np.int64)
+        counts[rest] = drawn
+        for members, total in ((group == a, c_a), (group == b, left - c_a)):
+            counts[members] = rng.multinomial(total, probs[members] / probs[members].sum())
+        return counts
+    raise ValidationError(f"no draw of N = {n} degree pairs has stub imbalance {target} "
+                          f"within {_MAX_PROPOSALS} proposals")
 
 
 def sample_configuration(
     d: BivariateDegreeDist, n_vertices: int, seed
 ) -> DirectedMultigraph:
-    """Directed configuration model: degree pairs drawn from d and balanced,
+    """Directed configuration model: N degree pairs in the support of d,
+    i.i.d. given the stub imbalance Delta = sum(n) - sum(k) = Delta*, the
+    least |Delta| the support's lattice allows (:func:`_balanced_counts`),
     then uniform matching of out-stubs to in-stubs.
 
-    For an edge-balanced d, the i.i.d. draw of N degree pairs leaves a stub
-    imbalance Delta = sum(n) - sum(k) of order sqrt(N).  It is balanced by
-    redraw: the pair of a uniformly random vertex is redrawn from d, and the
-    redraw is kept only when it shrinks |Delta|, until Delta = 0.  Every
-    vertex keeps a pair in the support of d; the degree sequence departs
-    from the i.i.d. law by the O(sqrt(N)) redrawn vertices.
-
-    Stubs are deleted only where no redraw can shrink |Delta|, or where
-    redraws stopped after 8N candidates.  A redraw moves Delta by a
-    difference of two n - k values of the support, so a lattice can bar
-    the last steps: the fork's values 1 and -2 move it by 3, and with N
-    not divisible by 3 it ends at |Delta| = 1.  Then |Delta| uniformly
-    random stubs of the surplus side are deleted, so the graph has
-    min(sum(n), sum(k)) edges.
+    Delta* is 0 for most laws; the fork's n - k values 1 and -2 leave
+    Delta* = 1 or -1 when 3 does not divide N.  A law with one n - k value
+    is not conditioned.  Then |Delta| uniformly random stubs of the surplus
+    side are deleted, so the graph has min(sum(n), sum(k)) edges.  Raises
+    :class:`ValidationError` when no draw meets Delta* within
+    ``_MAX_PROPOSALS`` proposals, as for some tiny N or tables far from
+    edge balance.
     """
     if _checked_count(n_vertices, "vertex count") < 1:
         raise ValidationError(f"need at least 1 vertex, got {n_vertices}")
     rng = _as_rng(seed)
     n_of, k_of, probs = d.support
     probs = probs / probs.sum()
-    idx, counts = _draw_slots(probs, n_vertices, rng)
-    _balance_by_redraw(idx, counts, n_of - k_of, probs, rng)
+    idx = _shuffled_slots(_balanced_counts(probs, n_of - k_of, n_vertices, rng), rng)
 
     vertex_ids = np.arange(n_vertices, dtype=np.int64)
     in_stubs = np.repeat(vertex_ids, n_of[idx])
     out_stubs = np.repeat(vertex_ids, k_of[idx])
-    src = rng.permutation(out_stubs)[: in_stubs.size]
+    rng.shuffle(out_stubs)
+    src = out_stubs[: in_stubs.size]
     surplus = in_stubs.size - src.size
     if surplus:
         in_stubs = np.delete(in_stubs, rng.choice(in_stubs.size, surplus, replace=False))
-    edges = np.column_stack([src, in_stubs])
+    edges = np.empty((src.size, 2), dtype=np.int64)
+    edges[:, 0] = src
+    edges[:, 1] = in_stubs
     return DirectedMultigraph(n_vertices, edges)
 
 

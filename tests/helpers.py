@@ -9,6 +9,7 @@ grouping identities hold exactly in floating point.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import operator
@@ -38,14 +39,10 @@ from weakgiant.degdist import _checked_tol
 from weakgiant.gfsolver import _terms
 from weakgiant.mcgraph import (
     _PREFIX_SIGMAS,
-    _REDRAW_BATCH,
-    _REDRAW_CANDIDATES_PER_VERTEX,
     DirectedMultigraph,
     KmcResult,
     KmcState,
     _as_rng,
-    _can_shrink,
-    _draw_slots,
     _sample_keys,
 )
 
@@ -76,6 +73,16 @@ def tv_size_law(w, hist_entries: dict, order: int) -> float:
     return 0.5 * (body + abs(tail_w - tail_h))
 
 
+def _chi2_upper_tail(stat: float, df: int) -> float:
+    """P(X >= stat) for X chi-squared with df degrees of freedom, by the
+    Wilson-Hilferty normal approximation; 1.0 when df < 1."""
+    if df < 1:
+        return 1.0
+    h = 2 / (9 * df)
+    z = ((stat / df) ** (1 / 3) - (1 - h)) / math.sqrt(h)
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
 def chi2_two_sample(a: dict, b: dict, min_expected: float = 5.0) -> float:
     """p-value of the two-sample chi-squared test of homogeneity on two
     tables of counts.
@@ -95,12 +102,24 @@ def chi2_two_sample(a: dict, b: dict, min_expected: float = 5.0) -> float:
     for x, y in rows:
         ex, ey = (x + y) * na / (na + nb), (x + y) * nb / (na + nb)
         stat += (x - ex) ** 2 / ex + (y - ey) ** 2 / ey
-    df = len(rows) - 1
-    if df < 1:
-        return 1.0
-    h = 2 / (9 * df)
-    z = ((stat / df) ** (1 / 3) - (1 - h)) / math.sqrt(h)
-    return 0.5 * math.erfc(z / math.sqrt(2))
+    return _chi2_upper_tail(stat, len(rows) - 1)
+
+
+def chi2_goodness_of_fit(seen: dict, law: dict, min_expected: float = 5.0) -> tuple:
+    """Statistic, degrees of freedom and p-value of the one-sample
+    chi-squared test of the counts ``seen`` against the probabilities
+    ``law``, whose keys hold every key of ``seen``.
+
+    Cells whose expected count is below ``min_expected`` are pooled into
+    one cell; the p-value is Wilson-Hilferty's, as in ``chi2_two_sample``.
+    """
+    draws = sum(seen.values())
+    cells = [(seen.get(c, 0), draws * p) for c, p in law.items() if draws * p >= min_expected]
+    pooled = [(seen.get(c, 0), draws * p) for c, p in law.items() if draws * p < min_expected]
+    if pooled:
+        cells.append((sum(x for x, _ in pooled), sum(e for _, e in pooled)))
+    stat = math.fsum((x - e) ** 2 / e for x, e in cells)
+    return stat, len(cells) - 1, _chi2_upper_tail(stat, len(cells) - 1)
 
 
 def ks_two_sample(x, y) -> float:
@@ -298,32 +317,47 @@ def choice_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     return rng.choice(probs.size, size=n, p=probs)
 
 
-def reference_balance_by_redraw(idx: np.ndarray, diff: np.ndarray, probs: np.ndarray, rng) -> None:
-    """The stub balance one candidate at a time, reading and writing ``idx``
-    per candidate: the reference for ``mcgraph._balance_by_redraw``, with
-    the same candidates, accept rule and stop rule."""
-    n_vertices = idx.size
-    dvals, dclass = np.unique(diff, return_inverse=True)
-    class_count = np.bincount(dclass[idx], minlength=dvals.size)
-    delta = int(class_count @ dvals)
-    diff_of = diff.tolist()
-    class_of = dclass.tolist()
-    budget = _REDRAW_CANDIDATES_PER_VERTEX * n_vertices
-    tried = 0
-    while delta and tried < budget and _can_shrink(delta, dvals, class_count > 0):
-        vertices = rng.integers(0, n_vertices, size=_REDRAW_BATCH).tolist()
-        slots = _draw_slots(probs, _REDRAW_BATCH, rng)[0].tolist()
-        tried += _REDRAW_BATCH
-        for v, new in zip(vertices, slots):
-            old = int(idx[v])
-            after = delta + diff_of[new] - diff_of[old]
-            if abs(after) < abs(delta):
-                idx[v] = new
-                class_count[class_of[old]] -= 1
-                class_count[class_of[new]] += 1
-                delta = after
-                if not delta:
-                    break
+def least_imbalance(diff, n: int) -> int:
+    """The stub imbalance a draw of n degree pairs is conditioned on: the
+    least |Delta| in Delta's residue class n * d_0 mod g, +g/2 on a tie,
+    with d_0 the least n - k value in ``diff`` and g the gcd of the
+    differences of its values; n * d_0 for a single value."""
+    values = sorted(set(diff))
+    g = math.gcd(*(v - values[0] for v in values))
+    if not g:
+        return n * values[0]  # a single value: nothing to condition
+    residue = n * values[0] % g
+    return residue if 2 * residue <= g else residue - g
+
+
+def exact_balanced_law(probs, diff, n: int) -> dict:
+    """Law of the class counts of n i.i.d. draws from ``probs`` given that
+    their imbalance sum(counts * diff) is ``least_imbalance(diff, n)``, by
+    enumerating every count vector: the reference for
+    ``mcgraph._balanced_counts``."""
+    target = least_imbalance(diff, n)
+    law = {}
+    for counts in itertools.product(range(n + 1), repeat=len(probs)):
+        if sum(counts) == n and sum(c * d for c, d in zip(counts, diff)) == target:
+            law[counts] = math.factorial(n) * math.prod(
+                p**c / math.factorial(c) for p, c in zip(probs, counts)
+            )
+    total = math.fsum(law.values())
+    return {counts: p / total for counts, p in law.items()}
+
+
+def imbalance_law(probs, diff, n: int) -> dict:
+    """Law of the imbalance sum(diff) of n i.i.d. draws from ``probs``, one
+    draw at a time; every imbalance some draw reaches is a key, its
+    probability 0.0 where it underflows."""
+    law = {0: 1.0}
+    for _ in range(n):
+        step = {}
+        for delta, p in law.items():
+            for q, d in zip(probs, diff):
+                step[delta + d] = step.get(delta + d, 0.0) + p * q
+        law = step
+    return law
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
-    bivariate_dists,
+    balanced_dists,
+    chi2_goodness_of_fit,
     chi2_two_sample,
     choice_slots,
+    exact_balanced_law,
+    imbalance_law,
     ks_critical,
     ks_two_sample,
+    least_imbalance,
     realized_degree_law,
-    reference_balance_by_redraw,
     reference_prefix_end,
     sequential_kmc,
     truncated_double_poisson,
@@ -41,7 +44,7 @@ from weakgiant import (
 from weakgiant import mcgraph
 
 dimers = BoundDist.from_entries([(1, 0, 0.5), (0, 1, 0.5)])
-# the gate-1 fork: n - k in {1, -2}, so redraws move the imbalance by 3
+# the gate-1 fork: n - k in {1, -2}, so the imbalance moves in steps of 3
 FORK = BivariateDegreeDist.from_entries([(1, 0, 2 / 3), (0, 2, 1 / 3)])
 
 
@@ -347,7 +350,7 @@ def test_config_fork_components_are_mostly_size_three(fork_dist):
     n = 30000
     g = sample_configuration(fork_dist, n, replica_rng(13, 0))
     hist = size_histogram(weak_component_sizes(g).tolist())
-    # stub balance redraws O(sqrt(N)) vertices within the support, so every
+    # the conditioned draw keeps every degree pair in the support, so every
     # component is a source plus two sinks of size exactly 3
     assert hist.get(3, 0.0) >= 0.95
 
@@ -370,8 +373,8 @@ def test_config_fork_pairs_stay_in_support(fork_dist):
 
 @pytest.mark.parametrize("n", [30001, 30002])
 def test_config_fork_deletes_one_stub_off_the_lattice(fork_dist, n):
-    # sum(n) - sum(k) = n mod 3 up to redraws that move it by 3, so one
-    # surplus stub is left and deleted
+    # sum(n) - sum(k) = -2n mod 3, and the draw is conditioned on its least
+    # value 1 or -1, so one surplus stub is left and deleted
     g = sample_configuration(fork_dist, n, replica_rng(13, 5))
     assert _stubs_short_of_support(g, fork_dist) == 1
     sizes = weak_component_sizes(g)
@@ -379,22 +382,23 @@ def test_config_fork_deletes_one_stub_off_the_lattice(fork_dist, n):
 
 
 def test_config_stops_when_no_redraw_shrinks_imbalance():
-    # n - k in {5, -7}: redraws move the imbalance by 12, and 17 vertices
-    # put it at 1 mod 12, so it ends at 1 with one in-stub deleted
+    # n - k in {5, -7}: the imbalance moves in steps of 12, and 17 vertices
+    # put it at 1 mod 12, so it is 1 and one in-stub is deleted
     gaps = unchecked_degree_table([(5, 0, 0.5), (0, 7, 0.5)])
     for rep in range(5):
         g = sample_configuration(gaps, 17, replica_rng(13, 6 + rep))
         assert _stubs_short_of_support(g, gaps) == 1
-    # n - k in {0, 5, -7}: imbalances of 1 or 2 have no shrinking redraw
+    # n - k in {0, 5, -7}: no two values are 1 apart, yet at 200 vertices
+    # an imbalance of 0 is reachable, and the draw is conditioned on it
     gaps0 = unchecked_degree_table([(0, 0, 1 / 3), (5, 0, 1 / 3), (0, 7, 1 / 3)])
     for rep in range(5):
         g = sample_configuration(gaps0, 200, replica_rng(13, 11 + rep))
-        assert _stubs_short_of_support(g, gaps0) <= 2
+        assert _stubs_short_of_support(g, gaps0) == 0
 
 
 @pytest.mark.parametrize("pair", [(2, 1), (1, 2)], ids=["in surplus", "out surplus"])
 def test_config_surplus_deletion_and_matching_are_uniform(pair):
-    # one support pair, so no redraw shrinks the imbalance: of the six stubs
+    # one support pair, so one n - k value and no conditioning: of the six stubs
     # of the surplus side a uniform three are kept and matched uniformly to
     # the other side's three, 20 x 6 equally likely outcomes
     n = 3
@@ -416,30 +420,68 @@ def test_config_surplus_deletion_and_matching_are_uniform(pair):
 
 
 def test_config_redraw_budget_bounds_rare_shrinking_moves():
-    # only a redraw to the 1e-12 entry shrinks the imbalance; redraws give up
-    # and the surplus in-stubs are deleted
+    # n - k in {1, -1} and 100 vertices: the only balanced draw has 50
+    # vertices of each pair, however rare (0, 1) is, and 50 edges
     rare = unchecked_degree_table([(1, 0, 1 - 1e-12), (0, 1, 1e-12)])
     g = sample_configuration(rare, 100, replica_rng(13, 16))
-    assert g.edges.shape == (0, 2)
+    assert realized_degree_law(g) == {(1, 0): 0.5, (0, 1): 0.5}
+    assert g.edges.shape == (50, 2)
 
 
 @given(
-    st.one_of(bivariate_dists(), st.just(FORK)),
+    st.one_of(balanced_dists(), st.just(FORK)),
     st.integers(1, 64),
     st.integers(0, 2**32 - 1),
 )
 def test_stub_balance_matches_its_per_candidate_loop(d, n, seed):
-    # with N <= 64 a 4096-candidate batch draws each vertex many times
+    # the contract of the stub balance: n class counts whose imbalance is
+    # the least one of its lattice, or a refusal where that imbalance is out
+    # of reach.  A proposal is kept with probability at least
+    # Pois(n; n) * P(imbalance): the chance that the Poisson counts sum to
+    # n, times that of the target given the sum, each mode's pmf being at
+    # most 1.  So a refusal where the cap times that bound is above 40 has
+    # odds below e^-40.
     n_of, k_of, probs = d.support
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    idx, counts = mcgraph._draw_slots(probs, n, rng)
-    ref_idx, ref_rng = idx.copy(), np.random.default_rng()
-    ref_rng.bit_generator.state = rng.bit_generator.state
-    mcgraph._balance_by_redraw(idx, counts, n_of - k_of, probs, rng)
-    reference_balance_by_redraw(ref_idx, n_of - k_of, probs, ref_rng)
-    assert idx.tolist() == ref_idx.tolist()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    probs, diff = probs / probs.sum(), n_of - k_of
+    target = least_imbalance(diff.tolist(), n)
+    law = imbalance_law(probs.tolist(), diff.tolist(), n)
+    try:
+        counts = mcgraph._balanced_counts(probs, diff, n, np.random.default_rng(seed))
+    except ValidationError:
+        keep = math.exp(n * math.log(n) - n - math.lgamma(n + 1)) * law.get(target, 0.0)
+        assert target not in law or mcgraph._MAX_PROPOSALS * keep < 40
+        return
+    assert counts.dtype == np.int64 and counts.min() >= 0
+    assert int(counts.sum()) == n
+    assert int(counts @ diff) == target
+
+
+# (probs, n - k per class, N), each small enough to enumerate: a two-valued
+# table at a tie (g = 2, N odd, so the imbalance is +1), the fork at N not
+# divisible by 3, {0, 5, -7}, no two of whose values are g = 1 apart, four
+# values, and a tie among four values.  Groups of two classes test the split.
+BALANCE_TABLES = {
+    "two-valued": ([0.3, 0.2, 0.5], [1, 1, -1], 5),
+    "fork": ([2 / 3, 1 / 3], [1, -2], 7),
+    "0 5 -7": ([0.2, 0.2, 0.35, 0.25], [0, 0, 5, -7], 24),
+    "four-valued": ([0.3, 0.3, 0.3, 0.1], [2, -1, 0, -3], 6),
+    "four-valued tie": ([0.3, 0.3, 0.2, 0.2], [1, -1, 3, -3], 5),
+}
+BALANCE_SEED = 20261020
+BALANCE_DRAWS = 10_000
+
+
+@pytest.mark.parametrize("table", list(BALANCE_TABLES))
+def test_balanced_counts_follow_the_conditioned_law(table):
+    probs, diff, n = BALANCE_TABLES[table]
+    law = exact_balanced_law(probs, diff, n)
+    rng = replica_rng(BALANCE_SEED, list(BALANCE_TABLES).index(table))
+    probs, diff = np.array(probs), np.array(diff)
+    seen = Counter(
+        tuple(mcgraph._balanced_counts(probs, diff, n, rng).tolist()) for _ in range(BALANCE_DRAWS)
+    )
+    assert set(seen) <= set(law)
+    assert chi2_goodness_of_fit(seen, law)[2] > SLOT_ALPHA
 
 
 def test_config_degree_fidelity(fork_dist):

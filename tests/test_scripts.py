@@ -78,6 +78,24 @@ def test_script_missing_bounds_exits_2(script, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("er_threshold_scan.py", ["--vertices", "200", "--lambdas", "0.3", "0.7", "2"]),
+        ("kmc_vs_theory.py", ["--vertices", "200", "--conversions", "0.1", "0.4", "2"]),
+    ],
+)
+def test_script_closed_stdout_exits_2(script, args):
+    # a reader that has gone before the first row, as under `| head -0`
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as stdout:
+        proc = _run(script, args, stdout=stdout)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[0] == "weakgiant: i/o error: [Errno 32] Broken pipe"
+
+
 def test_readme_quickstart_states_its_values():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
@@ -94,10 +112,10 @@ def test_readme_quickstart_states_its_values():
     assert instant == (1 / 6, 0.5, 0.25)
 
 
-def _run(script, args):
+def _run(script, args, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )

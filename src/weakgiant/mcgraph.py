@@ -3,7 +3,8 @@ process, plus weak-component extraction.
 
 The configuration sampler draws N degree pairs i.i.d. from the table,
 conditioned on the least stub imbalance their lattice allows, by rejection
-from Poisson class counts.  Both samplers are deterministic given a seed.
+from Poisson class counts, or from a table of the exact law where the
+proposals run out.  Both samplers are deterministic given a seed.
 Streams come from numpy's PCG64 generator; independent replicas derive
 from (master seed, replica index) through ``SeedSequence`` spawn keys.
 """
@@ -193,14 +194,52 @@ def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
     return first[idx], second[idx]
 
 
-#: Proposals after which the stub balance gives up on a degree draw.
-_MAX_PROPOSALS = 10_000
+#: Cells of the exact table that a degree draw may fill once its proposals
+#: run out (8 bytes each).
+_MAX_CELLS = 1 << 22
+
+
+def _log_pois(c: int, lam: float) -> float:
+    return c * math.log(lam) - lam - math.lgamma(c + 1)
 
 
 def _log_mode_ratio(c: int, lam: float) -> float:
     """log of Poisson(c; lam) over the Poisson pmf at its mode."""
     mode = math.floor(lam)
     return (c - mode) * math.log(lam) + math.lgamma(mode + 1) - math.lgamma(c + 1)
+
+
+def _exact_group_counts(mass: np.ndarray, steps: np.ndarray, total: int, n: int, rng: np.random.Generator):
+    """Counts of n i.i.d. draws of groups 0..G-1 with masses ``mass``, given
+    that their ``steps`` (nonnegative integers) sum to ``total``; None where
+    no draw does.
+
+    Row m of the table is log P(m draws sum to s), less its maximum, for
+    s = 0..m * max(steps).  The draws are taken back from the last: with m
+    left, group j comes with probability proportional to
+    mass_j P(m - 1 draws sum to total - steps_j).
+    """
+    log_mass = np.log(mass)
+    rows = [np.zeros(1)]
+    for m in range(1, n):
+        prev = rows[-1]
+        row = np.full(prev.size + int(steps[-1]), -np.inf)
+        for s, lm in zip(steps.tolist(), log_mass):
+            np.logaddexp(row[s : s + prev.size], prev + lm, out=row[s : s + prev.size])
+        rows.append(row - row.max())
+    counts = np.zeros(mass.size, dtype=np.int64)
+    for row in reversed(rows):
+        at = total - steps
+        inside = (at >= 0) & (at < row.size)
+        weight = np.full(mass.size, -np.inf)
+        weight[inside] = log_mass[inside] + row[at[inside]]
+        if weight.max() == -np.inf:
+            return None
+        weight = np.cumsum(np.exp(weight - weight.max()))
+        j = int(np.searchsorted(weight, rng.random() * weight[-1], side="right"))
+        counts[j] += 1
+        total -= int(steps[j])
+    return counts
 
 
 def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -217,10 +256,19 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
     when those are whole and nonnegative.  The proposal is kept with
     probability Pois(c_a; n q_a) Pois(c_b; n q_b) over the product of the
     two Poisson modes, q being group masses; at once when the two groups
-    hold all the mass, as the constraints then fix both counts.  Each
-    group's count is split over its classes by a multinomial.  Any two
+    hold all the mass, as the constraints then fix both counts.  Any two
     groups give this law; the rate of keeping, P(sum = n, Delta = Delta*)
     over the product of the two modes, is highest for the heaviest groups.
+    By the local limit theorem, P(Delta = Delta* | sum = n) is near
+    g / sqrt(2 pi n Var d); the proposals stop at 50 over the rate this
+    gives, so a rate within 20% of it runs out with odds below e^-40.
+
+    Where they run out (a tiny n, a rare class that alone closes the
+    lattice, a Delta* far from the mean), the group counts come from the
+    exact law (:func:`_exact_group_counts`) if its table has at most
+    ``_MAX_CELLS`` cells.  Each group's count is split over its classes by
+    a multinomial.  Raises :class:`ValidationError` where no draw reaches
+    Delta*, or where the proposals ran out and the table is too large.
     """
     dvals, group = np.unique(diff, return_inverse=True)
     if dvals.size == 1:
@@ -233,7 +281,15 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
     d_a, d_b = int(dvals[a]), int(dvals[b])
     rest = np.flatnonzero((group != a) & (group != b))
     lam, d_rest = n * probs[rest], diff[rest]
-    for _ in range(_MAX_PROPOSALS):
+    cap = 1
+    if rest.size:
+        var = float(probs @ (diff - probs @ diff) ** 2)
+        log_rate = (_log_pois(n, n) + math.log(lattice) - 0.5 * math.log(2 * math.pi * n * var)
+                    - _log_pois(math.floor(n * mass[a]), n * mass[a])
+                    - _log_pois(math.floor(n * mass[b]), n * mass[b]))
+        cap = math.ceil(50 * math.exp(max(-log_rate, 0.0)))
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for _ in range(cap):
         drawn = rng.poisson(lam)
         left = n - int(drawn.sum())
         c_a, off = divmod(target - int(drawn @ d_rest) - d_b * left, d_a - d_b)
@@ -242,13 +298,25 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
         log_weight = _log_mode_ratio(c_a, n * mass[a]) + _log_mode_ratio(left - c_a, n * mass[b])
         if rest.size and not -rng.standard_exponential() < log_weight:
             continue
-        counts = np.zeros(probs.size, dtype=np.int64)
         counts[rest] = drawn
-        for members, total in ((group == a, c_a), (group == b, left - c_a)):
-            counts[members] = rng.multinomial(total, probs[members] / probs[members].sum())
-        return counts
-    raise ValidationError(f"no draw of N = {n} degree pairs has stub imbalance {target} "
-                          f"within {_MAX_PROPOSALS} proposals")
+        split = ((a, c_a), (b, left - c_a))
+        break
+    else:
+        steps = (dvals - dvals[0]) // lattice
+        if rest.size and (n * (n * int(steps[-1]) + 1)) // 2 > _MAX_CELLS:
+            raise ValidationError(f"no draw of N = {n} degree pairs with stub imbalance {target} "
+                                  f"was kept in {cap} proposals")
+        # two groups make every proposal alike: none is kept where no draw
+        # reaches Delta*
+        step_sum = (target - n * int(dvals[0])) // lattice
+        totals = _exact_group_counts(mass, steps, step_sum, n, rng) if rest.size else None
+        if totals is None:
+            raise ValidationError(f"no draw of N = {n} degree pairs has stub imbalance {target}")
+        split = enumerate(totals.tolist())
+    for j, total in split:
+        members = group == j
+        counts[members] = rng.multinomial(total, probs[members] / probs[members].sum())
+    return counts
 
 
 def sample_configuration(
@@ -263,9 +331,9 @@ def sample_configuration(
     Delta* = 1 or -1 when 3 does not divide N.  A law with one n - k value
     is not conditioned.  Then |Delta| uniformly random stubs of the surplus
     side are deleted, so the graph has min(sum(n), sum(k)) edges.  Raises
-    :class:`ValidationError` when no draw meets Delta* within
-    ``_MAX_PROPOSALS`` proposals, as for some tiny N or tables far from
-    edge balance.
+    :class:`ValidationError` when no draw reaches Delta* (some tiny N), or
+    when Delta* is too improbable to draw at a large N (a table far from
+    edge balance).
     """
     if _checked_count(n_vertices, "vertex count") < 1:
         raise ValidationError(f"need at least 1 vertex, got {n_vertices}")

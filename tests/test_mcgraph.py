@@ -7,7 +7,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -428,32 +428,42 @@ def test_config_redraw_budget_bounds_rare_shrinking_moves():
     assert g.edges.shape == (50, 2)
 
 
+# n and k each uniform on 0..100: 201 values of n - k, the heaviest two of
+# mass about 0.0099 against a variance of 1,700, so about one proposal in
+# 4,200 is kept
+WIDE = unchecked_degree_table([(i, j, 1 / 101**2) for i in range(101) for j in range(101)])
+
+
 @given(
     st.one_of(balanced_dists(), st.just(FORK)),
     st.integers(1, 64),
     st.integers(0, 2**32 - 1),
 )
+@example(WIDE, 64, 0)
 def test_stub_balance_matches_its_per_candidate_loop(d, n, seed):
     # the contract of the stub balance: n class counts whose imbalance is
-    # the least one of its lattice, or a refusal where that imbalance is out
-    # of reach.  A proposal is kept with probability at least
-    # Pois(n; n) * P(imbalance): the chance that the Poisson counts sum to
-    # n, times that of the target given the sum, each mode's pmf being at
-    # most 1.  So a refusal where the cap times that bound is above 40 has
-    # odds below e^-40.
+    # the least one of its lattice, or a refusal where no draw reaches it
     n_of, k_of, probs = d.support
     probs, diff = probs / probs.sum(), n_of - k_of
     target = least_imbalance(diff.tolist(), n)
-    law = imbalance_law(probs.tolist(), diff.tolist(), n)
     try:
         counts = mcgraph._balanced_counts(probs, diff, n, np.random.default_rng(seed))
     except ValidationError:
-        keep = math.exp(n * math.log(n) - n - math.lgamma(n + 1)) * law.get(target, 0.0)
-        assert target not in law or mcgraph._MAX_PROPOSALS * keep < 40
+        assert target not in imbalance_law(probs.tolist(), diff.tolist(), n)
         return
     assert counts.dtype == np.int64 and counts.min() >= 0
     assert int(counts.sum()) == n
     assert int(counts @ diff) == target
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stub_balance_draws_a_wide_table(seed):
+    # the proposals' cap follows the keep rate of the table: a fixed cap of
+    # 10,000 refused about one seed in eleven here
+    n_of, k_of, probs = WIDE.support
+    counts = mcgraph._balanced_counts(probs / probs.sum(), n_of - k_of, 2000, replica_rng(29, seed))
+    assert int(counts.sum()) == 2000
+    assert int(counts @ (n_of - k_of)) == 0
 
 
 # (probs, n - k per class, N), each small enough to enumerate: a two-valued
@@ -479,6 +489,28 @@ def test_balanced_counts_follow_the_conditioned_law(table):
     probs, diff = np.array(probs), np.array(diff)
     seen = Counter(
         tuple(mcgraph._balanced_counts(probs, diff, n, rng).tolist()) for _ in range(BALANCE_DRAWS)
+    )
+    assert set(seen) <= set(law)
+    assert chi2_goodness_of_fit(seen, law)[2] > SLOT_ALPHA
+
+
+@pytest.mark.parametrize("table", ["0 5 -7", "four-valued", "four-valued tie"])
+def test_exact_group_counts_follow_the_conditioned_law(table):
+    # the route the stub balance takes once its proposals run out, which
+    # draws the counts of the groups of equal n - k, about 1 ms a draw here;
+    # a table of two n - k values keeps its first proposal or has no draw
+    probs, diff, n = BALANCE_TABLES[table]
+    values = sorted(set(diff))
+    law = Counter()
+    for counts, p in exact_balanced_law(probs, diff, n).items():
+        law[tuple(sum(c for c, d in zip(counts, diff) if d == v) for v in values)] += p
+    lattice = math.gcd(*(v - values[0] for v in values[1:]))
+    mass = np.array([math.fsum(p for p, d in zip(probs, diff) if d == v) for v in values])
+    steps = np.array([(v - values[0]) // lattice for v in values])
+    total = (least_imbalance(diff, n) - n * values[0]) // lattice
+    rng = replica_rng(BALANCE_SEED + 1, list(BALANCE_TABLES).index(table))
+    seen = Counter(
+        tuple(mcgraph._exact_group_counts(mass, steps, total, n, rng).tolist()) for _ in range(3000)
     )
     assert set(seen) <= set(law)
     assert chi2_goodness_of_fit(seen, law)[2] > SLOT_ALPHA

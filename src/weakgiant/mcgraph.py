@@ -3,8 +3,8 @@ process, plus weak-component extraction.
 
 The configuration sampler draws N degree pairs i.i.d. from the table,
 conditioned on the least stub imbalance their lattice allows, by rejection
-from Poisson class counts, or from a table of the exact law where the
-proposals run out.  Both samplers are deterministic given a seed.
+from Poisson counts of its n - k groups, or from a table of the exact law
+where the proposals run out.  Both samplers are deterministic given a seed.
 Streams come from numpy's PCG64 generator; independent replicas derive
 from (master seed, replica index) through ``SeedSequence`` spawn keys.
 """
@@ -249,16 +249,17 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
     ``diff`` and g the gcd of the differences of its values.  A single value
     needs no conditioning: the counts are one multinomial.
 
-    Else this is rejection from the Poissonized draw, whose independent
-    Poisson(n p) counts are multinomial given that they sum to n.  Classes
-    outside the two heaviest groups a > b of equal ``diff`` get their
-    Poisson counts, and the two groups take the count and imbalance left,
-    when those are whole and nonnegative.  The proposal is kept with
-    probability Pois(c_a; n q_a) Pois(c_b; n q_b) over the product of the
-    two Poisson modes, q being group masses; at once when the two groups
-    hold all the mass, as the constraints then fix both counts.  Any two
-    groups give this law; the rate of keeping, P(sum = n, Delta = Delta*)
-    over the product of the two modes, is highest for the heaviest groups.
+    Else the counts of the groups of equal ``diff`` come by rejection from
+    the Poissonized draw, whose independent Poisson(n q) counts, q being
+    group masses, are multinomial given that they sum to n.  The groups
+    other than the two heaviest a > b get their Poisson counts, and the two
+    take the count and imbalance left, when those are whole and
+    nonnegative.  The proposal is kept with probability
+    Pois(c_a; n q_a) Pois(c_b; n q_b) over the product of the two Poisson
+    modes; at once when the two groups hold all the mass, as the
+    constraints then fix both counts.  Any two groups give this law; the
+    rate of keeping, P(sum = n, Delta = Delta*) over the product of the
+    two modes, is highest for the heaviest groups.
     By the local limit theorem, P(Delta = Delta* | sum = n) is near
     g / sqrt(2 pi n Var d); the proposals stop at 50 over the rate this
     gives, so a rate within 20% of it runs out with odds below e^-40.
@@ -266,9 +267,10 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
     Where they run out (a tiny n, a rare class that alone closes the
     lattice, a Delta* far from the mean), the group counts come from the
     exact law (:func:`_exact_group_counts`) if its table has at most
-    ``_MAX_CELLS`` cells.  Each group's count is split over its classes by
-    a multinomial.  Raises :class:`ValidationError` where no draw reaches
-    Delta*, or where the proposals ran out and the table is too large.
+    ``_MAX_CELLS`` cells.  Each group's count is then split over its
+    classes by a multinomial.  Raises :class:`ValidationError` where no
+    draw reaches Delta*, or where the proposals ran out and the table is
+    too large.
     """
     dvals, group = np.unique(diff, return_inverse=True)
     if dvals.size == 1:
@@ -279,8 +281,8 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
     mass = np.bincount(group, weights=probs)
     b, a = np.sort(np.argsort(mass, kind="stable")[-2:])
     d_a, d_b = int(dvals[a]), int(dvals[b])
-    rest = np.flatnonzero((group != a) & (group != b))
-    lam, d_rest = n * probs[rest], diff[rest]
+    rest = np.flatnonzero((dvals != d_a) & (dvals != d_b))
+    lam, d_rest = n * mass[rest], dvals[rest]
     cap = 1
     if rest.size:
         var = float(probs @ (diff - probs @ diff) ** 2)
@@ -288,7 +290,6 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
                     - _log_pois(math.floor(n * mass[a]), n * mass[a])
                     - _log_pois(math.floor(n * mass[b]), n * mass[b]))
         cap = math.ceil(50 * math.exp(max(-log_rate, 0.0)))
-    counts = np.zeros(probs.size, dtype=np.int64)
     for _ in range(cap):
         drawn = rng.poisson(lam)
         left = n - int(drawn.sum())
@@ -298,8 +299,8 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
         log_weight = _log_mode_ratio(c_a, n * mass[a]) + _log_mode_ratio(left - c_a, n * mass[b])
         if rest.size and not -rng.standard_exponential() < log_weight:
             continue
-        counts[rest] = drawn
-        split = ((a, c_a), (b, left - c_a))
+        totals = np.zeros(dvals.size, dtype=np.int64)
+        totals[rest], totals[a], totals[b] = drawn, c_a, left - c_a
         break
     else:
         steps = (dvals - dvals[0]) // lattice
@@ -312,10 +313,12 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
         totals = _exact_group_counts(mass, steps, step_sum, n, rng) if rest.size else None
         if totals is None:
             raise ValidationError(f"no draw of N = {n} degree pairs has stub imbalance {target}")
-        split = enumerate(totals.tolist())
-    for j, total in split:
-        members = group == j
-        counts[members] = rng.multinomial(total, probs[members] / probs[members].sum())
+    by_group = np.argsort(group, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(group))))
+    counts = np.zeros(probs.size, dtype=np.int64)
+    for j in np.flatnonzero(totals).tolist():
+        members = by_group[starts[j] : starts[j + 1]]
+        counts[members] = rng.multinomial(totals[j], probs[members] / probs[members].sum())
     return counts
 
 

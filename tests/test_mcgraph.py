@@ -430,7 +430,7 @@ def test_config_redraw_budget_bounds_rare_shrinking_moves():
 
 # n and k each uniform on 0..100: 201 values of n - k, the heaviest two of
 # mass about 0.0099 against a variance of 1,700, so about one proposal in
-# 4,200 is kept
+# 4,500 is kept
 WIDE = unchecked_degree_table([(i, j, 1 / 101**2) for i in range(101) for j in range(101)])
 
 

@@ -3,10 +3,11 @@ process, plus weak-component extraction.
 
 The configuration sampler draws N degree pairs i.i.d. from the table,
 conditioned on the least stub imbalance their lattice allows, by rejection
-from Poisson counts of its n - k groups, or from a table of the exact law
-where the proposals run out.  Both samplers are deterministic given a seed.
-Streams come from numpy's PCG64 generator; independent replicas derive
-from (master seed, replica index) through ``SeedSequence`` spawn keys.
+from Poisson counts of its n - k groups tilted toward that imbalance, or
+from a table of the exact law where the proposals run out.  Both samplers
+are deterministic given a seed.  Streams come from numpy's PCG64 generator;
+independent replicas derive from (master seed, replica index) through
+``SeedSequence`` spawn keys.
 """
 
 from __future__ import annotations
@@ -199,10 +200,6 @@ def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
 _MAX_CELLS = 1 << 22
 
 
-def _log_pois(c: int, lam: float) -> float:
-    return c * math.log(lam) - lam - math.lgamma(c + 1)
-
-
 def _log_mode_ratio(c: int, lam: float) -> float:
     """log of Poisson(c; lam) over the Poisson pmf at its mode."""
     mode = math.floor(lam)
@@ -250,27 +247,27 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
     needs no conditioning: the counts are one multinomial.
 
     Else the counts of the groups of equal ``diff`` come by rejection from
-    the Poissonized draw, whose independent Poisson(n q) counts, q being
-    group masses, are multinomial given that they sum to n.  The groups
-    other than the two heaviest a > b get their Poisson counts, and the two
-    take the count and imbalance left, when those are whole and
-    nonnegative.  The proposal is kept with probability
-    Pois(c_a; n q_a) Pois(c_b; n q_b) over the product of the two Poisson
-    modes; at once when the two groups hold all the mass, as the
-    constraints then fix both counts.  Any two groups give this law; the
-    rate of keeping, P(sum = n, Delta = Delta*) over the product of the
-    two modes, is highest for the heaviest groups.
-    By the local limit theorem, P(Delta = Delta* | sum = n) is near
-    g / sqrt(2 pi n Var d); the proposals stop at 50 over the rate this
-    gives, so a rate within 20% of it runs out with odds below e^-40.
+    independent Poisson(n q) counts, q being group masses, which are
+    multinomial given that they sum to n.  Given Delta* too, tilted masses
+    q_j e^(theta d_j) / Z give the same law.  Where n E d is more than
+    sqrt(n Var d) from Delta*, theta takes Newton steps of at most 1 / (2 h),
+    h the spread of ``diff``, so that Var d moves by at most a factor
+    e^(1/2) a step, until it is not.  The groups other than the two
+    heaviest a > b get their Poisson counts, and the two take the count and
+    imbalance left, when those are whole and nonnegative, kept with
+    probability Pois(c_a; n q_a) Pois(c_b; n q_b) over the product of the
+    two Poisson modes.  By the local limit theorem the rate of keeping is
+    near g sqrt(q_a q_b / Var d), highest for the heaviest groups; the
+    proposals stop at 50 over this rate, read as 1 above 1, so a rate within
+    20% of it runs out with odds below e^-40.
 
-    Where they run out (a tiny n, a rare class that alone closes the
-    lattice, a Delta* far from the mean), the group counts come from the
-    exact law (:func:`_exact_group_counts`) if its table has at most
-    ``_MAX_CELLS`` cells.  Each group's count is then split over its
-    classes by a multinomial.  Raises :class:`ValidationError` where no
-    draw reaches Delta*, or where the proposals ran out and the table is
-    too large.
+    Where they run out (a tiny n, or a rare class that alone closes the
+    lattice), the group counts come from the exact law
+    (:func:`_exact_group_counts`) if its table has at most ``_MAX_CELLS``
+    cells.  Each group's count is then split over its classes by a
+    multinomial.  Raises :class:`ValidationError` where no draw reaches
+    Delta* (at once outside [n d_min, n d_max]), or where the proposals ran
+    out and the table is too large.
     """
     dvals, group = np.unique(diff, return_inverse=True)
     if dvals.size == 1:
@@ -278,18 +275,22 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
     lattice = int(np.gcd.reduce(dvals[1:] - dvals[0]))
     residue = n * int(dvals[0]) % lattice
     target = residue if 2 * residue <= lattice else residue - lattice
+    if not n * int(dvals[0]) <= target <= n * int(dvals[-1]):
+        raise ValidationError(f"no draw of N = {n} degree pairs has stub imbalance {target}")
     mass = np.bincount(group, weights=probs)
+    bound = 0.5 / int(dvals[-1] - dvals[0])
+    while True:
+        mean = float(mass @ dvals)
+        var = float(mass @ (dvals - mean) ** 2)
+        if abs(n * mean - target) <= math.sqrt(n * var):
+            break
+        mass *= np.exp(min(max((target / n - mean) / var, -bound), bound) * (dvals - mean))
+        mass /= mass.sum()
     b, a = np.sort(np.argsort(mass, kind="stable")[-2:])
     d_a, d_b = int(dvals[a]), int(dvals[b])
     rest = np.flatnonzero((dvals != d_a) & (dvals != d_b))
     lam, d_rest = n * mass[rest], dvals[rest]
-    cap = 1
-    if rest.size:
-        var = float(probs @ (diff - probs @ diff) ** 2)
-        log_rate = (_log_pois(n, n) + math.log(lattice) - 0.5 * math.log(2 * math.pi * n * var)
-                    - _log_pois(math.floor(n * mass[a]), n * mass[a])
-                    - _log_pois(math.floor(n * mass[b]), n * mass[b]))
-        cap = math.ceil(50 * math.exp(max(-log_rate, 0.0)))
+    cap = math.ceil(50 / min(1.0, lattice * math.sqrt(mass[a] * mass[b] / var)))
     for _ in range(cap):
         drawn = rng.poisson(lam)
         left = n - int(drawn.sum())
@@ -297,20 +298,17 @@ def _balanced_counts(probs: np.ndarray, diff: np.ndarray, n: int, rng: np.random
         if off or not 0 <= c_a <= left:
             continue
         log_weight = _log_mode_ratio(c_a, n * mass[a]) + _log_mode_ratio(left - c_a, n * mass[b])
-        if rest.size and not -rng.standard_exponential() < log_weight:
+        if not -rng.standard_exponential() < log_weight:
             continue
         totals = np.zeros(dvals.size, dtype=np.int64)
         totals[rest], totals[a], totals[b] = drawn, c_a, left - c_a
         break
     else:
         steps = (dvals - dvals[0]) // lattice
-        if rest.size and (n * (n * int(steps[-1]) + 1)) // 2 > _MAX_CELLS:
+        if (n * (n * int(steps[-1]) + 1)) // 2 > _MAX_CELLS:
             raise ValidationError(f"no draw of N = {n} degree pairs with stub imbalance {target} "
                                   f"was kept in {cap} proposals")
-        # two groups make every proposal alike: none is kept where no draw
-        # reaches Delta*
-        step_sum = (target - n * int(dvals[0])) // lattice
-        totals = _exact_group_counts(mass, steps, step_sum, n, rng) if rest.size else None
+        totals = _exact_group_counts(mass, steps, (target - n * int(dvals[0])) // lattice, n, rng)
         if totals is None:
             raise ValidationError(f"no draw of N = {n} degree pairs has stub imbalance {target}")
     by_group = np.argsort(group, kind="stable")
@@ -333,10 +331,11 @@ def sample_configuration(
     Delta* is 0 for most laws; the fork's n - k values 1 and -2 leave
     Delta* = 1 or -1 when 3 does not divide N.  A law with one n - k value
     is not conditioned.  Then |Delta| uniformly random stubs of the surplus
-    side are deleted, so the graph has min(sum(n), sum(k)) edges.  Raises
-    :class:`ValidationError` when no draw reaches Delta* (some tiny N), or
-    when Delta* is too improbable to draw at a large N (a table far from
-    edge balance).
+    side are deleted, so the graph has min(sum(n), sum(k)) edges.  A table
+    far from edge balance, as read at a loose tolerance, is drawn from
+    proposals tilted toward Delta*.  Raises :class:`ValidationError` when no
+    draw reaches Delta* (outside [N min(n - k), N max(n - k)], or at some
+    tiny N), or when a rare class alone closes the lattice at a large N.
     """
     if _checked_count(n_vertices, "vertex count") < 1:
         raise ValidationError(f"need at least 1 vertex, got {n_vertices}")

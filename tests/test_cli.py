@@ -713,6 +713,15 @@ def test_simulate_config_rejects_unbalanced_law(tmp_path):
     assert "out-degree" in err
 
 
+def test_simulate_config_draws_an_off_balance_table_at_loose_tol(tmp_path):
+    # mean n - k of 0.75 against a target imbalance of 0: the proposals are
+    # tilted toward 0, and 1e5 vertices draw
+    dist = write(tmp_path, "d.txt", "2 0 0.5\n0 1 0.25\n0 0 0.25\n")
+    code, out, err = run_cli(["simulate", dist, "--mode", "config", "--vertices", "100000", "--tol", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["mode"] == "config"
+
+
 # Off by 5e-4 in normalization; the degree table also in balance (mean
 # in-degree 0.5005, mean out-degree 0.5).
 LOOSE_BOUNDS = "2 2 0.5005\n1 1 0.5\n"

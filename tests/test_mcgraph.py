@@ -466,16 +466,69 @@ def test_stub_balance_draws_a_wide_table(seed):
     assert int(counts @ (n_of - k_of)) == 0
 
 
+# mean n - k of 0.75 against a least imbalance of 0: read at a tol of 1,
+# and drawn by proposals tilted toward the imbalance
+OFF_BALANCE = BivariateDegreeDist.from_entries([(2, 0, 0.5), (0, 1, 0.25), (0, 0, 0.25)], tol=1)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_stub_balance_draws_an_off_balance_table(n):
+    n_of, k_of, probs = OFF_BALANCE.support
+    counts = mcgraph._balanced_counts(probs / probs.sum(), n_of - k_of, n, replica_rng(31, n))
+    assert int(counts.sum()) == n
+    assert int(counts @ (n_of - k_of)) == least_imbalance((n_of - k_of).tolist(), n) == 0
+
+
+def test_stub_balance_refuses_an_imbalance_out_of_range_at_once():
+    # n - k in {1, 2}: every draw of 100 pairs has an imbalance of at least
+    # 100, so 0 is refused before any proposal is drawn
+    d = BivariateDegreeDist.from_entries([(1, 0, 0.5), (2, 0, 0.5)], tol=1)
+    n_of, k_of, probs = d.support
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="has stub imbalance 0"):
+        mcgraph._balanced_counts(probs, n_of - k_of, 100, rng)
+    assert rng.bit_generator.state == state
+
+
+# n - k in {2, -2, 0}: at an odd N the imbalance 0 needs an odd count of the
+# rare class (0, 0), which no proposal is likely to hold
+LATTICE_CLOSER = BivariateDegreeDist.from_entries(
+    [(2, 0, 0.4999999999995), (0, 2, 0.4999999999995), (0, 0, 1e-12)]
+)
+
+
+def test_stub_balance_closes_the_lattice_by_the_exact_table(monkeypatch):
+    exact, calls = mcgraph._exact_group_counts, []
+    monkeypatch.setattr(mcgraph, "_exact_group_counts", lambda *args: calls.append(1) or exact(*args))
+    n_of, k_of, probs = LATTICE_CLOSER.support
+    counts = mcgraph._balanced_counts(probs, n_of - k_of, 101, replica_rng(31, 0))
+    assert calls == [1]
+    assert dict(zip(zip(n_of.tolist(), k_of.tolist()), counts.tolist()))[(0, 0)] == 1
+    assert int(counts.sum()) == 101 and int(counts @ (n_of - k_of)) == 0
+
+
+def test_stub_balance_refuses_a_lattice_closer_at_a_large_n():
+    # the exact table would need 1e10 cells
+    n_of, k_of, probs = LATTICE_CLOSER.support
+    with pytest.raises(ValidationError, match=r"N = 100001 degree pairs with stub imbalance 0 "
+                                              r"was kept in \d+ proposals"):
+        mcgraph._balanced_counts(probs, n_of - k_of, 100001, replica_rng(31, 1))
+
+
 # (probs, n - k per class, N), each small enough to enumerate: a two-valued
 # table at a tie (g = 2, N odd, so the imbalance is +1), the fork at N not
 # divisible by 3, {0, 5, -7}, no two of whose values are g = 1 apart, four
-# values, and a tie among four values.  Groups of two classes test the split.
+# values, a tie among four values, and a table whose mean n - k of 0.75 is
+# far off its imbalance 0, so its proposals are tilted.  Groups of two
+# classes test the split.
 BALANCE_TABLES = {
     "two-valued": ([0.3, 0.2, 0.5], [1, 1, -1], 5),
     "fork": ([2 / 3, 1 / 3], [1, -2], 7),
     "0 5 -7": ([0.2, 0.2, 0.35, 0.25], [0, 0, 5, -7], 24),
     "four-valued": ([0.3, 0.3, 0.3, 0.1], [2, -1, 0, -3], 6),
     "four-valued tie": ([0.3, 0.3, 0.2, 0.2], [1, -1, 3, -3], 5),
+    "off-balance": ([0.5, 0.25, 0.25], [2, -1, 0], 7),
 }
 BALANCE_SEED = 20261020
 BALANCE_DRAWS = 10_000
@@ -498,7 +551,7 @@ def test_balanced_counts_follow_the_conditioned_law(table):
 def test_exact_group_counts_follow_the_conditioned_law(table):
     # the route the stub balance takes once its proposals run out, which
     # draws the counts of the groups of equal n - k, about 1 ms a draw here;
-    # a table of two n - k values keeps its first proposal or has no draw
+    # two n - k values fix both group counts, so they have no law to test
     probs, diff, n = BALANCE_TABLES[table]
     values = sorted(set(diff))
     law = Counter()

@@ -4,10 +4,12 @@ process, plus weak-component extraction.
 The configuration sampler draws N degree pairs i.i.d. from the table,
 conditioned on the least stub imbalance their lattice allows, by rejection
 from Poisson counts of its n - k groups tilted toward that imbalance, or
-from a table of the exact law where the proposals run out.  Both samplers
-are deterministic given a seed.  Streams come from numpy's PCG64 generator;
-independent replicas derive from (master seed, replica index) through
-``SeedSequence`` spawn keys.
+from a table of the exact law where the proposals run out.  Given the
+counts, one uniformly random ordered sample of labels, cut into a block per
+class, places the classes, and each block fills the stub arrays by
+broadcasting.  Both samplers are deterministic given a seed.  Streams come
+from numpy's PCG64 generator; independent replicas derive from (master
+seed, replica index) through ``SeedSequence`` spawn keys.
 """
 
 from __future__ import annotations
@@ -165,14 +167,6 @@ def size_histogram(sizes) -> dict[int, float]:
     return {s: w / total for s, w in weights.items()}
 
 
-def _shuffled_slots(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Slots 0..K-1, each repeated by its count, in uniformly random order."""
-    slots = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    if counts.size > 1:
-        rng.shuffle(slots)
-    return slots
-
-
 def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. draws of a slot 0..K-1 with probabilities ``probs``, and
     their counts per slot.
@@ -182,7 +176,10 @@ def _draw_slots(probs: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np
     counts and shuffled have the law of the i.i.d. draws.
     """
     counts = rng.multinomial(n, probs)
-    return _shuffled_slots(counts, rng), counts
+    slots = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    if counts.size > 1:
+        rng.shuffle(slots)
+    return slots, counts
 
 
 def _sample_keys(P: BoundDist, n: int, rng: np.random.Generator):
@@ -328,6 +325,15 @@ def sample_configuration(
     least |Delta| the support's lattice allows (:func:`_balanced_counts`),
     then uniform matching of out-stubs to in-stubs.
 
+    The m vertices of the classes with stubs take the labels of one
+    uniformly random ordered sample of m of the N labels, cut into
+    consecutive blocks, one per class in support order; the N - m labels
+    left out are the (0, 0) vertices.  Given the counts, every arrangement
+    of the classes over the labels then has the same probability, the law
+    of shuffled class slots.  Block j is written n_j times into the
+    in-stubs and k_j times into the out-stubs, arrays allocated once; the
+    in-stubs' order does not matter, as the out-stubs are shuffled.
+
     Delta* is 0 for most laws; the fork's n - k values 1 and -2 leave
     Delta* = 1 or -1 when 3 does not divide N.  A law with one n - k value
     is not conditioned.  Then |Delta| uniformly random stubs of the surplus
@@ -342,11 +348,18 @@ def sample_configuration(
     rng = _as_rng(seed)
     n_of, k_of, probs = d.support
     probs = probs / probs.sum()
-    idx = _shuffled_slots(_balanced_counts(probs, n_of - k_of, n_vertices, rng), rng)
+    counts = _balanced_counts(probs, n_of - k_of, n_vertices, rng)
 
-    vertex_ids = np.arange(n_vertices, dtype=np.int64)
-    in_stubs = np.repeat(vertex_ids, n_of[idx])
-    out_stubs = np.repeat(vertex_ids, k_of[idx])
+    live = np.flatnonzero(counts * (n_of + k_of))
+    vertices = rng.choice(n_vertices, int(counts[live].sum()), replace=False)
+    in_stubs = np.empty(int(counts @ n_of), dtype=np.int64)
+    out_stubs = np.empty(int(counts @ k_of), dtype=np.int64)
+    at = at_in = at_out = 0
+    for c, n, k in zip(counts[live].tolist(), n_of[live].tolist(), k_of[live].tolist()):
+        in_stubs[at_in : at_in + n * c].reshape(n, c)[:] = vertices[at : at + c]
+        out_stubs[at_out : at_out + k * c].reshape(k, c)[:] = vertices[at : at + c]
+        at, at_in, at_out = at + c, at_in + n * c, at_out + k * c
+    del vertices  # 8 B per vertex with stubs, freed before the edge array
     rng.shuffle(out_stubs)
     src = out_stubs[: in_stubs.size]
     surplus = in_stubs.size - src.size

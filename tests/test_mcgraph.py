@@ -419,6 +419,66 @@ def test_config_surplus_deletion_and_matching_are_uniform(pair):
         assert abs(seen[graph] / runs - p) <= 5 * math.sqrt(p * (1 - p) / runs), graph
 
 
+# labelled graphs at N = 3: a sampler that put the classes on fixed labels
+# would keep every property above and fail these.  Seed and level were fixed
+# before the first run.
+LABEL_SEED = 20261021
+LABEL_RUNS = 4000
+
+
+def _labelled_edges(d, n, runs):
+    return Counter(
+        tuple(sorted(map(tuple, sample_configuration(d, n, replica_rng(LABEL_SEED, rep)).edges.tolist())))
+        for rep in range(runs)
+    )
+
+
+def test_config_labelled_graph_law_of_a_half_empty_table():
+    # (1, 1) or (0, 0) with probability 1/2 each, and one n - k value, so no
+    # conditioning: the (1, 1) vertices are a uniform subset S, and the
+    # edges a uniform bijection on S, 16 labelled edge sets in all
+    law = {}
+    for size in range(4):
+        for s in itertools.combinations(range(3), size):
+            for image in itertools.permutations(s):
+                law[tuple(sorted(zip(image, s)))] = 1 / 8 / math.factorial(size)
+    assert len(law) == 16
+    seen = _labelled_edges(unchecked_degree_table([(1, 1, 0.5), (0, 0, 0.5)]), 3, LABEL_RUNS)
+    assert set(seen) <= set(law)
+    assert chi2_goodness_of_fit(seen, law)[2] > SLOT_ALPHA
+
+
+def test_config_labelled_graph_law_of_the_fork():
+    # three vertices balance only as one source (0, 2) and two sinks (1, 0),
+    # so the graph is the source's two edges, and its label is uniform
+    law = {tuple(sorted((s, t) for t in range(3) if t != s)): 1 / 3 for s in range(3)}
+    seen = _labelled_edges(FORK, 3, LABEL_RUNS)
+    assert set(seen) <= set(law)
+    assert chi2_goodness_of_fit(seen, law)[2] > SLOT_ALPHA
+
+
+@pytest.mark.parametrize("table", ["dp0.35", "dp0.7", "fork"])
+def test_config_peak_memory_is_linear_in_vertices_and_edges(table):
+    # the label draw peaks at 8 B per vertex plus 8 B per vertex with stubs;
+    # once the labels are freed, the stubs, their matching and the edge array
+    # take 32 B per edge.  12 B per vertex and 32 B per edge bound both on
+    # these tables, and 64 KiB covers the counts and small objects
+    d = FORK if table == "fork" else truncated_double_poisson(float(table[2:]))
+    n = 100_000
+
+    def peak():
+        tracemalloc.start()
+        try:
+            g = sample_configuration(d, n, replica_rng(33, 0))
+            return tracemalloc.get_traced_memory()[1], g.edges.shape[0]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # warm-up: first-call allocations would inflate the peak
+    used, edges = peak()
+    assert used <= 12 * n + 32 * edges + 64 * 1024
+
+
 def test_config_redraw_budget_bounds_rare_shrinking_moves():
     # n - k in {1, -1} and 100 vertices: the only balanced draw has 50
     # vertices of each pair, however rare (0, 1) is, and 50 edges

@@ -413,8 +413,9 @@ def _drawn_on(prefix: np.ndarray, caps: np.ndarray, size: int, rng: np.random.Ge
     the spots not yet drawn, listed by vertex.
 
     An empty prefix leaves the capacities as they are.  Counting it anyway
-    costs an N-entry array whose page faults made a (2,2)-atom run at
-    N = 1e5 and c_n = 0.44 take 13-16 ms instead of 9-10 ms (in-process).
+    costs a bincount and a subtraction over N entries a side, which made a
+    (2,2)-atom run at N = 1e5 and c_n = 0.44 take 0.2-0.3 ms longer (9.46
+    against 9.23 ms; slower in 155 of 200 interleaved pairs, in-process).
     """
     left = _spots_left(caps, prefix) if prefix.size else caps
     rest = np.repeat(np.arange(caps.size, dtype=prefix.dtype), left)

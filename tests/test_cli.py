@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -1000,3 +1001,58 @@ def test_shared_parser_leaks_no_state_between_requests(tmp_path):
         codes.append(code)
     assert codes == [0, 0, 0, 0, 2, 0]
     assert cli.build_parser() is cli.build_parser()
+
+
+# --- heap policy ------------------------------------------------------------------
+
+# Six requests in one process; each prints its exit code and minor page faults.
+HEAP_PROBE = """
+import contextlib, io, resource, sys
+from weakgiant import cli
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+def test_repeated_requests_reuse_mapped_heap_pages(tmp_path):
+    # with glibc's dynamic thresholds each request at N = 1e5 maps and zeroes
+    # its 0.5-2 MB arrays afresh, some 800 faults; the first two requests
+    # grow the heap
+    dist = write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE, "simulate", dist, "--mode", "config", "--vertices", "100000"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    rows = [tuple(map(int, line.split())) for line in probe.stdout.splitlines()]
+    assert [code for code, _ in rows] == [0] * 6
+    assert all(faults < 100 for _, faults in rows[2:]), rows
+
+
+def _libc_without_mallopt(name):
+    return object()  # as on macOS
+
+
+def _no_libc_handle(name):
+    raise OSError("no C library to open")
+
+
+@pytest.mark.parametrize("libc", [_libc_without_mallopt, _no_libc_handle], ids=["no-mallopt", "no-handle"])
+def test_requests_run_where_libc_has_no_mallopt(tmp_path, monkeypatch, libc):
+    argv = ["simulate", write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"]), "--mode", "config", "--vertices", "2000"]
+    expected = run_cli(argv)
+    assert expected[0] == 0
+    lookups = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: lookups.append(name) or libc(name))
+    cli._fix_heap_thresholds.cache_clear()
+    try:
+        assert run_cli(argv) == run_cli(argv) == expected
+    finally:
+        cli._fix_heap_thresholds.cache_clear()
+    assert lookups == [None]  # once per process

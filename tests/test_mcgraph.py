@@ -381,7 +381,7 @@ def test_config_fork_deletes_one_stub_off_the_lattice(fork_dist, n):
     assert int(sizes[sizes != 3].sum()) <= 2
 
 
-def test_config_stops_when_no_redraw_shrinks_imbalance():
+def test_config_balance_conditions_on_the_least_lattice_imbalance():
     # n - k in {5, -7}: the imbalance moves in steps of 12, and 17 vertices
     # put it at 1 mod 12, so it is 1 and one in-stub is deleted
     gaps = unchecked_degree_table([(5, 0, 0.5), (0, 7, 0.5)])
@@ -479,7 +479,7 @@ def test_config_peak_memory_is_linear_in_vertices_and_edges(table):
     assert used <= 12 * n + 32 * edges + 64 * 1024
 
 
-def test_config_redraw_budget_bounds_rare_shrinking_moves():
+def test_config_balance_forces_in_a_rare_class():
     # n - k in {1, -1} and 100 vertices: the only balanced draw has 50
     # vertices of each pair, however rare (0, 1) is, and 50 edges
     rare = unchecked_degree_table([(1, 0, 1 - 1e-12), (0, 1, 1e-12)])

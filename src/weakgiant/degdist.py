@@ -158,6 +158,11 @@ def _index_columns(columns, noun: str) -> list[np.ndarray]:
     raise AssertionError("no bad key in columns that failed to convert")
 
 
+#: The last table ``_Table.from_text`` returned: its class, text, tolerance
+#: and the table; None before the first read.
+_last_read = None
+
+
 @dataclass(frozen=True, eq=False)
 class _Table:
     """Sparse law keyed by pairs of nonnegative integers: the base of degree
@@ -182,7 +187,23 @@ class _Table:
 
     @classmethod
     def from_text(cls, text: str, *, tol: float = NORM_TOL):
-        return cls._validated(*tableio.parse_records(text), tol=tol)
+        """The table that ``text`` (see :mod:`weakgiant.tableio`) holds,
+        validated at ``tol``.
+
+        The last table read is kept, keyed by its class, text and ``tol``: a
+        read with the same three returns that table, cached moments and all,
+        without parsing or validating the text again.  Tables are immutable,
+        so it is the table a fresh read gives.  One entry, replaced by each
+        read that succeeds; a read that raises leaves it as it is.
+        """
+        global _last_read
+        if _last_read is not None:
+            last_cls, last_text, last_tol, table = _last_read
+            if last_cls is cls and last_tol == tol and last_text == text:
+                return table
+        table = cls._validated(*tableio.parse_records(text), tol=tol)
+        _last_read = cls, text, tol, table
+        return table
 
     @classmethod
     def from_entries(cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL):

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from weakgiant import BivariateDegreeDist, BoundDist, FloryMixture
+from weakgiant import BivariateDegreeDist, BoundDist, FloryMixture, degdist, gfsolver
 
 pytest_plugins = ["pytester"]
 
@@ -26,6 +26,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance scorecard")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    # each test starts with no table read and no fixed point solved, so a
+    # test that counts the work of a request counts a cold one
+    degdist._last_read = None
+    gfsolver._last_solve = None
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import weakgiant
 from helpers import outcome, reference_json17, run_cli, truncated_double_poisson, validate_schema
-from weakgiant import BivariateDegreeDist, cli, evolution, interior_fixed_point, mcgraph
+from weakgiant import BivariateDegreeDist, cli, degdist, evolution, gfsolver, interior_fixed_point, mcgraph, tableio
 
 FORK = "# n k prob\n1 0 0.66666666666666663\n0 2 0.33333333333333331\n"
 ATOM22 = "2 2 1.0\n"
@@ -1056,3 +1058,65 @@ def test_requests_run_where_libc_has_no_mallopt(tmp_path, monkeypatch, libc):
     finally:
         cli._fix_heap_thresholds.cache_clear()
     assert lookups == [None]  # once per process
+
+
+# --- in-process reuse -------------------------------------------------------------
+
+
+def _pinned_digest(table, argv):
+    return next(digest for t, a, digest in PINNED_STDOUT if (t, a) == (table, argv))
+
+
+def test_pipeline_on_one_table_reads_and_solves_once(tmp_path, monkeypatch):
+    sums, builds = [], []
+    moment, edge_rows = BivariateDegreeDist.moment, gfsolver._edge_rows
+    monkeypatch.setattr(BivariateDegreeDist, "moment", lambda self, i, j: sums.append((i, j)) or moment(self, i, j))
+    monkeypatch.setattr(gfsolver, "_edge_rows", lambda *args: builds.append(1) or edge_rows(*args))
+    dist = write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
+    for argv in (["analyze"], ["gf", "--order", "60"]):
+        code, out, _ = run_cli([argv[0], dist, *argv[1:]])
+        assert code == 0
+        assert _sha256(out) == _pinned_digest("dp0.6", argv)
+    assert sorted(sums) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert len(builds) == 1
+
+
+def test_file_rewritten_between_requests_is_read_again(tmp_path):
+    dist = write(tmp_path, "d.txt", PINNED_TABLES["dp0.45"])
+    assert _sha256(run_cli(["analyze", dist])[1]) == _pinned_digest("dp0.45", ["analyze"])
+    write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
+    assert _sha256(run_cli(["analyze", dist])[1]) == _pinned_digest("dp0.6", ["analyze"])
+
+
+def test_refused_table_is_refused_on_every_read(tmp_path):
+    # edge balanced, but its probabilities sum to 0.99
+    dist = write(tmp_path, "d.txt", "1 1 0.5\n0 0 0.49\n")
+    first = run_cli(["analyze", dist, "--tol", "1e-9"])
+    assert first[0] == 3 and "sum to" in first[2]
+    assert run_cli(["analyze", dist, "--tol", "1e-9"]) == first
+    assert run_cli(["analyze", dist, "--tol", "0.1"])[0] == 0
+    assert run_cli(["analyze", dist, "--tol", "1e-9"]) == first
+
+
+def test_solve_at_another_tolerance_is_not_shared(tmp_path):
+    dist = write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
+    argv = ["gf", dist, "--order", "60", "--fp-tol", "1e-6"]
+    cold = run_cli(argv)
+    degdist._last_read = gfsolver._last_solve = None
+    assert run_cli(["analyze", dist])[0] == 0
+    warm = run_cli(argv)
+    assert warm == cold and cold[0] == 0
+    # the default tolerance solves to other last digits
+    assert _sha256(cold[1]) != _pinned_digest("dp0.6", ["gf", "--order", "60"])
+
+
+def test_requests_keep_no_more_than_the_last_table(tmp_path):
+    code, out, _ = run_cli(["evolve", write(tmp_path, "p.txt", PINNED_TABLES["cap70"]), "--at-conversion", "0.015"])
+    assert code == 0
+    marginal = json.loads(out)["marginal"]
+    assert run_cli(["gf", write(tmp_path, "m.txt", tableio.format_records(marginal)), "--order", "6"])[0] == 0
+    cap70 = weakref.ref(degdist._last_read[-1])
+    assert gfsolver._last_solve[0]() is cap70()
+    assert run_cli(["analyze", write(tmp_path, "fork.txt", FORK)])[0] == 0
+    gc.collect()
+    assert cap70() is None

@@ -94,6 +94,15 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+@functools.lru_cache(maxsize=1)
+def _read_table(cls, text: str, tol: float):
+    """``cls.from_text(text, tol=tol)``, keeping the last table read, keyed
+    by class, text and ``tol``: the same three again get that immutable
+    table back unparsed, with its moments and fixed points.  A read that
+    raises keeps nothing."""
+    return cls.from_text(text, tol=tol)
+
+
 def _write_output(text: str, out: str | None, dumps) -> None:
     """Write ``text`` to the file ``out``, or to stdout when ``out`` is None
     or "-", and each (path, text) pair of ``dumps`` to its file.
@@ -140,13 +149,13 @@ def _parse_atom(text: str) -> tuple[int, int]:
 
 
 def _cmd_analyze(args) -> tuple[str, list]:
-    d = BivariateDegreeDist.from_text(_read_text(args.dist), tol=args.tol)
+    d = _read_table(BivariateDegreeDist, _read_text(args.dist), args.tol)
     report = criteria.criteria_report(d)
     return _json17(report.to_json_dict()), []
 
 
 def _cmd_gf(args) -> tuple[str, list]:
-    d = BivariateDegreeDist.from_text(_read_text(args.dist), tol=args.tol)
+    d = _read_table(BivariateDegreeDist, _read_text(args.dist), args.tol)
     sol = gfsolver.interior_fixed_point(d, tol=args.fp_tol, max_iter=args.max_iter)
     sizes = gfsolver.weak_size_distribution(d, args.order)
     return _json17(
@@ -160,7 +169,7 @@ def _cmd_gf(args) -> tuple[str, list]:
 
 
 def _cmd_evolve(args) -> tuple[str, list]:
-    P = BoundDist.from_text(_read_text(args.bounds), tol=args.tol)
+    P = _read_table(BoundDist, _read_text(args.bounds), args.tol)
     if args.critical:
         tc = evolution.transition_class(P)
         return _json17(
@@ -223,11 +232,11 @@ def _cmd_simulate(args) -> tuple[str, list]:
             raise ValidationError("stop flags apply to kmc mode only")
         if args.dump_trajectory is not None:
             raise ValidationError("trajectory dump applies to kmc mode only")
-        d = BivariateDegreeDist.from_text(text, tol=args.tol)
+        d = _read_table(BivariateDegreeDist, text, args.tol)
         graph = mcgraph.sample_configuration(d, args.vertices, args.seed)
         t_final = None
     else:
-        P = BoundDist.from_text(text, tol=args.tol)
+        P = _read_table(BoundDist, text, args.tol)
         result = mcgraph.kmc_simulate(
             P,
             args.vertices,

@@ -158,11 +158,6 @@ def _index_columns(columns, noun: str) -> list[np.ndarray]:
     raise AssertionError("no bad key in columns that failed to convert")
 
 
-#: The last table ``_Table.from_text`` returned: its class, text, tolerance
-#: and the table; None before the first read.
-_last_read = None
-
-
 @dataclass(frozen=True, eq=False)
 class _Table:
     """Sparse law keyed by pairs of nonnegative integers: the base of degree
@@ -188,22 +183,9 @@ class _Table:
     @classmethod
     def from_text(cls, text: str, *, tol: float = NORM_TOL):
         """The table that ``text`` (see :mod:`weakgiant.tableio`) holds,
-        validated at ``tol``.
-
-        The last table read is kept, keyed by its class, text and ``tol``: a
-        read with the same three returns that table, cached moments and all,
-        without parsing or validating the text again.  Tables are immutable,
-        so it is the table a fresh read gives.  One entry, replaced by each
-        read that succeeds; a read that raises leaves it as it is.
-        """
-        global _last_read
-        if _last_read is not None:
-            last_cls, last_text, last_tol, table = _last_read
-            if last_cls is cls and last_tol == tol and last_text == text:
-                return table
-        table = cls._validated(*tableio.parse_records(text), tol=tol)
-        _last_read = cls, text, tol, table
-        return table
+        parsed and validated at ``tol`` on every call; the command line
+        keeps the last one it read (``cli._read_table``)."""
+        return cls._validated(*tableio.parse_records(text), tol=tol)
 
     @classmethod
     def from_entries(cls, triples: Iterable[tuple[int, int, float]], *, tol: float = NORM_TOL):
@@ -304,6 +286,12 @@ class BivariateDegreeDist(_Table):
             mu02=self.moment(0, 2),
             mu11=self.moment(1, 1),
         )
+
+    @cached_property
+    def _solutions(self) -> dict:
+        """Fixed points solved on this table, keyed by ``(tol, max_iter)``
+        (see :func:`weakgiant.gfsolver.interior_fixed_point`)."""
+        return {}
 
     def moments(self) -> MomentSet:
         """The six partial moments, summed once per instance (instances are

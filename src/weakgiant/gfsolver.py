@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +58,6 @@ _ROUNDOFF = 64 * _EPS
 #: Stand-in for log 0: finite, so 0 * log 0 == 0, and exp of any positive
 #: multiple is 0; any int64 multiple of it, and the sum of two, stays finite.
 _LOG_ZERO = -1e280
-#: The last solution :func:`interior_fixed_point` returned: a weak reference
-#: to its table, its ``tol`` and ``max_iter``, and the solution; None before
-#: the first solve.
-_last_solve = None
 
 
 @dataclass(frozen=True)
@@ -260,25 +255,20 @@ def interior_fixed_point(
     ``H(p) >= p`` holds at ``p = 1 - tol/2``, which puts s* there too, and
     the iterate is returned with the bound ``max(t - p)``.
 
-    Once the arguments pass their checks, the last solution returned is
-    kept, keyed by its table's identity, ``tol`` and ``max_iter`` as values,
-    however they were passed: a call with the same three returns it without
-    solving again, so :func:`giant_weak_fraction` and a call that spells out
-    the defaults share it.  Tables are immutable, so it is the solution a
-    fresh solve gives.  One entry, holding its table by weak reference; a
-    solve that raises leaves it as it is.
+    Once the arguments pass their checks, the table keeps each solution,
+    keyed by ``tol`` and ``max_iter`` as values, however they were passed:
+    a call with the same two returns it without solving again, so
+    :func:`giant_weak_fraction` and a call that spells out the defaults
+    share it.  Tables are immutable, so it is the solution a fresh solve
+    gives, and it goes with its table.  A solve that raises keeps nothing.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"fixed-point tolerance {tol!r} must be positive and finite")
     if _checked_count(max_iter, "fixed-point iteration budget") < 1:
         raise ValidationError(f"fixed-point iteration budget {max_iter!r} must be >= 1")
-    global _last_solve
-    if _last_solve is not None:
-        table, last_tol, last_max_iter, solution = _last_solve
-        if table() is d and last_tol == tol and last_max_iter == max_iter:
-            return solution
-    solution = _least_fixed_point(d, tol, max_iter)
-    _last_solve = weakref.ref(d), tol, max_iter, solution
+    solution = d._solutions.get((tol, max_iter))
+    if solution is None:
+        solution = d._solutions[tol, max_iter] = _least_fixed_point(d, tol, max_iter)
     return solution
 
 

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from weakgiant import BivariateDegreeDist, BoundDist, FloryMixture, degdist, gfsolver
+from weakgiant import BivariateDegreeDist, BoundDist, FloryMixture, cli
 
 pytest_plugins = ["pytester"]
 
@@ -30,10 +30,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    # each test starts with no table read and no fixed point solved, so a
-    # test that counts the work of a request counts a cold one
-    degdist._last_read = None
-    gfsolver._last_solve = None
+    # each test starts with no table kept by the command line, so a test
+    # that counts the work of a request counts a cold one
+    cli._read_table.cache_clear()
 
 
 @pytest.fixture

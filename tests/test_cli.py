@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import weakgiant
 from helpers import outcome, reference_json17, run_cli, truncated_double_poisson, validate_schema
-from weakgiant import BivariateDegreeDist, cli, degdist, evolution, gfsolver, interior_fixed_point, mcgraph, tableio
+from weakgiant import NORM_TOL, BivariateDegreeDist, cli, evolution, gfsolver, interior_fixed_point, mcgraph, tableio
 
 FORK = "# n k prob\n1 0 0.66666666666666663\n0 2 0.33333333333333331\n"
 ATOM22 = "2 2 1.0\n"
@@ -1102,7 +1102,7 @@ def test_solve_at_another_tolerance_is_not_shared(tmp_path):
     dist = write(tmp_path, "d.txt", PINNED_TABLES["dp0.6"])
     argv = ["gf", dist, "--order", "60", "--fp-tol", "1e-6"]
     cold = run_cli(argv)
-    degdist._last_read = gfsolver._last_solve = None
+    cli._read_table.cache_clear()
     assert run_cli(["analyze", dist])[0] == 0
     warm = run_cli(argv)
     assert warm == cold and cold[0] == 0
@@ -1113,10 +1113,12 @@ def test_solve_at_another_tolerance_is_not_shared(tmp_path):
 def test_requests_keep_no_more_than_the_last_table(tmp_path):
     code, out, _ = run_cli(["evolve", write(tmp_path, "p.txt", PINNED_TABLES["cap70"]), "--at-conversion", "0.015"])
     assert code == 0
-    marginal = json.loads(out)["marginal"]
-    assert run_cli(["gf", write(tmp_path, "m.txt", tableio.format_records(marginal)), "--order", "6"])[0] == 0
-    cap70 = weakref.ref(degdist._last_read[-1])
-    assert gfsolver._last_solve[0]() is cap70()
+    marginal = tableio.format_records(json.loads(out)["marginal"])
+    assert run_cli(["gf", write(tmp_path, "m.txt", marginal), "--order", "6"])[0] == 0
+    kept = cli._read_table(BivariateDegreeDist, marginal, NORM_TOL)
+    assert kept._solutions
+    cap70 = weakref.ref(kept)
+    del kept
     assert run_cli(["analyze", write(tmp_path, "fork.txt", FORK)])[0] == 0
     gc.collect()
     assert cap70() is None

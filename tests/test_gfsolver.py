@@ -284,3 +284,42 @@ def test_gf_solves_the_fixed_point_once(tmp_path, monkeypatch):
     path.write_text(truncated_double_poisson(0.6).to_text())
     code, _, _ = run_cli(["gf", str(path), "--order", "5"])
     assert code == 0 and len(calls) == 1
+
+
+# --- solutions kept on the table ----------------------------------------------
+
+
+def _counted_edge_rows(monkeypatch) -> list:
+    builds, edge_rows = [], gfsolver._edge_rows
+    monkeypatch.setattr(gfsolver, "_edge_rows", lambda *args: builds.append(1) or edge_rows(*args))
+    return builds
+
+
+def test_table_keeps_a_solution_per_tolerance_and_budget(monkeypatch):
+    builds = _counted_edge_rows(monkeypatch)
+    d = truncated_double_poisson(0.6)
+    fraction = giant_weak_fraction(d)
+    sol = interior_fixed_point(d)
+    assert interior_fixed_point(d, tol=gfsolver.FP_TOL, max_iter=gfsolver.MAX_ITER) is sol
+    assert sol.giant_fraction == fraction and len(builds) == 1
+    assert interior_fixed_point(d, tol=1e-6) is not sol
+    assert len(builds) == 2
+
+
+def test_each_read_of_one_text_is_solved_once(monkeypatch):
+    builds = _counted_edge_rows(monkeypatch)
+    text = truncated_double_poisson(0.6).to_text()
+    first, second = BivariateDegreeDist.from_text(text), BivariateDegreeDist.from_text(text)
+    assert first is not second
+    for d in (first, second, first, second):
+        interior_fixed_point(d)
+    assert len(builds) == 2
+
+
+def test_solve_that_raises_keeps_nothing():
+    d = truncated_double_poisson(0.501)
+    assert interior_fixed_point(truncated_double_poisson(0.501)).iterations > 1
+    with pytest.raises(NoConvergence):
+        interior_fixed_point(d, max_iter=1)
+    assert not d._solutions
+    assert interior_fixed_point(d) == interior_fixed_point(truncated_double_poisson(0.501))

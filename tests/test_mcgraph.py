@@ -576,6 +576,23 @@ def test_stub_balance_refuses_a_lattice_closer_at_a_large_n():
         mcgraph._balanced_counts(probs, n_of - k_of, 100001, replica_rng(31, 1))
 
 
+# n - k in {-3, 1, 2}: imbalance 0 is inside [-3 N, 2 N] at every N, but no
+# draw of one or two pairs reaches it, and a draw of three or four does
+TINY_BALANCE = BivariateDegreeDist.from_entries([(0, 3, 1 / 3), (1, 0, 1 / 3), (2, 0, 1 / 3)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stub_balance_refuses_a_tiny_n_no_draw_balances(n):
+    with pytest.raises(ValidationError, match=f"no draw of N = {n} degree pairs has stub imbalance 0"):
+        sample_configuration(TINY_BALANCE, n, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stub_balance_draws_a_tiny_n_that_balances(n):
+    graph = sample_configuration(TINY_BALANCE, n, 0)
+    assert graph.vertex_count == n and graph.edges.shape[0] == 3
+
+
 # (probs, n - k per class, N), each small enough to enumerate: a two-valued
 # table at a tie (g = 2, N odd, so the imbalance is +1), the fork at N not
 # divisible by 3, {0, 5, -7}, no two of whose values are g = 1 apart, four

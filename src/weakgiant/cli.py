@@ -156,7 +156,7 @@ def _cmd_analyze(args) -> tuple[str, list]:
 
 def _cmd_gf(args) -> tuple[str, list]:
     d = _read_table(BivariateDegreeDist, _read_text(args.dist), args.tol)
-    sol = gfsolver.interior_fixed_point(d, tol=args.fp_tol, max_iter=args.max_iter)
+    sol = gfsolver.interior_fixed_point(d)
     sizes = gfsolver.weak_size_distribution(d, args.order)
     return _json17(
         {
@@ -308,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gf", parents=[tabled], help="generating-function fixed point and size law")
     p.add_argument("dist", help="degree distribution file ('-' for stdin)")
     p.add_argument("--order", type=int, default=100, help="series truncation order (default 100)")
-    p.add_argument("--fp-tol", type=float, default=gfsolver.FP_TOL, help="scalar fixed-point tolerance only")
-    p.add_argument("--max-iter", type=int, default=gfsolver.MAX_ITER, help="scalar fixed-point iteration budget only")
     p.set_defaults(parser=p, func=_cmd_gf)
 
     p = sub.add_parser("evolve", parents=[tabled], help="closed-form growth-process analysis")

@@ -288,10 +288,13 @@ class BivariateDegreeDist(_Table):
         )
 
     @cached_property
-    def _solutions(self) -> dict:
-        """Fixed points solved on this table, keyed by ``(tol, max_iter)``
-        (see :func:`weakgiant.gfsolver.interior_fixed_point`)."""
-        return {}
+    def _fixed_point(self):
+        """The table's least fixed point, solved once (see
+        :func:`weakgiant.gfsolver.interior_fixed_point`); a solve that
+        raises keeps nothing."""
+        from . import gfsolver  # gfsolver imports this module
+
+        return gfsolver._least_fixed_point(self)
 
     def moments(self) -> MomentSet:
         """The six partial moments, summed once per instance (instances are

@@ -48,7 +48,7 @@ import numpy as np
 from .degdist import _EPS, BivariateDegreeDist, MomentSet, _checked_count, _new_keys
 from .errors import NoConvergence, ValidationError
 
-#: Default fixed-point tolerance (on the error bound) and iteration budget.
+#: Fixed-point tolerance (on the error bound) and iteration budget.
 FP_TOL = 1e-12
 MAX_ITER = 10**6
 #: Relative rounding bound of one term-table sum: a few ulps per term
@@ -209,11 +209,9 @@ def _is_below_fixed_point(values, p_out: float, p_in: float) -> bool:
     return all(f >= r for f, r in components)
 
 
-def interior_fixed_point(
-    d: BivariateDegreeDist, *, tol: float = FP_TOL, max_iter: int = MAX_ITER
-) -> FixedPointSolution:
+def interior_fixed_point(d: BivariateDegreeDist) -> FixedPointSolution:
     """Least solution of ``s_in = U_in(s_out, s_in), s_out = U_out(...)`` in
-    [0, 1]^2, with an error bound ``<= tol``.
+    [0, 1]^2, with an error bound ``<= FP_TOL``.
 
     A law without a giant weak component (see
     :attr:`~weakgiant.degdist.MomentSet.giant_weak`) returns (1, 1), a giant
@@ -243,7 +241,7 @@ def interior_fixed_point(
     makes p a lower bound of t*, the greatest fixed point of H
     (Knaster-Tarski); ``t* >= 0`` holds anyway.  The error bound is
     ``max(t - p)``, or ``max(t)``, plus one ulp for the rounding of
-    ``s = 1 - t``, and the first iterate whose bound is ``<= tol`` is
+    ``s = 1 - t``, and the first iterate whose bound is ``<= FP_TOL`` is
     returned.  :func:`_sums` evaluates ``H`` in complement form and ``U_``
     directly, each accurate relative to its size, and :func:`_residual` uses
     the one that rounds less.  The rounding part of the bound is then about
@@ -251,29 +249,21 @@ def interior_fixed_point(
     near the threshold that size grows like 1/t, so the bound does not stall
     at a roundoff floor there.  An iterate that stops moving ends the
     iteration early with :class:`~weakgiant.errors.NoConvergence`, as does
-    an exhausted budget; unless it lies within ``tol/2`` of s = 0 and
-    ``H(p) >= p`` holds at ``p = 1 - tol/2``, which puts s* there too, and
-    the iterate is returned with the bound ``max(t - p)``.
+    a budget of ``MAX_ITER`` steps spent; unless it lies within
+    ``FP_TOL/2`` of s = 0 and ``H(p) >= p`` holds at ``p = 1 - FP_TOL/2``,
+    which puts s* there too, and the iterate is returned with the bound
+    ``max(t - p)``.
 
-    Once the arguments pass their checks, the table keeps each solution,
-    keyed by ``tol`` and ``max_iter`` as values, however they were passed:
-    a call with the same two returns it without solving again, so
-    :func:`giant_weak_fraction` and a call that spells out the defaults
-    share it.  Tables are immutable, so it is the solution a fresh solve
-    gives, and it goes with its table.  A solve that raises keeps nothing.
+    The table keeps its solution (see
+    :attr:`~weakgiant.degdist.BivariateDegreeDist._fixed_point`), so a
+    second call returns it without solving again.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"fixed-point tolerance {tol!r} must be positive and finite")
-    if _checked_count(max_iter, "fixed-point iteration budget") < 1:
-        raise ValidationError(f"fixed-point iteration budget {max_iter!r} must be >= 1")
-    solution = d._solutions.get((tol, max_iter))
-    if solution is None:
-        solution = d._solutions[tol, max_iter] = _least_fixed_point(d, tol, max_iter)
-    return solution
+    return d._fixed_point
 
 
-def _least_fixed_point(d: BivariateDegreeDist, tol: float, max_iter: int) -> FixedPointSolution:
-    """The body of :func:`interior_fixed_point`, on checked arguments."""
+def _least_fixed_point(d: BivariateDegreeDist) -> FixedPointSolution:
+    """The solve of :func:`interior_fixed_point`, which reads ``FP_TOL`` and
+    ``MAX_ITER`` when it is called."""
     if not d.moments().giant_weak:
         return FixedPointSolution(
             s_out=1.0, s_in=1.0, iterations=0, residual=0.0, giant_fraction=0.0, error_bound=0.0
@@ -296,8 +286,8 @@ def _least_fixed_point(d: BivariateDegreeDist, tol: float, max_iter: int) -> Fix
     # Rounding bound of each Jacobian entry (row total plus an excess sum).
     jac_err = 2.0 * _ROUNDOFF * float(jacobian_at_one.max()) + _EPS
     t_out = t_in = 1.0
-    near_origin = 1.0 - 0.5 * tol
-    for iteration in range(1, max_iter + 1):
+    near_origin = 1.0 - 0.5 * FP_TOL
+    for iteration in range(1, MAX_ITER + 1):
         excess, value = _sums(rows, t_out, t_in)
         (f_out, r_out), (f_in, r_in) = map(
             _residual, (-excess[:2]).tolist(), value.tolist(), (t_out, t_in)
@@ -331,16 +321,16 @@ def _least_fixed_point(d: BivariateDegreeDist, tol: float, max_iter: int) -> Fix
         # t* >= 0 always, and t* >= p once H(p) >= p is verified.
         bound = max(t_out, t_in) + _EPS
         tight = max(t_out - p_out, t_in - p_in) + _EPS
-        if tight < bound and tight <= tol and _is_below_fixed_point(values, p_out, p_in):
+        if tight < bound and tight <= FP_TOL and _is_below_fixed_point(values, p_out, p_in):
             bound = tight
         elif (
             (t_out + step_out, t_in + step_in) == (t_out, t_in)
             and min(t_out, t_in) >= near_origin
             and _is_below_fixed_point(values, near_origin, near_origin)
         ):
-            # stalled within tol/2 of s = 0, and s* <= tol/2 there too
+            # stalled within FP_TOL/2 of s = 0, and s* <= FP_TOL/2 there too
             bound = max(t_out, t_in) - near_origin + _EPS
-        if bound <= tol:
+        if bound <= FP_TOL:
             return FixedPointSolution(
                 s_out=1.0 - t_out,
                 s_in=1.0 - t_in,
@@ -354,19 +344,19 @@ def _least_fixed_point(d: BivariateDegreeDist, tol: float, max_iter: int) -> Fix
         new_out, new_in = max(new_out, 0.0), max(new_in, 0.0)
         if (new_out, new_in) == (t_out, t_in):
             raise NoConvergence(
-                f"Newton iteration stopped moving before its error bound reached {tol:g}",
+                f"Newton iteration stopped moving before its error bound reached {FP_TOL:g}",
                 iteration,
                 residual,
             )
         t_out, t_in = new_out, new_in
     raise NoConvergence(
-        f"Newton iteration did not bring its error bound to {tol:g}", max_iter, residual
+        f"Newton iteration did not bring its error bound to {FP_TOL:g}", MAX_ITER, residual
     )
 
 
 def giant_weak_fraction(d: BivariateDegreeDist) -> float:
     """Fraction of vertices in the giant weak component (0 if subcritical),
-    at the default tolerance and budget of :func:`interior_fixed_point`."""
+    from :func:`interior_fixed_point`."""
     return interior_fixed_point(d).giant_fraction
 
 

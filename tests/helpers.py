@@ -33,6 +33,7 @@ from weakgiant import (  # truncated_double_poisson is re-exported for the tests
     NotNormalized,
     ParseError,
     ValidationError,
+    evolution,
     truncated_double_poisson,
 )
 from weakgiant.degdist import _checked_tol
@@ -547,6 +548,186 @@ def exact_transition_kind(atoms, weights) -> str:
     if m < nu11 or q < 0:
         return "finite"
     return "asymptotic" if q == 0 else "never"
+
+
+# ---------------------------------------------------------------------------
+# The growth process without a configuration model: Smoluchowski's equation
+# for its finite clusters, and the second moments that close over it.  A
+# finite cluster is a tree; one of s vertices with class composition m has
+# a = sum m k_max - (s - 1) vacant out-spots and b = sum m n_max - (s - 1)
+# vacant in-spots.  An edge from cluster x to cluster y forms at rate
+# a_x b_y per vertex, so the concentrations c per vertex solve
+#
+#     c'(z) = sum_{x + y = z} a_x b_y c_x c_y - c_z (a_z B + b_z A),
+#
+# A = nu_01 - mu(t) and B = nu_10 - mu(t) the vacant out- and in-spots per
+# vertex, the gel's included (Flory's post-gel reading; Ziff & Stell,
+# J. Chem. Phys. 73, 3492, 1980).
+
+
+def _rk4_step(rhs, y, t: float, h: float):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_at(rhs, y, times, step: float) -> np.ndarray:
+    """RK4 from ``y`` at t = 0 to each of the increasing ``times``, in equal
+    steps of at most ``step`` between them; the states, one row per time."""
+    states, t = [], 0.0
+    for t_next in times:
+        n = max(1, math.ceil((t_next - t) / step))
+        h = (t_next - t) / n
+        for i in range(n):
+            y = _rk4_step(rhs, y, t + i * h, h)
+        states.append(y)
+        t = t_next
+    return np.array(states)
+
+
+def _vacant_spots(P: BoundDist, t: float) -> tuple[float, float]:
+    """``(A, B)``: vacant out- and in-spots per vertex at time t."""
+    nu = evolution.nu_moments(P)
+    mu = evolution.mu_of_t(P, t)
+    return nu.nu01 - mu, nu.nu10 - mu
+
+
+def coagulation_size_law(P: BoundDist, order: int, times, *, step: float):
+    """``(w, err)``: per time, the weak-component size law ``w(s) = sum_m s
+    c(s, m)`` for s = 1..order from Smoluchowski's equation cut at size
+    ``order``, and its step-halving error estimate.
+
+    Gains into size s come only from smaller sizes, and A and B come from
+    the closed-form mu(t), so the cut system is closed and exact.  Each
+    time's law is the RK4 solution at ``step / 2``; the estimate is its
+    distance to the solution at ``step``, over 15.
+    """
+    n_max, k_max, probs = (a.tolist() for a in P.support)
+    index, sizes, vacant_out, vacant_in = {}, [], [], []
+
+    def add(m):
+        index[m] = len(sizes)
+        s = sum(m)
+        sizes.append(s)
+        vacant_out.append(sum(map(operator.mul, m, k_max)) - (s - 1))
+        vacant_in.append(sum(map(operator.mul, m, n_max)) - (s - 1))
+
+    # States by size, and each merge (tail x, head y) -> z = x + y: one of
+    # x's vacant out-spots bonds to one of y's vacant in-spots.
+    by_size = [[], [tuple(int(i == c) for i in range(len(probs))) for c in range(len(probs))]]
+    for m in by_size[1]:
+        add(m)
+    tails, heads, merged = [], [], []
+    for s in range(2, order + 1):
+        by_size.append([])
+        for i in range(1, s):
+            for x in by_size[i]:
+                for y in by_size[s - i]:
+                    if vacant_out[index[x]] and vacant_in[index[y]]:
+                        z = tuple(map(operator.add, x, y))
+                        if z not in index:
+                            add(z)
+                            by_size[s].append(z)
+                        tails.append(index[x])
+                        heads.append(index[y])
+                        merged.append(index[z])
+    a, b = np.array(vacant_out, dtype=float), np.array(vacant_in, dtype=float)
+    tails, heads, merged = (np.array(x, dtype=np.int64) for x in (tails, heads, merged))
+    rate = a[tails] * b[heads]
+
+    def rhs(t, c):
+        A, B = _vacant_spots(P, t)
+        gain = np.bincount(merged, weights=rate * c[tails] * c[heads], minlength=len(c))
+        return gain - c * (a * B + b * A)
+
+    c0 = np.zeros(len(sizes))
+    c0[: len(probs)] = probs
+    # weight[j, s - 1] = s for state j of size s
+    weight = np.zeros((len(sizes), order))
+    weight[np.arange(len(sizes)), np.array(sizes) - 1] = sizes
+    coarse, fine = (_rk4_at(rhs, c0, times, h) @ weight for h in (step, 0.5 * step))
+    return fine, np.abs(fine - coarse) / 15.0
+
+
+def _closure_rhs(P: BoundDist, *, chi: bool = False):
+    """Right side of the linear form of the second-moment closure, on the
+    state (U, V), each flattened row by row, and with ``chi`` the mean size
+    of a vertex's cluster after them.
+
+    The second moments X = [[sum a^2 c, sum ab c], [sum ab c, sum b^2 c]]
+    solve X' = X J X + X K + K^T X + A B 11^T below the gel point, with
+    J = [[0, 1], [1, 0]] and K = -[[B, B], [A, A]]: in the gain and the loss
+    the third moments cancel.  With X = V U^-1 that is U' = -K U - J V and
+    V' = A B 11^T U + K^T V, U(0) = I, which stays linear through the gel
+    point, where X diverges and det U passes zero.  The size moments
+    Y = (sum as c, sum bs c) solve Y' = (X J + K^T) Y, so Y = U^-T Y(0),
+    and chi = sum s^2 c has chi' = 2 Y_a Y_b.
+    """
+    nu = evolution.nu_moments(P)
+
+    def rhs(t, y):
+        A, B = _vacant_spots(P, t)
+        u00, u01, u10, u11, v00, v01, v10, v11 = y.tolist()[:8]
+        col0, col1 = u00 + u10, u01 + u11
+        dv0 = A * B * col0 - B * v00 - A * v10
+        dv1 = A * B * col1 - B * v01 - A * v11
+        dy = [B * col0 - v10, B * col1 - v11, A * col0 - v00, A * col1 - v01, dv0, dv1, dv0, dv1]
+        if chi:
+            det = u00 * u11 - u01 * u10
+            y_a = (u11 * nu.nu01 - u10 * nu.nu10) / det
+            y_b = (u00 * nu.nu10 - u01 * nu.nu01) / det
+            dy.append(2.0 * y_a * y_b)
+        return np.array(dy)
+
+    return rhs
+
+
+def _closure_start(P: BoundDist) -> np.ndarray:
+    nu = evolution.nu_moments(P)
+    return np.array([1.0, 0.0, 0.0, 1.0, nu.nu02, nu.nu11, nu.nu11, nu.nu20])
+
+
+def _first_zero_of_det_u(P: BoundDist, step: float, horizon: float):
+    """First zero of det U before ``horizon`` at RK4 step ``step``, refined
+    by bisection on the length of the step that crosses it; None if none."""
+    rhs = _closure_rhs(P)
+    y, t = _closure_start(P), 0.0
+    while t < horizon:
+        h = min(step, horizon - t)
+        y_next = _rk4_step(rhs, y, t, h)
+        if y_next[0] * y_next[3] - y_next[1] * y_next[2] <= 0.0:
+            lo, hi = 0.0, h
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                z = _rk4_step(rhs, y, t, mid)
+                lo, hi = (lo, mid) if z[0] * z[3] - z[1] * z[2] <= 0.0 else (mid, hi)
+            return t + hi
+        y, t = y_next, t + h
+    return None
+
+
+def closure_gel_time(P: BoundDist, *, step: float, horizon: float):
+    """``(t_gel, err)``: the gel time read from the second-moment closure,
+    the first zero of det U, and its step-halving error estimate; ``(None,
+    None)`` when det U has no zero before ``horizon``.  A zero found at one
+    of the two steps but not the other fails."""
+    coarse, fine = (_first_zero_of_det_u(P, h, horizon) for h in (step, 0.5 * step))
+    if fine is None and coarse is None:
+        return None, None
+    assert fine is not None and coarse is not None, (coarse, fine)
+    return fine, abs(fine - coarse) / 15.0
+
+
+def closure_chi(P: BoundDist, t: float, *, step: float = 1e-3) -> tuple[float, float]:
+    """``(chi, err)``: the mean weak-component size of a random vertex at
+    time t below the gel point, ``chi = sum s^2 c``, from the second-moment
+    closure (:func:`_closure_rhs`) by RK4 at ``step / 2``, and its
+    step-halving error estimate."""
+    rhs, start = _closure_rhs(P, chi=True), np.append(_closure_start(P), 1.0)
+    coarse, fine = (float(_rk4_at(rhs, start, [t], h)[0, -1]) for h in (step, 0.5 * step))
+    return fine, abs(fine - coarse) / 15.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from helpers import (
     bound_dists,
     brute_moment,
+    closure_chi,
+    closure_gel_time,
+    coagulation_size_law,
     exact_transition_kind,
     random_bound_dist,
     reference_marginal,
@@ -21,6 +24,7 @@ from weakgiant import (
     BoundDist,
     ConversionOutOfRange,
     DegreeState,
+    mean_weak_component_size,
     NegativeIndex,
     NegativeTime,
     NoReactivePair,
@@ -36,6 +40,7 @@ from weakgiant import (
     nu_moments,
     time_of_conversion,
     transition_class,
+    weak_size_distribution,
 )
 from weakgiant.evolution import _FLOAT_COMB_MAX_M, _at_time
 
@@ -651,3 +656,62 @@ def test_state_beyond_float_binomials_matches_exact(rows):
     for c_n, cell in ((0.0, lambda nm, km: (0, 0)), (1.0, lambda nm, km: (nm, km))):
         want = reference_marginal({(*cell(nm, km), nm, km): p for nm, km, p in classes})
         assert degree_state_at_conversion(P, c_n).entries == want.entries
+
+
+# --- the process without a configuration model -----------------------------
+# The library reads the grown graph as a configuration model of its marginal
+# law.  Smoluchowski's equation for the process's finite clusters, and the
+# second moments that close over it, reach the same size law, gel time and
+# mean size without one (see helpers.coagulation_size_law).
+
+
+@functools.cache
+def grown_tables() -> tuple:
+    """Twelve bound tables of one to three classes, capacities up to 4, as
+    ``(finite, other)``: six with a finite transition, six with an
+    asymptotic one or none."""
+    rng = np.random.default_rng(20)
+    tables = [random_bound_dist(rng, n_atoms=1 + i % 3, max_bound=4) for i in range(12)]
+    finite = [P for P in tables if transition_class(P).kind == "finite"]
+    return finite, [P for P in tables if transition_class(P).kind != "finite"]
+
+
+def test_grown_tables_cover_every_transition_class():
+    finite, other = grown_tables()
+    assert len(finite) == 6 and {transition_class(P).kind for P in other} == {"asymptotic", "never"}
+    assert max(len(P.records()) for P in finite[:3]) == 3
+    assert all(nu_moments(P).nu10 != nu_moments(P).nu01 for P in finite)
+
+
+def test_coagulation_equation_gives_the_size_law_of_the_marginal():
+    # below, near and past the gel point, class by class: the kinetic
+    # process's finite clusters are the configuration model's
+    order = 12
+    for P in grown_tables()[0][:3]:
+        t_crit = transition_class(P).t_crit
+        times = [0.5 * t_crit, 0.95 * t_crit, 1.5 * t_crit]
+        w, err = coagulation_size_law(P, order, times, step=2e-3 * t_crit)
+        for t, oracle, estimate in zip(times, w, err):
+            law = np.array(weak_size_distribution(degree_state_at(P, t), order))
+            assert np.all(np.abs(oracle - law) <= np.maximum(1e-8 * law, 4.0 * estimate)), (P, t)
+
+
+def test_closure_gel_time_is_the_critical_time():
+    for P in grown_tables()[0]:
+        t_crit = transition_class(P).t_crit
+        t_gel, err = closure_gel_time(P, step=2e-3 * t_crit, horizon=2.0 * t_crit)
+        assert t_gel is not None and abs(t_gel - t_crit) <= 1e-10 * t_crit + 4.0 * err, (P, t_gel, t_crit)
+
+
+def test_closure_has_no_gel_time_without_a_finite_transition():
+    for P in grown_tables()[1]:
+        assert closure_gel_time(P, step=0.01, horizon=20.0) == (None, None), P
+
+
+def test_closure_mean_size_is_the_marginals_below_the_gel_point():
+    finite, other = grown_tables()
+    points = [(P, f * transition_class(P).t_crit) for P in finite for f in (0.5, 0.8)]
+    for P, t in points + [(P, 2.0) for P in other]:
+        chi = mean_weak_component_size(degree_state_at(P, t))
+        oracle, err = closure_chi(P, t)
+        assert abs(oracle - chi) <= max(1e-7 * chi, 4.0 * err), (P, t)

@@ -112,10 +112,11 @@ def test_size_distribution_deficit_is_giant_fraction():
     assert 1.0 - sum(w) == pytest.approx(giant_weak_fraction(d), abs=1e-6)
 
 
-def test_no_convergence_near_critical():
+def test_no_convergence_near_critical(monkeypatch):
     d = truncated_double_poisson(0.500001)
+    monkeypatch.setattr(gfsolver, "MAX_ITER", 2)
     with pytest.raises(NoConvergence) as info:
-        interior_fixed_point(d, max_iter=2)
+        interior_fixed_point(d)
     assert info.value.iterations == 2
     assert info.value.residual > 1e-12
 
@@ -189,12 +190,6 @@ def test_edge_following_terms_are_size_biased(d):
         expected = {key: key[side] * p for key, p in d.entries.items() if key[side] >= 1}
         assert len(keys) == len(expected)
         assert dict(zip(keys, w.tolist())) == expected
-
-
-@pytest.mark.parametrize("max_iter", [2.5, 3.0])
-def test_iteration_budget_must_be_an_integer(max_iter):
-    with pytest.raises(ValidationError, match=f"budget {max_iter} is not an integer"):
-        interior_fixed_point(truncated_double_poisson(0.6), max_iter=max_iter)
 
 
 @pytest.mark.parametrize("order", [2.5, math.nan])
@@ -295,15 +290,13 @@ def _counted_edge_rows(monkeypatch) -> list:
     return builds
 
 
-def test_table_keeps_a_solution_per_tolerance_and_budget(monkeypatch):
+def test_table_keeps_its_solution(monkeypatch):
     builds = _counted_edge_rows(monkeypatch)
     d = truncated_double_poisson(0.6)
     fraction = giant_weak_fraction(d)
     sol = interior_fixed_point(d)
-    assert interior_fixed_point(d, tol=gfsolver.FP_TOL, max_iter=gfsolver.MAX_ITER) is sol
+    assert interior_fixed_point(d) is sol
     assert sol.giant_fraction == fraction and len(builds) == 1
-    assert interior_fixed_point(d, tol=1e-6) is not sol
-    assert len(builds) == 2
 
 
 def test_each_read_of_one_text_is_solved_once(monkeypatch):
@@ -316,10 +309,12 @@ def test_each_read_of_one_text_is_solved_once(monkeypatch):
     assert len(builds) == 2
 
 
-def test_solve_that_raises_keeps_nothing():
+def test_solve_that_raises_keeps_nothing(monkeypatch):
     d = truncated_double_poisson(0.501)
     assert interior_fixed_point(truncated_double_poisson(0.501)).iterations > 1
-    with pytest.raises(NoConvergence):
-        interior_fixed_point(d, max_iter=1)
-    assert not d._solutions
+    with monkeypatch.context() as m:
+        m.setattr(gfsolver, "MAX_ITER", 1)
+        with pytest.raises(NoConvergence):
+            interior_fixed_point(d)
+    assert "_fixed_point" not in vars(d)
     assert interior_fixed_point(d) == interior_fixed_point(truncated_double_poisson(0.501))
